@@ -73,7 +73,6 @@ from .shiftop import (
 )
 from .solutions import (
     SolutionMeasure,
-    TransformSamples,
     measure_distance,
     moments_of_measure,
     perron_invert,

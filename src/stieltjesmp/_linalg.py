@@ -69,19 +69,8 @@ def hpinv(M, rcond=PINV_RCOND):
     return (U * inv) @ U.conj().T
 
 
-def random_hermitian(rng, dim, scale=1.0):
-    """Random Hermitian matrix with entries O(scale)."""
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return herm(G) * scale
-
-
 def random_unitary(rng, dim):
     """Haar-ish random unitary via QR of a complex Ginibre matrix."""
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     Q, R = np.linalg.qr(G)
     return Q * (np.diag(R) / np.abs(np.diag(R)))
-
-
-def random_unit_vector(rng, dim):
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import fields
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .hankel import check_solvable, load_moments
 from .krein import make_tau, solution_transform
 from .pipeline import Tolerances, analyze, solve_tau_grid, solve_with_tau, unique_solution
 from .solutions import (
-    TransformSamples,
     moments_of_measure,
     perron_invert,
     random_discrete_measure,
@@ -54,20 +53,6 @@ EXIT_MARGINAL = 3
 EXIT_INCONSISTENT = 4
 EXIT_USAGE = 64
 EXIT_NUMERIC = 70
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: command, inputs, tolerance overrides, output."""
-
-    command: str
-    moments_path: str | None = None
-    measure_path: str | None = None
-    tau_path: str | None = None
-    out_path: str | None = None
-    z_points: tuple = ()
-    seed: int = 0
-    tols: Tolerances = field(default_factory=Tolerances)
 
 
 def _jsonable(obj):
@@ -100,10 +85,6 @@ def _read_moments(path):
     return load_moments(io.read_json(path))
 
 
-def _read_tau(path, require_class=True):
-    return make_tau(io.read_json(path), require_class=require_class)
-
-
 def _parse_z_list(text):
     pts = []
     for part in text.split(","):
@@ -120,26 +101,52 @@ def _parse_z_list(text):
 
 
 def _tols_from_args(args):
-    base = Tolerances()
-    return Tolerances(
-        psd_tol=getattr(args, "psd_tol", None) or base.psd_tol,
-        rank_tol=getattr(args, "rank_tol", None) or base.rank_tol,
-        consistency_tol=getattr(args, "consistency_tol", None)
-        or base.consistency_tol,
-        det_tol=getattr(args, "det_tol", None),
-        rtol=getattr(args, "rtol", None) or base.rtol,
-        invert_rtol=getattr(args, "invert_rtol", None) or base.invert_rtol,
-    )
+    """Tolerances from the flags given (zero included); defaults elsewhere."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(Tolerances)}
+    return Tolerances(**{k: v for k, v in given.items() if v is not None})
+
+
+def _gen_seed(args):
+    """``--seed``, else ``STIELTJES_MP_SEED``, else 0."""
+    if args.seed is not None:
+        return args.seed
+    env_seed = os.environ.get("STIELTJES_MP_SEED") or "0"
+    try:
+        return int(env_seed)
+    except ValueError as exc:
+        raise SchemaError(
+            f"STIELTJES_MP_SEED must be an integer, got {env_seed!r}"
+        ) from exc
+
+
+def _moments_sampler(args):
+    """``(N, sampler, tau_doc)`` for the transform of the moments' solution.
+
+    The solution is the unique one when the problem is determinate and the
+    one attached to the ``--tau`` parameter otherwise.
+    """
+    seq = _read_moments(args.moments)
+    analysis = analyze(seq, args.tols)
+    N, rep = seq.N, analysis.rep
+    if analysis.verdict.determinate:
+        t_mu = analysis.picture.t_mu
+        return N, lambda z: transform_from_contraction(t_mu, rep, N, z), {"type": "unique"}
+    if args.tau is None:
+        raise SchemaError("indeterminate problem: provide --tau")
+    tau_doc = io.read_json(args.tau)
+    tau = make_tau(tau_doc, require_class=True)
+    gw = analysis.require_gamma_weyl()
+    return N, lambda z: solution_transform(gw, tau, rep, N, z), tau_doc
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_check(cfg):
-    seq = _read_moments(cfg.moments_path)
-    report = check_solvable(seq, psd_tol=cfg.tols.psd_tol)
-    _output(report.to_dict(), cfg.out_path)
+def cmd_check(args):
+    seq = _read_moments(args.moments)
+    report = check_solvable(seq, psd_tol=args.tols.psd_tol)
+    _output(report.to_dict(), args.out)
     if report.verdict == "not solvable":
         return EXIT_NEGATIVE
     if report.verdict == "marginal":
@@ -147,9 +154,9 @@ def cmd_check(cfg):
     return EXIT_OK
 
 
-def cmd_determinacy(cfg):
-    seq = _read_moments(cfg.moments_path)
-    analysis = analyze(seq, cfg.tols)
+def cmd_determinacy(args):
+    seq = _read_moments(args.moments)
+    analysis = analyze(seq, args.tols)
     defect = analysis.extended.picture.defect_dim if analysis.extended else 0
     doc = analysis.verdict.to_dict()
     doc.update(
@@ -163,7 +170,7 @@ def cmd_determinacy(cfg):
     )
     if analysis.gamma_weyl_error:
         doc["gamma_weyl_error"] = analysis.gamma_weyl_error
-    _output(doc, cfg.out_path)
+    _output(doc, args.out)
     return EXIT_OK
 
 
@@ -181,25 +188,26 @@ def _measure_entry(entry):
     return doc
 
 
-def cmd_solve(cfg, tau_grid=None, allow_unverified=False, cumulative_csv=None):
-    seq = _read_moments(cfg.moments_path)
-    analysis = analyze(seq, cfg.tols)
+def cmd_solve(args):
+    tau_grid = 3 if args.tau is None and args.tau_grid is None else args.tau_grid
+    seq = _read_moments(args.moments)
+    analysis = analyze(seq, args.tols)
     results = []
     if analysis.verdict.determinate:
-        entry = unique_solution(analysis, cfg.tols)
+        entry = unique_solution(analysis, args.tols)
         entry_doc = _measure_entry(entry)
         entry_doc["tau"] = {"type": "unique"}
         results.append(entry_doc)
     elif tau_grid is not None:
-        for entry in solve_tau_grid(analysis, tau_grid, cfg.tols):
+        for entry in solve_tau_grid(analysis, tau_grid, args.tols):
             doc = _measure_entry(entry)
             doc["tau"] = {"type": "constant-grid"}
             results.append(doc)
     else:
-        tau_doc = io.read_json(cfg.tau_path)
+        tau_doc = io.read_json(args.tau)
         try:
-            tau = make_tau(tau_doc, require_class=not allow_unverified)
-            entry = solve_with_tau(analysis, tau, cfg.tols)
+            tau = make_tau(tau_doc, require_class=not args.allow_unverified)
+            entry = solve_with_tau(analysis, tau, args.tols)
             doc = _measure_entry(entry)
             doc["tau"] = tau_doc
             results.append(doc)
@@ -217,7 +225,7 @@ def cmd_solve(cfg, tau_grid=None, allow_unverified=False, cumulative_csv=None):
         if rdoc.get("status") != "ok":
             emitted.append(rdoc)
             continue
-        if rdoc["verification"]["pass"] or allow_unverified:
+        if rdoc["verification"]["pass"] or args.allow_unverified:
             emitted.append(rdoc)
         else:
             emitted.append(
@@ -243,8 +251,8 @@ def cmd_solve(cfg, tau_grid=None, allow_unverified=False, cumulative_csv=None):
         "determinate": analysis.verdict.determinate,
         "results": emitted,
     }
-    _output(doc, cfg.out_path)
-    if cumulative_csv:
+    _output(doc, args.out)
+    if args.cumulative_csv:
         idx = 0
         for rdoc in emitted:
             if rdoc.get("status") != "ok":
@@ -252,69 +260,37 @@ def cmd_solve(cfg, tau_grid=None, allow_unverified=False, cumulative_csv=None):
             meas = io.measure_from_dict(rdoc["measure"])
             top = float(meas.positions.max()) if meas.atoms else 1.0
             grid = np.linspace(-0.25, top + 1.0, 201)
-            io.write_cumulative_csv(f"{cumulative_csv}{idx}.csv", meas, grid)
+            io.write_cumulative_csv(f"{args.cumulative_csv}{idx}.csv", meas, grid)
             idx += 1
     if any(r.get("status") == "ok" for r in emitted):
         return EXIT_OK
     return EXIT_NUMERIC
 
 
-def cmd_transform(cfg, csv_path=None):
-    seq = _read_moments(cfg.moments_path)
-    analysis = analyze(seq, cfg.tols)
-    N = seq.N
-    if analysis.verdict.determinate:
-        samples = [
-            (z, transform_from_contraction(analysis.picture.t_mu, analysis.rep, N, z))
-            for z in cfg.z_points
-        ]
-        tau_doc = {"type": "unique"}
-    else:
-        if cfg.tau_path is None:
-            raise SchemaError("indeterminate problem: provide --tau")
-        tau = _read_tau(cfg.tau_path)
-        gw = analysis.require_gamma_weyl()
-        samples = [
-            (z, solution_transform(gw, tau, analysis.rep, N, z)) for z in cfg.z_points
-        ]
-        tau_doc = io.read_json(cfg.tau_path)
-    ts = TransformSamples(N=N, samples=tuple(samples))
-    doc = io.transform_samples_to_dict(ts)
+def cmd_transform(args):
+    z_points = _parse_z_list(args.z) if args.z else ()
+    N, sampler, tau_doc = _moments_sampler(args)
+    samples = [(z, sampler(z)) for z in z_points]
+    doc = io.transform_samples_to_dict(N, samples)
     doc["tau"] = tau_doc
-    _output(doc, cfg.out_path)
-    if csv_path:
+    _output(doc, args.out)
+    if args.csv:
         xs = [z.real for z, _ in samples]
         io.write_scan_csv(
-            csv_path, xs, float(np.mean([z.imag for z, _ in samples])), [F for _, F in samples]
+            args.csv, xs, float(np.mean([z.imag for z, _ in samples])), [F for _, F in samples]
         )
     return EXIT_OK
 
 
-def cmd_invert(cfg, args):
-    if cfg.measure_path:
-        meas = io.measure_from_dict(io.read_json(cfg.measure_path))
+def cmd_invert(args):
+    if args.from_measure:
+        meas = io.measure_from_dict(io.read_json(args.from_measure))
 
         def sampler(z):
             return transform_of_measure(meas, z)
 
     else:
-        seq = _read_moments(cfg.moments_path)
-        analysis = analyze(seq, cfg.tols)
-        if analysis.verdict.determinate:
-            def sampler(z):
-                return transform_from_contraction(
-                    analysis.picture.t_mu, analysis.rep, seq.N, z
-                )
-
-        else:
-            if cfg.tau_path is None:
-                raise SchemaError("indeterminate problem: provide --tau")
-            tau = _read_tau(cfg.tau_path)
-            gw = analysis.require_gamma_weyl()
-
-            def sampler(z):
-                return solution_transform(gw, tau, analysis.rep, seq.N, z)
-
+        _, sampler, _ = _moments_sampler(args)
     eps = tuple(float(e) for e in args.eps.split(","))
     meas_out = perron_invert(
         sampler,
@@ -325,7 +301,7 @@ def cmd_invert(cfg, args):
     )
     doc = io.measure_to_dict(meas_out)
     doc["approximate"] = True
-    _output(doc, cfg.out_path)
+    _output(doc, args.out)
     if args.scan_csv:
         xs = np.linspace(args.lo, args.hi, args.grid_points)
         vals = [sampler(x + 1j * eps[-1]) for x in xs]
@@ -349,14 +325,14 @@ def _parse_atoms_spec(text):
     return atoms
 
 
-def cmd_gen(cfg, args):
+def cmd_gen(args):
     if args.atoms:
         meas = solution_measure(1, _parse_atoms_spec(args.atoms))
         count = len(meas.atoms)
     else:
         count = args.count
         meas = random_discrete_measure(
-            cfg.seed, args.N, count, min_sep=args.min_sep
+            _gen_seed(args), args.N, count, min_sep=args.min_sep
         )
     order = args.order if args.order is not None else max(2 * count - 1, 1)
     seq = moments_of_measure(meas, order)
@@ -365,12 +341,23 @@ def cmd_gen(cfg, args):
     return EXIT_OK
 
 
-def cmd_verify(cfg, args):
-    meas = io.measure_from_dict(io.read_json(cfg.measure_path))
-    seq = _read_moments(cfg.moments_path)
-    report = verify_moments(meas, seq, upto=args.upto, rtol=cfg.tols.rtol)
-    _output(report, cfg.out_path)
+def cmd_verify(args):
+    meas = io.measure_from_dict(io.read_json(args.measure))
+    seq = _read_moments(args.moments)
+    report = verify_moments(meas, seq, upto=args.upto, rtol=args.tols.rtol)
+    _output(report, args.out)
     return EXIT_OK if report["pass"] else EXIT_NEGATIVE
+
+
+COMMANDS = {
+    "check": cmd_check,
+    "determinacy": cmd_determinacy,
+    "solve": cmd_solve,
+    "transform": cmd_transform,
+    "invert": cmd_invert,
+    "gen": cmd_gen,
+    "verify": cmd_verify,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -473,45 +460,9 @@ def main(argv=None):
         # argparse exits 2 on usage errors; remap to the documented code
         return EXIT_USAGE if exc.code not in (0, None) else 0
 
-    env_seed = os.environ.get("STIELTJES_MP_SEED")
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = int(env_seed) if env_seed else 0
-
-    cfg = RunConfig(
-        command=args.command,
-        moments_path=getattr(args, "moments", None),
-        measure_path=getattr(args, "measure", None) or getattr(args, "from_measure", None),
-        tau_path=getattr(args, "tau", None),
-        out_path=getattr(args, "out", None),
-        z_points=_parse_z_list(args.z) if getattr(args, "z", None) else (),
-        seed=seed,
-        tols=_tols_from_args(args),
-    )
-
+    args.tols = _tols_from_args(args)
     try:
-        if args.command == "check":
-            return cmd_check(cfg)
-        if args.command == "determinacy":
-            return cmd_determinacy(cfg)
-        if args.command == "solve":
-            if args.tau is None and args.tau_grid is None:
-                args.tau_grid = 3
-            return cmd_solve(
-                cfg,
-                tau_grid=args.tau_grid,
-                allow_unverified=args.allow_unverified,
-                cumulative_csv=args.cumulative_csv,
-            )
-        if args.command == "transform":
-            return cmd_transform(cfg, csv_path=args.csv)
-        if args.command == "invert":
-            return cmd_invert(cfg, args)
-        if args.command == "gen":
-            return cmd_gen(cfg, args)
-        if args.command == "verify":
-            return cmd_verify(cfg, args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return COMMANDS[args.command](args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

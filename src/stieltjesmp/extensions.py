@@ -32,6 +32,7 @@ import numpy as np
 
 from ._linalg import complement, herm, hpinv, orth_cols, random_unitary
 from .errors import BadPoint, CompletionInfeasible, PropertyViolated
+from .shiftop import _off_positive_axis
 from .solutions import solution_measure
 
 __all__ = [
@@ -289,11 +290,6 @@ def extend_ext(pic, ker_tol=DEFAULT_KER_TOL):
     )
     extended = extremal_extensions(extended)
     return ExtendedOperator(picture=extended, base=pic, absorbed_dim=k)
-
-
-def _off_positive_axis(z):
-    z = complex(z)
-    return not (z.imag == 0.0 and z.real >= 0.0)
 
 
 def resolvent_from_contraction(t, z):

@@ -39,10 +39,6 @@ class HilbertRep:
     def vector(self, a):
         return self.vectors[:, a]
 
-    def inner(self, x, y):
-        """Inner product, conjugate-linear in the first argument."""
-        return complex(np.vdot(x, y))
-
     def reproduced_gram(self):
         return self.vectors.conj().T @ self.vectors
 

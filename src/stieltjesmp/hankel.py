@@ -61,14 +61,6 @@ class MomentSequence:
         """Construction order: largest n with ``S_{2n}`` available."""
         return self.m // 2
 
-    def moment(self, p):
-        return self.moments[p]
-
-    def scale(self):
-        """max(1, largest entry magnitude); reference for relative tolerances."""
-        top = max((float(np.abs(S).max()) for S in self.moments), default=0.0)
-        return max(1.0, top)
-
 
 @dataclass(frozen=True)
 class BlockHankel:
@@ -77,7 +69,6 @@ class BlockHankel:
 
     order: int
     entries: np.ndarray
-    kind: str  # "plain" | "shifted"
 
 
 @dataclass(frozen=True)
@@ -198,28 +189,27 @@ def load_moments(raw, atol=DEFAULT_ATOL):
     return MomentSequence(N=N, moments=_validate_matrices(mats, N, atol))
 
 
-def build_gamma(seq, n):
-    """Plain block Hankel of order n: block ``(i, j)`` is ``S_{i+j}``."""
-    if 2 * n > seq.m:
-        raise OrderTooHigh(f"order {n} needs S_{2 * n} but data stop at S_{seq.m}")
+def _block_hankel(seq, n, offset):
+    """Block Hankel of order n whose block ``(i, j)`` is ``S_{i+j+offset}``."""
+    top = 2 * n + offset
+    if top > seq.m:
+        raise OrderTooHigh(f"order {n} needs S_{top} but data stop at S_{seq.m}")
     N = seq.N
     G = np.empty(((n + 1) * N, (n + 1) * N), dtype=complex)
     for i in range(n + 1):
         for j in range(n + 1):
-            G[i * N : (i + 1) * N, j * N : (j + 1) * N] = seq.moments[i + j]
-    return BlockHankel(order=n, entries=G, kind="plain")
+            G[i * N : (i + 1) * N, j * N : (j + 1) * N] = seq.moments[i + j + offset]
+    return BlockHankel(order=n, entries=G)
+
+
+def build_gamma(seq, n):
+    """Plain block Hankel of order n: block ``(i, j)`` is ``S_{i+j}``."""
+    return _block_hankel(seq, n, 0)
 
 
 def build_gamma_tilde(seq, n):
     """Shifted block Hankel of order n: block ``(i, j)`` is ``S_{i+j+1}``."""
-    if 2 * n + 1 > seq.m:
-        raise OrderTooHigh(f"order {n} needs S_{2 * n + 1} but data stop at S_{seq.m}")
-    N = seq.N
-    G = np.empty(((n + 1) * N, (n + 1) * N), dtype=complex)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            G[i * N : (i + 1) * N, j * N : (j + 1) * N] = seq.moments[i + j + 1]
-    return BlockHankel(order=n, entries=G, kind="shifted")
+    return _block_hankel(seq, n, 1)
 
 
 def scalarize(seq):

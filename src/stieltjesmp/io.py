@@ -208,12 +208,11 @@ def measure_from_dict(doc):
     return SolutionMeasure(N=N, atoms=tuple(atoms), mass_at_infinity=inf)
 
 
-def transform_samples_to_dict(samples):
+def transform_samples_to_dict(N, samples):
+    """Document of sampled transform values, given as ``(z, F(z))`` pairs."""
     return {
-        "N": int(samples.N),
-        "samples": [
-            {"z": encode_complex(z), "F": encode_matrix(F)} for z, F in samples.samples
-        ],
+        "N": int(N),
+        "samples": [{"z": encode_complex(z), "F": encode_matrix(F)} for z, F in samples],
     }
 
 

@@ -30,11 +30,11 @@ admissible (it encodes relation-type behaviour of the parameter at infinity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import asymmetry, complement, herm, min_eigh
+from ._linalg import asymmetry, complement, herm, min_eigh, orth_cols
 from .errors import (
     NotIndeterminate,
     NotStieltjesClass,
@@ -156,31 +156,30 @@ def build_gamma_weyl(ext, zero_tol=1e-9, overlap_tol=1e-10):
 
 @dataclass(frozen=True)
 class TauParameter:
-    """A parameter of the resolvent formula.
+    """A parameter of the resolvent formula, in one normal form.
 
-    ``ideal_basis`` spans the relation part (the whole space for the pure
-    ideal parameter); ``tau0``/``poles`` describe the finite part acting on
-    the complementary subspace in its own coordinates:
-    ``tau(z) = tau0 + sum_k W_k / (p_k - z)``.
+    ``ideal_basis`` (orthonormal columns in ``C^hdim``, or ``None``) spans the
+    relation part; the finite part acts on its orthogonal complement, in that
+    complement's own coordinates: ``tau(z) = tau0 + sum_k W_k / (p_k - z)``.
+    The pure ideal parameter has a ``0 x 0`` ``tau0`` and no poles.  ``kind``
+    echoes the input ``type``; no method reads it.
     """
 
     kind: str  # "constant" | "rational" | "infinite" | "mixed"
     hdim: int | None
     ideal_basis: np.ndarray | None
-    tau0: np.ndarray | None
+    tau0: np.ndarray
     poles: tuple
     class_ok: bool | None = None
     class_min_eig: float | None = None
 
     @property
     def finite_dim(self):
-        if self.kind == "infinite":
-            return 0
         return self.tau0.shape[0]
 
     @property
     def is_ideal(self):
-        return self.kind == "infinite" or self.finite_dim == 0
+        return self.finite_dim == 0
 
     def inclusion(self, q):
         """Isometry of the finite-part subspace into C^q."""
@@ -188,29 +187,18 @@ class TauParameter:
             raise SchemaError(
                 f"parameter lives on C^{self.hdim}, the defect space is C^{q}"
             )
-        if self.kind == "infinite":
+        if self.is_ideal:
             return np.zeros((q, 0), dtype=complex)
-        if self.ideal_basis is None or self.ideal_basis.shape[1] == 0:
+        if self.ideal_basis is None:
             return np.eye(q, dtype=complex)
         return complement(self.ideal_basis, q)
 
     def value(self, z):
         """Finite part ``tau(z)`` in its own coordinates."""
-        if self.kind == "infinite":
-            return np.zeros((0, 0), dtype=complex)
-        V = self.tau0.astype(complex).copy()
+        V = self.tau0.astype(complex)
         for p, W in self.poles:
             V = V + W / (p - z)
         return V
-
-    def describe(self):
-        doc = {"type": self.kind}
-        if self.kind == "constant":
-            doc["matrix"] = self.tau0
-        elif self.kind in ("rational", "mixed"):
-            doc["tau0"] = self.tau0
-            doc["poles"] = [{"p": p, "W": W} for p, W in self.poles]
-        return doc
 
 
 def _parse_hermitian(obj, where, psd=False):
@@ -224,6 +212,47 @@ def _parse_hermitian(obj, where, psd=False):
     if psd and min_eigh(M) < -1e-12 * scale:
         raise SchemaError(f"{where}: not positive semi-definite within tolerance")
     return M
+
+
+def _parse_ideal(vecs):
+    """Orthonormal basis of the span of the ``ideal_subspace`` vectors."""
+    if not isinstance(vecs, list) or not vecs:
+        raise SchemaError("mixed tau needs a non-empty 'ideal_subspace'")
+    raw = np.column_stack(
+        [
+            parse_matrix([v], where=f"ideal_subspace[{i}]").ravel()
+            for i, v in enumerate(vecs)
+        ]
+    )
+    ideal = orth_cols(raw)
+    if ideal.shape[1] != raw.shape[1]:
+        raise SchemaError("ideal_subspace vectors are linearly dependent")
+    return ideal
+
+
+def _parse_poles(raw, fin_dim):
+    """Validated ``(p, W)`` pairs and the finite-part size they fix.
+
+    Every residue must be PSD and ``fin_dim x fin_dim``; when ``fin_dim`` is
+    ``None`` the first residue sets it.
+    """
+    if not isinstance(raw, list):
+        raise SchemaError("'poles' must be an array")
+    poles = []
+    for i, p in enumerate(raw):
+        if not isinstance(p, dict) or "p" not in p or "W" not in p:
+            raise SchemaError(f"pole {i} must have keys 'p' and 'W'")
+        pos = p["p"]
+        if not isinstance(pos, (int, float)) or isinstance(pos, bool):
+            raise SchemaError(f"pole {i}: 'p' must be a real number")
+        if pos == 0.0:
+            raise SchemaError(f"pole {i}: a pole at 0 is not admissible")
+        W = _parse_hermitian(p["W"], f"pole {i} residue", psd=True)
+        fin_dim = W.shape[0] if fin_dim is None else fin_dim
+        if W.shape[0] != fin_dim:
+            raise SchemaError(f"pole {i}: residue size mismatch")
+        poles.append((float(pos), W))
+    return tuple(poles), fin_dim
 
 
 def make_tau(
@@ -242,10 +271,12 @@ def make_tau(
         {"type": "rational", "tau0": [[...]], "poles": [{"p": x, "W": [[...]]}]}
         {"type": "mixed", "ideal_subspace": [[...], ...], <finite part>}
 
-    The finite part of a mixed parameter acts on the orthogonal complement of
-    ``ideal_subspace`` in its own coordinates.  Class membership (the sampled
-    kernel test) is always computed and attached; it is enforced only when
-    ``require_class`` is set, in which case failing parameters raise
+    All four are sugar for the one normal form ``(ideal_basis, tau0, poles)``:
+    ``infinite`` is an empty finite part, ``constant`` a ``tau0`` without
+    poles, and ``mixed`` a rational finite part acting on the orthogonal
+    complement of ``ideal_subspace`` in its own coordinates.  Class membership
+    (the sampled kernel test) is always computed and attached; it is enforced
+    only when ``require_class`` is set, in which case failing parameters raise
     :class:`NotStieltjesClass`.
     """
     if not isinstance(spec, dict) or "type" not in spec:
@@ -254,102 +285,38 @@ def make_tau(
     if kind not in ("infinite", "constant", "rational", "mixed"):
         raise SchemaError(f"unknown tau type {kind!r}")
 
-    if kind == "infinite":
-        return TauParameter(
-            kind=kind,
-            hdim=hdim,
-            ideal_basis=None,
-            tau0=None,
-            poles=(),
-            class_ok=True,
-            class_min_eig=0.0,
-        )
-
     ideal = None
-    if kind == "mixed":
-        vecs = spec.get("ideal_subspace")
-        if not isinstance(vecs, list) or not vecs:
-            raise SchemaError("mixed tau needs a non-empty 'ideal_subspace'")
-        cols = []
-        for i, v in enumerate(vecs):
-            row = parse_matrix([v], where=f"ideal_subspace[{i}]")
-            cols.append(row.ravel())
-        raw = np.column_stack(cols)
-        from ._linalg import orth_cols
-
-        ideal = orth_cols(raw)
-        if ideal.shape[1] != raw.shape[1]:
-            raise SchemaError("ideal_subspace vectors are linearly dependent")
-        hdim = raw.shape[0] if hdim is None else hdim
-        if raw.shape[0] != hdim:
-            raise SchemaError("ideal_subspace vectors have the wrong length")
-
-    if kind == "constant":
-        tau0 = _parse_hermitian(spec.get("matrix"), "constant tau matrix")
-        poles = ()
-        hdim = tau0.shape[0] if hdim is None else hdim
-        if tau0.shape[0] != hdim:
-            raise SchemaError("constant tau matrix has the wrong size")
+    if kind == "infinite":
+        tau0, poles = np.zeros((0, 0), dtype=complex), ()
     else:
+        if kind == "mixed":
+            ideal = _parse_ideal(spec.get("ideal_subspace"))
+            hdim = ideal.shape[0] if hdim is None else hdim
+            if ideal.shape[0] != hdim:
+                raise SchemaError("ideal_subspace vectors have the wrong length")
         fin_dim = None
-        if ideal is not None:
-            fin_dim = hdim - ideal.shape[1]
-        tau0_raw = spec.get("tau0")
-        poles_raw = spec.get("poles", [])
-        if tau0_raw is None and not poles_raw:
-            raise SchemaError("rational tau needs 'tau0' and/or 'poles'")
-        if not isinstance(poles_raw, list):
-            raise SchemaError("'poles' must be an array")
-        poles = []
-        for i, p in enumerate(poles_raw):
-            if not isinstance(p, dict) or "p" not in p or "W" not in p:
-                raise SchemaError(f"pole {i} must have keys 'p' and 'W'")
-            pos = p["p"]
-            if not isinstance(pos, (int, float)) or isinstance(pos, bool):
-                raise SchemaError(f"pole {i}: 'p' must be a real number")
-            if pos == 0.0:
-                raise SchemaError(f"pole {i}: a pole at 0 is not admissible")
-            W = _parse_hermitian(p["W"], f"pole {i} residue", psd=True)
-            if fin_dim is None:
-                fin_dim = W.shape[0]
-            if W.shape[0] != fin_dim:
-                raise SchemaError(f"pole {i}: residue size mismatch")
-            poles.append((float(pos), W))
-        if tau0_raw is not None:
-            tau0 = _parse_hermitian(tau0_raw, "tau0")
-            if fin_dim is None:
-                fin_dim = tau0.shape[0]
-            if tau0.shape[0] != fin_dim:
-                raise SchemaError("tau0 size mismatch")
+        if hdim is not None:
+            fin_dim = hdim - (0 if ideal is None else ideal.shape[1])
+        if kind == "constant":
+            tau0, poles = _parse_hermitian(spec.get("matrix"), "constant tau matrix"), ()
+            if fin_dim is not None and tau0.shape[0] != fin_dim:
+                raise SchemaError("constant tau matrix has the wrong size")
         else:
-            tau0 = np.zeros((fin_dim, fin_dim), dtype=complex)
-        poles = tuple(poles)
-        if hdim is None:
-            hdim = fin_dim + (ideal.shape[1] if ideal is not None else 0)
-        expect = hdim - (ideal.shape[1] if ideal is not None else 0)
-        if fin_dim != expect:
-            raise SchemaError(
-                f"finite part has size {fin_dim}, expected {expect} for the "
-                "declared spaces"
-            )
+            tau0_raw, poles_raw = spec.get("tau0"), spec.get("poles", [])
+            if tau0_raw is None and not poles_raw:
+                raise SchemaError("rational tau needs 'tau0' and/or 'poles'")
+            poles, fin_dim = _parse_poles(poles_raw, fin_dim)
+            if tau0_raw is None:
+                tau0 = np.zeros((fin_dim, fin_dim), dtype=complex)
+            else:
+                tau0 = _parse_hermitian(tau0_raw, "tau0")
+                if fin_dim is not None and tau0.shape[0] != fin_dim:
+                    raise SchemaError("tau0 size mismatch")
+        hdim = tau0.shape[0] if hdim is None else hdim
 
-    tau = TauParameter(
-        kind=kind,
-        hdim=hdim,
-        ideal_basis=ideal,
-        tau0=tau0,
-        poles=poles,
-    )
+    tau = TauParameter(kind=kind, hdim=hdim, ideal_basis=ideal, tau0=tau0, poles=poles)
     ok, worst = check_stieltjes_class(tau, sample_points, tol=class_tol)
-    tau = TauParameter(
-        kind=kind,
-        hdim=hdim,
-        ideal_basis=ideal,
-        tau0=tau0,
-        poles=poles,
-        class_ok=ok,
-        class_min_eig=worst,
-    )
+    tau = replace(tau, class_ok=ok, class_min_eig=worst)
     if require_class and not ok:
         raise NotStieltjesClass(
             f"parameter fails the sampled kernel test (worst eigenvalue "
@@ -425,8 +392,6 @@ def krein_resolvent(gw, tau, z):
     if tau.is_ideal:
         return gw.r_mu(z)
     inc = tau.inclusion(gw.q)
-    if inc.shape[1] == 0:
-        return gw.r_mu(z)
     Mp = gw.M(z) - gw.M0
     K1 = tau.value(z) + inc.conj().T @ Mp @ inc
     if np.linalg.cond(K1) > CONDITION_LIMIT:

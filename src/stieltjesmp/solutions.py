@@ -19,7 +19,6 @@ from .errors import NoConvergence, PoleHit
 
 __all__ = [
     "SolutionMeasure",
-    "TransformSamples",
     "solution_measure",
     "moments_of_measure",
     "verify_moments",
@@ -48,12 +47,6 @@ class SolutionMeasure:
     def positions(self):
         return np.array([lam for lam, _ in self.atoms])
 
-    def total_mass(self):
-        Z = np.zeros((self.N, self.N), dtype=complex)
-        for _, W in self.atoms:
-            Z = Z + W
-        return Z
-
     def cumulative(self, lam):
         """Left-continuous cumulative ``sum_{lambda_i < lam} W_i``."""
         Z = np.zeros((self.N, self.N), dtype=complex)
@@ -61,14 +54,6 @@ class SolutionMeasure:
             if pos < lam:
                 Z = Z + W
         return Z
-
-
-@dataclass(frozen=True)
-class TransformSamples:
-    """Sampled values ``(z, F(z))`` of a matrix Stieltjes transform."""
-
-    N: int
-    samples: tuple
 
 
 def solution_measure(N, atoms, mass_at_infinity=None, merge_tol=0.0):

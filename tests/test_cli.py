@@ -70,6 +70,12 @@ def test_check_marginal_exit_three(tmp_path):
     assert run("check", f) == 3
 
 
+def test_check_zero_tolerance_is_kept(two_atom_file, capsys):
+    # an explicit 0 is a tolerance, not "use the default"
+    assert run("check", two_atom_file, "--psd-tol", 0) == 0
+    assert json.loads(capsys.readouterr().out)["psd_tol"] == 0
+
+
 def test_check_malformed_exit_usage(tmp_path):
     f = write(tmp_path / "x.json", {"N": 1})
     assert run("check", f) == 64
@@ -227,6 +233,11 @@ def test_transform_requires_tau_when_indeterminate(two_atom_file):
     assert run("transform", two_atom_file, "--z", "1j") == 64
 
 
+def test_transform_bad_z_exit_usage(two_atom_file, tmp_path):
+    tau = write(tmp_path / "tau.json", {"type": "constant", "matrix": [[-1.0]]})
+    assert run("transform", two_atom_file, "--tau", tau, "--z", "abc") == 64
+
+
 def test_transform_with_tau_and_csv(two_atom_file, tmp_path, capsys):
     tau = write(tmp_path / "tau.json", {"type": "constant", "matrix": [[-1.0]]})
     csv = tmp_path / "scan.csv"
@@ -255,6 +266,16 @@ def test_invert_from_measure_round_trip(tmp_path, capsys):
     assert len(got.atoms) == 2
     assert abs(got.atoms[0][0] - 1.0) <= 1e-4
     assert scan.exists() and scan.read_text().startswith("x,eps")
+
+
+def test_invert_from_moments_determinate(tmp_path, capsys):
+    # delta at 1: the unique solution's transform needs no --tau
+    f = write(tmp_path / "d.json", {"N": 1, "moments": [[[1, 0]], [[1, 0]], [[1, 0]]]})
+    assert run("invert", "--moments", f, "--lo", -0.5, "--hi", 4.0) == 0
+    got = measure_from_dict(json.loads(capsys.readouterr().out))
+    ((lam, W),) = got.atoms
+    assert abs(lam - 1.0) <= 1e-4
+    assert abs(W[0, 0] - 1.0) <= 1e-3
 
 
 def test_invert_from_moments_and_tau(two_atom_file, tmp_path, capsys):
@@ -337,3 +358,9 @@ def test_env_seed_override(tmp_path, monkeypatch):
     monkeypatch.delenv("STIELTJES_MP_SEED")
     run("gen", "--count", 2, "--N", 1, "--seed", 5, "--out-moments", m2, "--out-measure", g2)
     assert m1.read_bytes() == m2.read_bytes()
+
+
+def test_env_seed_not_an_integer_exit_usage(tmp_path, monkeypatch):
+    monkeypatch.setenv("STIELTJES_MP_SEED", "x1")
+    m, g = tmp_path / "m.json", tmp_path / "g.json"
+    assert run("gen", "--count", 2, "--N", 1, "--out-moments", m, "--out-measure", g) == 64

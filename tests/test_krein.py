@@ -120,6 +120,21 @@ def test_pipeline_weyl_limit_always_finite(battery):
 def test_make_tau_infinite():
     tau = make_tau({"type": "infinite"})
     assert tau.is_ideal and tau.class_ok
+    assert tau.finite_dim == 0
+    for q in (1, 3):
+        assert tau.inclusion(q).shape == (q, 0)
+
+
+@pytest.mark.parametrize("X", [[[-1.0]], [[1.0]], [[-2.0, 0.5], [0.5, -1.0]]])
+def test_make_tau_constant_is_rational_without_poles(X):
+    # "constant" is sugar for a rational finite part with no poles
+    const = make_tau({"type": "constant", "matrix": X})
+    rat = make_tau({"type": "rational", "tau0": X})
+    q = len(X)
+    assert const.class_ok == rat.class_ok
+    assert np.array_equal(const.inclusion(q), rat.inclusion(q))
+    for z in UPPER + (-2.0,):
+        assert np.array_equal(const.value(z), rat.value(z))
 
 
 def test_make_tau_constant_psd_returned_but_out_of_class():
