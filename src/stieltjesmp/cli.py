@@ -85,19 +85,21 @@ def _read_moments(path):
     return load_moments(io.read_json(path))
 
 
-def _parse_z_list(text):
-    pts = []
+def _parse_list(text, conv, what):
+    """Comma-separated values through ``conv``; a bad or empty list is a
+    schema error."""
+    vals = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         try:
-            pts.append(complex(part))
+            vals.append(conv(part))
         except ValueError as exc:
-            raise SchemaError(f"cannot parse z value {part!r}") from exc
-    if not pts:
-        raise SchemaError("empty z list")
-    return tuple(pts)
+            raise SchemaError(f"cannot parse {what} value {part!r}") from exc
+    if not vals:
+        raise SchemaError(f"empty {what} list")
+    return tuple(vals)
 
 
 def _tols_from_args(args):
@@ -157,7 +159,7 @@ def cmd_check(args):
 def cmd_determinacy(args):
     seq = _read_moments(args.moments)
     analysis = analyze(seq, args.tols)
-    defect = analysis.extended.picture.defect_dim if analysis.extended else 0
+    defect = analysis.extended.defect_dim if analysis.extended else 0
     doc = analysis.verdict.to_dict()
     doc.update(
         {
@@ -211,6 +213,8 @@ def cmd_solve(args):
             doc = _measure_entry(entry)
             doc["tau"] = tau_doc
             results.append(doc)
+        except SchemaError:
+            raise
         except MomentProblemError as exc:
             results.append(
                 {
@@ -268,7 +272,7 @@ def cmd_solve(args):
 
 
 def cmd_transform(args):
-    z_points = _parse_z_list(args.z) if args.z else ()
+    z_points = _parse_list(args.z, complex, "z") if args.z else ()
     N, sampler, tau_doc = _moments_sampler(args)
     samples = [(z, sampler(z)) for z in z_points]
     doc = io.transform_samples_to_dict(N, samples)
@@ -283,6 +287,7 @@ def cmd_transform(args):
 
 
 def cmd_invert(args):
+    eps = _parse_list(args.eps, float, "eps")
     if args.from_measure:
         meas = io.measure_from_dict(io.read_json(args.from_measure))
 
@@ -291,7 +296,6 @@ def cmd_invert(args):
 
     else:
         _, sampler, _ = _moments_sampler(args)
-    eps = tuple(float(e) for e in args.eps.split(","))
     meas_out = perron_invert(
         sampler,
         grid=(args.lo, args.hi),

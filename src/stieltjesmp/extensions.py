@@ -38,7 +38,6 @@ from .solutions import solution_measure
 __all__ = [
     "ContractionPicture",
     "DeterminacyVerdict",
-    "ExtendedOperator",
     "cayley",
     "extremal_extensions",
     "assemble_completion",
@@ -113,16 +112,6 @@ class DeterminacyVerdict:
             "gap_norm": self.gap_norm,
             "defect_dim": self.defect_dim,
         }
-
-
-@dataclass(frozen=True)
-class ExtendedOperator:
-    """A contraction picture regularized so that the completely indeterminate
-    case holds (the gap operator has trivial kernel on the defect space)."""
-
-    picture: ContractionPicture
-    base: ContractionPicture
-    absorbed_dim: int
 
 
 def cayley(op):
@@ -225,6 +214,18 @@ def sample_sc_extensions(pic, count, seed=0):
     return out[:count]
 
 
+def _gap_kernel(pic, ker_tol):
+    """Defect coordinates split into ``ker(J* C J)`` and its complement.
+
+    The kernel holds the eigenvectors whose eigenvalue is at most ``ker_tol``
+    times the largest one; :func:`determinacy` counts them and
+    :func:`extend_ext` absorbs them, by this one rule.
+    """
+    w, V = np.linalg.eigh(herm(pic.defect_basis.conj().T @ pic.C @ pic.defect_basis))
+    in_ker = w <= ker_tol * max(float(w.max()) if w.size else 0.0, 1e-300)
+    return V[:, in_ker], V[:, ~in_ker]
+
+
 def determinacy(pic, det_tol=None, ker_tol=DEFAULT_KER_TOL):
     """Decide determinacy and measure the gap between the extremal extensions."""
     if not pic.has_extremals:
@@ -234,21 +235,8 @@ def determinacy(pic, det_tol=None, ker_tol=DEFAULT_KER_TOL):
     if det_tol is None:
         tnorm = float(np.linalg.norm(pic.t_M, 2)) if pic.dim else 0.0
         det_tol = 1e-9 * tnorm + 1e-12
-    if q == 0:
-        return DeterminacyVerdict(
-            upsilon_dim=0,
-            completely_indeterminate=False,
-            determinate=True,
-            gap_norm=gap,
-            defect_dim=0,
-        )
-    comp = herm(pic.defect_basis.conj().T @ pic.C @ pic.defect_basis)
-    w = np.linalg.eigvalsh(comp)
-    scale = max(float(w.max()) if w.size else 0.0, 1e-300)
-    ups = int(np.sum(w <= ker_tol * scale))
-    determinate = gap <= det_tol
-    if determinate:
-        ups = q
+    determinate = q == 0 or gap <= det_tol
+    ups = q if determinate else _gap_kernel(pic, ker_tol)[0].shape[1]
     return DeterminacyVerdict(
         upsilon_dim=ups,
         completely_indeterminate=(ups == 0 and q > 0),
@@ -263,33 +251,22 @@ def extend_ext(pic, ker_tol=DEFAULT_KER_TOL):
 
     On the kernel of the gap all self-adjoint contractive extensions agree
     with both extremal ones, so T extends canonically there; the regularized
-    picture has the same extremal pair and a trivial gap kernel.
+    picture has the same extremal pair and a trivial gap kernel.  Returns
+    ``pic`` itself when there is nothing to absorb.
     """
     if not pic.has_extremals:
         raise ValueError("extremal extensions not computed")
-    q = pic.defect_dim
-    if q == 0:
-        ext = replace(pic)
-        return ExtendedOperator(picture=ext, base=pic, absorbed_dim=0)
-    comp = herm(pic.defect_basis.conj().T @ pic.C @ pic.defect_basis)
-    w, V = np.linalg.eigh(comp)
-    scale = max(float(w.max()) if w.size else 0.0, 1e-300)
-    in_ker = w <= ker_tol * scale
-    k = int(in_ker.sum())
-    if k == 0:
-        return ExtendedOperator(picture=replace(pic), base=pic, absorbed_dim=0)
-    absorbed = pic.defect_basis @ V[:, in_ker]
-    new_dom = np.hstack([pic.dom_basis, absorbed])
-    new_t_on_dom = np.hstack([pic.t_on_dom, pic.t_mu @ absorbed])
-    new_defect = pic.defect_basis @ V[:, ~in_ker]
+    ker, rest = _gap_kernel(pic, ker_tol)
+    if ker.shape[1] == 0:
+        return pic
+    absorbed = pic.defect_basis @ ker
     extended = ContractionPicture(
         dim=pic.dim,
-        dom_basis=new_dom,
-        defect_basis=new_defect,
-        t_on_dom=new_t_on_dom,
+        dom_basis=np.hstack([pic.dom_basis, absorbed]),
+        defect_basis=pic.defect_basis @ rest,
+        t_on_dom=np.hstack([pic.t_on_dom, pic.t_mu @ absorbed]),
     )
-    extended = extremal_extensions(extended)
-    return ExtendedOperator(picture=extended, base=pic, absorbed_dim=k)
+    return extremal_extensions(extended)
 
 
 def resolvent_from_contraction(t, z):

@@ -43,12 +43,7 @@ from .errors import (
     SchemaError,
     WeylLimitDivergent,
 )
-from .extensions import (
-    ExtendedOperator,
-    clustered_eigh,
-    determinacy,
-    resolvent_from_contraction,
-)
+from .extensions import determinacy, resolvent_from_contraction
 from .io import parse_matrix
 
 __all__ = [
@@ -99,12 +94,12 @@ class GammaWeyl:
         return (z + 1.0) * (self.J.conj().T @ self.gamma(z))
 
 
-def build_gamma_weyl(ext, zero_tol=1e-9, overlap_tol=1e-10):
+def build_gamma_weyl(pic, zero_tol=1e-9, overlap_tol=1e-10):
     """Gamma field / Weyl function of a completely indeterminate picture.
 
     Parameters
     ----------
-    ext : ExtendedOperator or ContractionPicture
+    pic : ContractionPicture
         Picture with extremal extensions whose gap has trivial kernel on the
         defect space (apply :func:`extensions.extend_ext` first otherwise).
 
@@ -116,7 +111,6 @@ def build_gamma_weyl(ext, zero_tol=1e-9, overlap_tol=1e-10):
         The Friedrichs corner has an eigenvalue at 0 whose eigenspace
         overlaps the defect space, so ``M`` has no finite limit at 0.
     """
-    pic = ext.picture if isinstance(ext, ExtendedOperator) else ext
     if not pic.has_extremals:
         raise ValueError("extremal extensions not computed")
     q = pic.defect_dim
@@ -128,25 +122,21 @@ def build_gamma_weyl(ext, zero_tol=1e-9, overlap_tol=1e-10):
             "gap kernel is non-trivial; regularize with extend_ext first"
         )
     J = pic.defect_basis
-    # M(0) from the spectral decomposition of t_mu: the eigenvalue a of the
-    # extension contributes (a+1)/a J* P J, the point at infinity contributes
-    # J* P J; an eigenvalue a = 0 overlapping ran J makes the limit diverge.
-    M0 = np.zeros((q, q), dtype=complex)
-    for ti, V in clustered_eigh(pic.t_mu):
-        ov = V.conj().T @ J  # overlaps first, as in spectral_solution
-        G = herm(ov.conj().T @ ov)
-        if 1.0 + ti <= 1e-12:
-            M0 += G
-            continue
-        a = (1.0 - ti) / (1.0 + ti)
-        if a <= zero_tol:
-            if np.linalg.norm(G) > overlap_tol:
-                raise WeylLimitDivergent(
-                    "Friedrichs-corner eigenvalue at 0 overlaps the defect "
-                    f"space (weight {np.linalg.norm(G):.3e}); M(0) diverges"
-                )
-            continue
-        M0 += (a + 1.0) / a * G
+    # M(0) from the spectral decomposition of t_mu: the eigenvalue w (atom
+    # a = (1-w)/(1+w)) contributes (a+1)/a = 2/(1-w) times the overlap Gram
+    # of its eigenvector with ran J (weight 1 at the point at infinity
+    # w = -1); an atom a = 0 overlapping ran J makes the limit diverge.
+    w, V = np.linalg.eigh(pic.t_mu)
+    ov = V.conj().T @ J  # overlaps first, as in spectral_solution
+    at_zero = 1.0 - w <= zero_tol * (1.0 + w)
+    weight = float(np.linalg.norm(ov[at_zero].conj().T @ ov[at_zero]))
+    if weight > overlap_tol:
+        raise WeylLimitDivergent(
+            "Friedrichs-corner eigenvalue at 0 overlaps the defect "
+            f"space (weight {weight:.3e}); M(0) diverges"
+        )
+    ov = ov[~at_zero]
+    M0 = ov.conj().T @ ((2.0 / (1.0 - w[~at_zero]))[:, None] * ov)
     return GammaWeyl(J=J, t_mu=pic.t_mu, M0=herm(M0), q=q)
 
 
@@ -218,12 +208,13 @@ def _parse_ideal(vecs):
     """Orthonormal basis of the span of the ``ideal_subspace`` vectors."""
     if not isinstance(vecs, list) or not vecs:
         raise SchemaError("mixed tau needs a non-empty 'ideal_subspace'")
-    raw = np.column_stack(
-        [
-            parse_matrix([v], where=f"ideal_subspace[{i}]").ravel()
-            for i, v in enumerate(vecs)
-        ]
-    )
+    cols = [
+        parse_matrix([v], where=f"ideal_subspace[{i}]").ravel()
+        for i, v in enumerate(vecs)
+    ]
+    if len({c.size for c in cols}) != 1:
+        raise SchemaError("ideal_subspace vectors have unequal lengths")
+    raw = np.column_stack(cols)
     ideal = orth_cols(raw)
     if ideal.shape[1] != raw.shape[1]:
         raise SchemaError("ideal_subspace vectors are linearly dependent")
@@ -409,61 +400,65 @@ def solution_transform(gw, tau, rep, N, z):
 
 
 # ---------------------------------------------------------------------------
-# canonical correspondence helpers
+# canonical correspondence at the base point
+#
+# At z = -1 the formula is closed: gamma(-1) = J, M(-1) = 0 and
+# R_{-1} = (E + t)/2, so a Hermitian constant tau and its in-space extension
+# t are related by
+#
+#     t = t_mu - 2 J (tau - M(0))^{-1} J*,    tau = M(0) - 2 (J* (t - t_mu) J)^{-1}.
 
 
-def constant_tau_of_extension(gw, t, probes=(0.7j, 1.9j, -0.6 + 0.8j), tol=1e-7):
+def constant_tau_of_extension(gw, t, tol=1e-7):
     """Hermitian constant parameter reproducing a contractive extension.
 
-    Solves the resolvent formula for the parameter at several probe points
-    and checks the results agree (they must, for an extension inside the
-    space).  Raises :class:`ParameterDegenerate` when the extension touches
-    the Friedrichs corner (ideal parameter) or the solve is inconsistent.
+    Raises :class:`ParameterDegenerate` when ``t`` does not differ from the
+    Friedrichs corner on the defect space alone (it is not an in-space
+    extension), or when it touches that corner (the parameter is the ideal
+    element, or has an ideal part).
     """
-    taus = []
-    for z in probes:
-        diff = gw.r_mu(z) - resolvent_from_contraction(t, z)
-        g = gw.gamma(z)
-        gs = gw.gamma_star(z)
-        Kinv = np.linalg.pinv(g) @ diff @ np.linalg.pinv(gs)
-        scale = max(float(np.linalg.norm(gw.r_mu(z))), 1.0)
-        if np.linalg.norm(Kinv) < 1e-13 * scale:
-            raise ParameterDegenerate(
-                "extension coincides with the Friedrichs corner; the "
-                "parameter is the ideal element"
-            )
-        if np.linalg.cond(Kinv) > CONDITION_LIMIT:
-            raise ParameterDegenerate(
-                "extension agrees with the Friedrichs corner on a subspace; "
-                "the parameter has an ideal part"
-            )
-        taus.append(np.linalg.inv(Kinv) - (gw.M(z) - gw.M0))
-    mean = herm(sum(taus) / len(taus))
-    spread = max(float(np.abs(t_ - mean).max()) for t_ in taus)
-    if spread > tol * max(1.0, float(np.abs(mean).max())):
+    J = gw.J
+    diff = np.asarray(t, dtype=complex) - gw.t_mu
+    D = herm(J.conj().T @ diff @ J)
+    off = float(np.abs(diff - J @ D @ J.conj().T).max())
+    if off > tol:  # entries of a contraction are at most 1: tol is relative
         raise ParameterDegenerate(
-            f"solved parameter varies by {spread:.3e} across probe points"
+            f"extension differs from the Friedrichs corner by {off:.3e} off "
+            "the defect space; it is not an in-space extension"
         )
-    return mean
+    if np.linalg.norm(D) < 1e-13:
+        raise ParameterDegenerate(
+            "extension coincides with the Friedrichs corner; the "
+            "parameter is the ideal element"
+        )
+    if np.linalg.cond(D) > CONDITION_LIMIT:
+        raise ParameterDegenerate(
+            "extension agrees with the Friedrichs corner on a subspace; "
+            "the parameter has an ideal part"
+        )
+    return herm(gw.M0 - 2.0 * np.linalg.inv(D))
 
 
-def extension_of_constant_tau(gw, tau, probe=0.6j, checks=(1.7j, -0.8 + 0.9j), tol=1e-7):
+def extension_of_constant_tau(gw, tau, checks=(1.7j, -0.8 + 0.9j), tol=1e-7):
     """Contractive extension whose resolvent the formula returns for ``tau``.
 
     Valid for parameters without z-dependence (constant, ideal, or mixed with
     constant finite part): these correspond to extensions inside the space.
-    The recovered matrix is verified Hermitian, contractive, and consistent
-    with the formula at the check points.
+    The extension is verified Hermitian, contractive, and consistent with the
+    formula at the check points.
     """
     if tau.poles:
         raise ValueError("only constant/ideal parameters define an in-space extension")
     if tau.is_ideal:
         return gw.t_mu.copy()
-    z = complex(probe)
-    R = krein_resolvent(gw, tau, z)
-    d = R.shape[0]
-    I = np.eye(d, dtype=complex)
-    t = np.linalg.solve((1.0 + z) * R + I, (1.0 - z) * R - I)
+    P = tau.inclusion(gw.q)
+    K = tau.tau0 - P.conj().T @ gw.M0 @ P
+    if np.linalg.cond(K) > CONDITION_LIMIT:
+        raise ParameterDegenerate(
+            f"parameter block at z = -1 has condition above {CONDITION_LIMIT:.0e}"
+        )
+    JP = gw.J @ P
+    t = gw.t_mu - 2.0 * JP @ np.linalg.solve(K, JP.conj().T)
     if asymmetry(t) > tol * max(1.0, float(np.abs(t).max())):
         raise PropertyViolated("recovered extension is not Hermitian", witness=t)
     t = herm(t)

@@ -57,7 +57,7 @@ class Analysis:
     shift: object
     picture: object  # with extremal extensions
     verdict: object
-    extended: object | None = None  # ExtendedOperator, indeterminate case only
+    extended: object | None = None  # regularized picture, indeterminate case only
     gamma_weyl: object | None = None
     gamma_weyl_error: str | None = None
 
@@ -135,7 +135,7 @@ def solve_tau_grid(analysis, count, tols=Tolerances()):
     reproduce the top moment.  Each entry reports the Hermitian-constant
     parameter its extension corresponds to.
     """
-    pic = analysis.extended.picture if analysis.extended else analysis.picture
+    pic = analysis.extended or analysis.picture
     out = []
     for j in range(int(count)):
         s = (j + 1) / count

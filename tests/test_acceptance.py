@@ -277,7 +277,7 @@ def test_criterion_08_krein_formula_cross_validation(indeterminate_battery):
         gw = a.gamma_weyl
         if gw is None:
             continue
-        pic = a.extended.picture
+        pic = a.extended
         for s in (0.2, 0.4, 0.6, 0.8, 1.0):
             t = herm(pic.t_mu + s * (pic.t_M - pic.t_mu))
             tau_mat = constant_tau_of_extension(gw, t)

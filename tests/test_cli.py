@@ -195,6 +195,18 @@ def test_solve_out_of_class_tau_refused(two_atom_file, tmp_path):
     assert run("solve", two_atom_file, "--tau", tau) == 70
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"type": "mixed", "ideal_subspace": [[[1, 0], [0, 0]], [[1, 0]]], "tau0": [[-1.0]]},
+        {"type": "nope"},
+    ],
+)
+def test_solve_malformed_tau_exit_usage(two_atom_file, tmp_path, doc):
+    tau = write(tmp_path / "tau.json", doc)
+    assert run("solve", two_atom_file, "--tau", tau) == 64
+
+
 def test_solve_cumulative_csv(two_atom_file, tmp_path):
     prefix = str(tmp_path / "cum")
     out = tmp_path / "sol.json"
@@ -276,6 +288,12 @@ def test_invert_from_moments_determinate(tmp_path, capsys):
     ((lam, W),) = got.atoms
     assert abs(lam - 1.0) <= 1e-4
     assert abs(W[0, 0] - 1.0) <= 1e-3
+
+
+@pytest.mark.parametrize("eps", ["abc", "1e-2,x", "", ","])
+def test_invert_bad_eps_exit_usage(tmp_path, eps):
+    f = write(tmp_path / "d.json", {"N": 1, "moments": [[[1, 0]], [[1, 0]], [[1, 0]]]})
+    assert run("invert", "--moments", f, "--eps", eps) == 64
 
 
 def test_invert_from_moments_and_tau(two_atom_file, tmp_path, capsys):

@@ -175,6 +175,7 @@ def test_make_tau_require_class():
     "doc",
     [
         {"type": "nope"},
+        {"type": "mixed", "ideal_subspace": [[[1, 0], [0, 0]], [[1, 0]]], "tau0": [[-1.0]]},
         {"type": "constant"},
         {"type": "constant", "matrix": [[0.0, 1.0], [0.0, 0.0]]},  # not Hermitian
         {"type": "rational"},
@@ -272,6 +273,59 @@ def test_extension_round_trip_via_parameter(two_atom):
         tau = make_tau({"type": "constant", "matrix": [[complex(tau_mat[0, 0]).real]]})
         t_back = extension_of_constant_tau(gw, tau)
         assert np.abs(t_back - t).max() <= 1e-8
+
+
+def test_constant_tau_of_friedrichs_corner_is_ideal(two_atom):
+    gw = two_atom.gamma_weyl
+    with pytest.raises(ParameterDegenerate, match="ideal element"):
+        constant_tau_of_extension(gw, two_atom.picture.t_mu)
+
+
+def test_constant_tau_refuses_change_off_the_defect_space(two_atom):
+    # moving t_M on D(T) leaves the family of extensions of T
+    gw = two_atom.gamma_weyl
+    pic = two_atom.picture
+    B = pic.dom_basis
+    t = pic.t_M + 1e-3 * B @ B.conj().T
+    with pytest.raises(ParameterDegenerate, match="not an in-space extension"):
+        constant_tau_of_extension(gw, t)
+
+
+def test_constant_tau_of_partial_gap_has_ideal_part(battery):
+    # keep two of the three gap directions: the extension agrees with the
+    # Friedrichs corner on the third, so the parameter is ideal there
+    a = battery["n3_rand"]
+    gw = a.gamma_weyl
+    J = gw.J
+    w, V = np.linalg.eigh(herm(J.conj().T @ a.extended.C @ J))
+    X = (V[:, 1:] * w[1:]) @ V[:, 1:].conj().T
+    t = a.extended.t_mu + J @ X @ J.conj().T
+    with pytest.raises(ParameterDegenerate, match="ideal part"):
+        constant_tau_of_extension(gw, t)
+
+
+def test_constant_parameter_round_trip_n4_m9():
+    # full deficiency q = N = 4 at d = 20, well past the acceptance battery
+    from stieltjesmp import analyze, moments_of_measure
+    from stieltjesmp.io import encode_matrix
+    from stieltjesmp.solutions import random_discrete_measure
+
+    meas = random_discrete_measure(1, 4, 7, lam_range=(0.2, 8.0), min_sep=0.5)
+    a = analyze(moments_of_measure(meas, 9))
+    gw = a.gamma_weyl
+    assert gw is not None and gw.q == 4 and gw.dim == 20
+    pic = a.extended
+    for s in (0.3, 0.7, 1.0):
+        t = herm(pic.t_mu + s * (pic.t_M - pic.t_mu))
+        tau_mat = constant_tau_of_extension(gw, t)
+        tau = make_tau({"type": "constant", "matrix": encode_matrix(tau_mat)})
+        assert tau.class_ok
+        for z in (1j, -1 + 1j, 0.5 + 0.25j, -2.0):
+            err = np.abs(
+                krein_resolvent(gw, tau, z) - resolvent_from_contraction(t, z)
+            ).max()
+            assert err <= 1e-8, (s, z, err)
+        assert np.abs(extension_of_constant_tau(gw, tau) - t).max() <= 1e-8
 
 
 def test_resolvent_symmetry_any_parameter(two_atom):
