@@ -38,7 +38,7 @@ from .extensions import (
     spectral_solution,
     transform_from_contraction,
 )
-from .gns import HilbertRep, build_space, project_onto
+from .gns import HilbertRep, build_space
 from .hankel import (
     BlockHankel,
     MomentSequence,

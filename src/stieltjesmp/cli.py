@@ -272,7 +272,7 @@ def cmd_solve(args):
 
 
 def cmd_transform(args):
-    z_points = _parse_list(args.z, complex, "z") if args.z else ()
+    z_points = _parse_list(args.z, complex, "z")
     N, sampler, tau_doc = _moments_sampler(args)
     samples = [(z, sampler(z)) for z in z_points]
     doc = io.transform_samples_to_dict(N, samples)

@@ -18,7 +18,7 @@ which are the corners of the extremal extensions ``t_mu`` and ``t_M``.  The
 completion interval is validated against a brute-force feasibility oracle in
 the test suite.
 
-Resolvents of extensions are always computed from the contraction itself:
+The dense reference resolvent is computed from the contraction itself:
 ``R_z = (E + t) ((1 - z) E - (1 + z) t)^{-1}``.  An eigenvalue ``-1`` of ``t``
 (a point mass at infinity of the extension, routine for the Friedrichs corner
 of a truncated problem) then contributes nothing, with no singular inversion.

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import herm, orth_cols
+from ._linalg import herm
 from .errors import NotPSD
 
-__all__ = ["HilbertRep", "build_space", "project_onto"]
+__all__ = ["HilbertRep", "build_space"]
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -63,16 +63,3 @@ def build_space(gram, rank_tol=DEFAULT_RANK_TOL):
     X = (np.sqrt(w[keep])[:, None]) * U[:, keep].conj().T
     return HilbertRep(dim=int(keep.sum()), vectors=X, gram=gram, rank_tol=rank_tol)
 
-
-def project_onto(rep, subspace, v):
-    """Orthogonally project ``v`` onto the span of ``subspace``.
-
-    ``subspace`` is a sequence of d-vectors (need not be orthonormal or
-    independent); the projection is Euclidean in the representation space.
-    """
-    v = np.asarray(v, dtype=complex)
-    cols = [np.asarray(u, dtype=complex) for u in subspace]
-    if not cols:
-        return np.zeros_like(v)
-    B = orth_cols(np.column_stack(cols))
-    return B @ (B.conj().T @ v)

@@ -19,6 +19,11 @@ larger space).  Hermitian-constant parameters correspond exactly to the
 extensions inside the space: ``tau = 0`` recovers the Krein corner ``t_M`` and
 the ideal parameter (``tau = infinity``) recovers ``t_mu`` itself.
 
+All of it comes from the eigenpairs of ``t_mu = V diag(w) V*``, with no solve
+per ``z``: for ``c = 1 - w - z (1 + w)``, ``V* R_z V = diag((1 + w)/c)`` and
+``V* gamma(z) = diag(2/c) V* J``.  An eigenvalue ``w = -1`` (mass at infinity)
+needs no special case: there ``c = 2``, so it adds 0 to ``R_z``, 1 to gamma.
+
 Admissibility is the sampled kernel test: both ``tau(z)`` and ``tau(z)/z``
 must have positive semi-definite Nevanlinna kernels on upper-half-plane
 sample points.  Consequences worth spelling out, because they fix all signs
@@ -36,6 +41,7 @@ import numpy as np
 
 from ._linalg import asymmetry, complement, herm, min_eigh, orth_cols
 from .errors import (
+    BadPoint,
     NotIndeterminate,
     NotStieltjesClass,
     ParameterDegenerate,
@@ -45,6 +51,7 @@ from .errors import (
 )
 from .extensions import determinacy, resolvent_from_contraction
 from .io import parse_matrix
+from .shiftop import _off_positive_axis
 
 __all__ = [
     "GammaWeyl",
@@ -74,24 +81,28 @@ class GammaWeyl:
     t_mu: np.ndarray  # Friedrichs-corner contraction
     M0: np.ndarray  # (q, q) limit of M at 0
     q: int
+    w: np.ndarray  # (d,) eigenvalues of t_mu
+    V: np.ndarray  # (d, d) eigenvectors of t_mu
+    ov: np.ndarray  # (d, q) overlaps V* J
 
     @property
     def dim(self):
         return self.t_mu.shape[0]
 
-    def r_mu(self, z):
-        """Resolvent of the Friedrichs-corner extension."""
-        return resolvent_from_contraction(self.t_mu, z)
+    def _diagonals(self, z):
+        """``(r, g)``: ``V* R_z V = diag(r)``, ``V* gamma(z) = diag(g) V* J``."""
+        if not _off_positive_axis(z):
+            raise BadPoint(f"z = {complex(z)} lies on [0, inf)")
+        c = 1.0 - self.w - z * (1.0 + self.w)
+        return (1.0 + self.w) / c, 2.0 / c
 
     def gamma(self, z):
-        return self.J + (z + 1.0) * (self.r_mu(z) @ self.J)
-
-    def gamma_star(self, z):
-        """``gamma(conj(z))*``, evaluated directly."""
-        return self.J.conj().T + (z + 1.0) * (self.J.conj().T @ self.r_mu(z))
+        _, g = self._diagonals(z)
+        return self.V @ (g[:, None] * self.ov)
 
     def M(self, z):
-        return (z + 1.0) * (self.J.conj().T @ self.gamma(z))
+        _, g = self._diagonals(z)
+        return (complex(z) + 1.0) * (self.ov.conj().T @ (g[:, None] * self.ov))
 
 
 def build_gamma_weyl(pic, zero_tol=1e-9, overlap_tol=1e-10):
@@ -122,10 +133,7 @@ def build_gamma_weyl(pic, zero_tol=1e-9, overlap_tol=1e-10):
             "gap kernel is non-trivial; regularize with extend_ext first"
         )
     J = pic.defect_basis
-    # M(0) from the spectral decomposition of t_mu: the eigenvalue w (atom
-    # a = (1-w)/(1+w)) contributes (a+1)/a = 2/(1-w) times the overlap Gram
-    # of its eigenvector with ran J (weight 1 at the point at infinity
-    # w = -1); an atom a = 0 overlapping ran J makes the limit diverge.
+    # M(0) is M(z) at z = 0, where 2/c = 2/(1 - w)
     w, V = np.linalg.eigh(pic.t_mu)
     ov = V.conj().T @ J  # overlaps first, as in spectral_solution
     at_zero = 1.0 - w <= zero_tol * (1.0 + w)
@@ -135,9 +143,9 @@ def build_gamma_weyl(pic, zero_tol=1e-9, overlap_tol=1e-10):
             "Friedrichs-corner eigenvalue at 0 overlaps the defect "
             f"space (weight {weight:.3e}); M(0) diverges"
         )
-    ov = ov[~at_zero]
-    M0 = ov.conj().T @ ((2.0 / (1.0 - w[~at_zero]))[:, None] * ov)
-    return GammaWeyl(J=J, t_mu=pic.t_mu, M0=herm(M0), q=q)
+    kept = ov[~at_zero]
+    M0 = kept.conj().T @ ((2.0 / (1.0 - w[~at_zero]))[:, None] * kept)
+    return GammaWeyl(J=J, t_mu=pic.t_mu, M0=herm(M0), q=q, w=w, V=V, ov=ov)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +380,26 @@ def check_stieltjes_class(tau, sample_points=DEFAULT_CLASS_POINTS, tol=1e-9):
 # the resolvent formula
 
 
+def _compressed_resolvent(gw, tau, z, P):
+    """``P* (V* R(tau, z) V) P``: there ``R_z`` is ``diag(r)``, ``gamma(z)`` is
+    ``G = diag(g) V* J`` and ``gamma(conj(z))*`` is ``(V* J)* diag(g)``."""
+    z = complex(z)
+    r, g = gw._diagonals(z)
+    Ph = P.conj().T
+    R = Ph @ (r[:, None] * P)
+    if tau.is_ideal:
+        return R
+    inc = tau.inclusion(gw.q)
+    G = g[:, None] * gw.ov
+    K1 = tau.value(z) + inc.conj().T @ (gw.M(z) - gw.M0) @ inc
+    if np.linalg.cond(K1) > CONDITION_LIMIT:
+        raise ParameterDegenerate(
+            f"parameter block at z = {z} has condition above {CONDITION_LIMIT:.0e}"
+        )
+    Kinv = inc @ np.linalg.inv(K1) @ inc.conj().T
+    return R - (Ph @ G) @ Kinv @ ((gw.ov.conj().T * g) @ P)
+
+
 def krein_resolvent(gw, tau, z):
     """Generalized resolvent ``R_z - gamma(z) K(z)^{-1} gamma(conj(z))*``.
 
@@ -379,24 +407,12 @@ def krein_resolvent(gw, tau, z):
     inverse is embedded by zero on the relation part, so the pure ideal
     parameter returns the Friedrichs-corner resolvent unchanged.
     """
-    z = complex(z)
-    if tau.is_ideal:
-        return gw.r_mu(z)
-    inc = tau.inclusion(gw.q)
-    Mp = gw.M(z) - gw.M0
-    K1 = tau.value(z) + inc.conj().T @ Mp @ inc
-    if np.linalg.cond(K1) > CONDITION_LIMIT:
-        raise ParameterDegenerate(
-            f"parameter block at z = {z} has condition above {CONDITION_LIMIT:.0e}"
-        )
-    Kinv = inc @ np.linalg.inv(K1) @ inc.conj().T
-    return gw.r_mu(z) - gw.gamma(z) @ Kinv @ gw.gamma_star(z)
+    return _compressed_resolvent(gw, tau, z, gw.V.conj().T)
 
 
 def solution_transform(gw, tau, rep, N, z):
     """Matrix Stieltjes transform of the solution attached to ``tau``."""
-    Xi0 = rep.vectors[:, :N]
-    return Xi0.conj().T @ krein_resolvent(gw, tau, z) @ Xi0
+    return _compressed_resolvent(gw, tau, z, gw.V.conj().T @ rep.vectors[:, :N])
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import hankel
 from .errors import MomentProblemError, NotIndeterminate, WeylLimitDivergent
 from .extensions import (
@@ -181,8 +179,7 @@ def solve_with_tau(
     if grid is None:
         # generous default support window: the Friedrichs-corner atoms plus
         # the parameter's poles bound where solution atoms can appear
-        w = np.linalg.eigvalsh(gw.t_mu)
-        w = w[1.0 + w > 1e-9]
+        w = gw.w[1.0 + gw.w > 1e-9]
         top = float(((1.0 - w) / (1.0 + w)).max()) if w.size else 1.0
         top = max(top, max((p for p, _ in tau.poles), default=0.0))
         grid = (-0.5, 2.5 * top + 5.0)

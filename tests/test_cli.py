@@ -250,6 +250,20 @@ def test_transform_bad_z_exit_usage(two_atom_file, tmp_path):
     assert run("transform", two_atom_file, "--tau", tau, "--z", "abc") == 64
 
 
+def test_transform_empty_z_exit_usage(two_atom_file, tmp_path, capsys):
+    tau = write(tmp_path / "tau.json", {"type": "constant", "matrix": [[-1.0]]})
+    csv = tmp_path / "scan.csv"
+    assert run("transform", two_atom_file, "--tau", tau, "--z", "", "--csv", csv) == 64
+    assert "empty z list" in capsys.readouterr().err
+    assert not csv.exists()
+
+
+def test_transform_point_on_positive_axis_exit_software(two_atom_file, tmp_path, capsys):
+    tau = write(tmp_path / "tau.json", {"type": "constant", "matrix": [[-1.0]]})
+    assert run("transform", two_atom_file, "--tau", tau, "--z", "2.0") == 70
+    assert "lies on [0, inf)" in capsys.readouterr().err
+
+
 def test_transform_with_tau_and_csv(two_atom_file, tmp_path, capsys):
     tau = write(tmp_path / "tau.json", {"type": "constant", "matrix": [[-1.0]]})
     csv = tmp_path / "scan.csv"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stieltjesmp import NotPSD, build_space, moment_sequence, project_onto, scalarize
+from stieltjesmp import NotPSD, build_space, moment_sequence, scalarize
 from stieltjesmp.hankel import ScalarGram
 from stieltjesmp.solutions import moments_of_measure, random_discrete_measure
 
@@ -66,12 +66,3 @@ def test_phase_convention_invisible_through_inner_products():
     phases = np.exp(2j * np.pi * rng.uniform(size=rep.dim))
     flipped = (phases[:, None]) * rep.vectors
     assert np.allclose(flipped.conj().T @ flipped, rep.reproduced_gram(), atol=1e-12)
-
-
-def test_projection_examples():
-    rep = build_space(gram_of(np.eye(2)), 1e-10)
-    v = np.array([3.0, 4.0], dtype=complex)
-    assert np.allclose(project_onto(rep, [np.array([1.0, 0.0])], v), [3.0, 0.0])
-    assert np.allclose(project_onto(rep, [], v), 0.0)
-    span = [np.array([1.0, 1.0]), np.array([1.0, -1.0])]
-    assert np.allclose(project_onto(rep, span, v), v)

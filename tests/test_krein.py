@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
+    BadPoint,
     NotIndeterminate,
     NotStieltjesClass,
     ParameterDegenerate,
@@ -227,6 +228,80 @@ def test_ideal_parameter_reproduces_friedrichs_resolvent(two_atom):
     for z in (1j, -1 + 1j, 2j, -2.0):
         R = krein_resolvent(gw, tau, z)
         assert np.abs(R - resolvent_from_contraction(gw.t_mu, z)).max() <= 1e-12
+
+
+def _reference_taus(q):
+    """Constant, rational, ideal and (for q >= 2) mixed parameters on C^q."""
+    from stieltjesmp.io import encode_matrix
+
+    const = -0.7 * np.eye(q) + 0.1 * (np.eye(q, k=1) + np.eye(q, k=-1))
+    docs = [
+        {"type": "infinite"},
+        {"type": "constant", "matrix": encode_matrix(const)},
+        {
+            "type": "rational",
+            "tau0": encode_matrix(-np.eye(q)),
+            "poles": [{"p": 1.5, "W": encode_matrix(0.5 * np.eye(q))}],
+        },
+    ]
+    if q >= 2:
+        docs.append(
+            {
+                "type": "mixed",
+                "ideal_subspace": [encode_matrix(np.eye(q)[0])[0]],
+                "tau0": encode_matrix(-np.eye(q - 1)),
+                "poles": [{"p": 0.8, "W": encode_matrix(np.eye(q - 1))}],
+            }
+        )
+    return [make_tau(doc, hdim=q) for doc in docs]
+
+
+def test_eigenbasis_formula_matches_dense_reference(indeterminate_battery):
+    # gamma, M, the generalized resolvent and the transform, against the
+    # same formulas written with dense resolvent solves of t_mu; two_atom's
+    # t_mu has the eigenvalue -1 (mass at infinity)
+    assert np.allclose(
+        np.linalg.eigvalsh(indeterminate_battery["two_atom"].gamma_weyl.t_mu),
+        [-1.0, -0.2],
+    )
+    for name, a in indeterminate_battery.items():
+        gw = a.gamma_weyl
+        J, Jh = gw.J, gw.J.conj().T
+        Xi0 = a.rep.vectors[:, : a.N]
+        for z in (1j, -2.0, -0.3 + 0.2j, 0.7 + 1e-4j, 0.05 + 1e-3j):
+            Rz = resolvent_from_contraction(gw.t_mu, z)
+            gam = J + (z + 1.0) * (Rz @ J)
+            gam_star = Jh + (z + 1.0) * (Jh @ Rz)  # gamma(conj(z))*
+            M = (z + 1.0) * (Jh @ gam)
+            for got, ref in ((gw.gamma(z), gam), (gw.M(z), M)):
+                assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max(), (name, z)
+            for tau in _reference_taus(gw.q):
+                inc = tau.inclusion(gw.q)
+                R = Rz
+                if not tau.is_ideal:
+                    K1 = tau.value(z) + inc.conj().T @ (M - gw.M0) @ inc
+                    R = Rz - gam @ inc @ np.linalg.inv(K1) @ inc.conj().T @ gam_star
+                F = Xi0.conj().T @ R @ Xi0
+                for got, ref in (
+                    (krein_resolvent(gw, tau, z), R),
+                    (solution_transform(gw, tau, a.rep, a.N, z), F),
+                ):
+                    err = np.abs(got - ref).max() / np.abs(ref).max()
+                    assert err <= 1e-10, (name, tau.kind, z, err)
+
+
+@pytest.mark.parametrize("z", [0.0, 2.0])
+def test_points_on_positive_axis_refused(two_atom, z):
+    gw = two_atom.gamma_weyl
+    tau = make_tau({"type": "constant", "matrix": [[-1.0]]})
+    for call in (
+        lambda: gw.M(z),
+        lambda: gw.gamma(z),
+        lambda: krein_resolvent(gw, tau, z),
+        lambda: solution_transform(gw, tau, two_atom.rep, 1, z),
+    ):
+        with pytest.raises(BadPoint):
+            call()
 
 
 def test_krein_corner_is_tau_zero(two_atom):
