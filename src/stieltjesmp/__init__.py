@@ -57,6 +57,7 @@ from .krein import (
     build_gamma_weyl,
     check_stieltjes_class,
     constant_tau_of_extension,
+    exit_space_extension,
     extension_of_constant_tau,
     krein_resolvent,
     make_tau,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 # Relative cutoff used for every pseudo-inverse in the package.
 PINV_RCOND = 1e-12
@@ -46,7 +45,10 @@ def complement(basis, dim):
     """Orthonormal basis of the orthogonal complement of span(basis) in C^dim."""
     if basis.shape[1] == 0:
         return np.eye(dim, dtype=complex)
-    return sla.null_space(basis.conj().T)
+    A = basis.conj().T
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    rank = int(np.sum(s > max(A.shape) * np.finfo(s.dtype).eps * s.max()))
+    return vh[rank:].conj().T
 
 
 def project(basis, v):

@@ -325,12 +325,18 @@ def spectral_solution(
     ``W_i[k, j] = <xi_k, P_i xi_j>`` (``k, j < N``); the eigenvalue ``-1``
     contributes a flagged mass-at-infinity weight excluded from the measure.
 
+    An exit-space extension acts on ``C^d + C^r``; the data vectors live in
+    the first ``d`` coordinates, so they are padded with ``r`` zero rows.
+
     Atoms with negligible weight are dropped, where "negligible" is judged by
     the atom's largest contribution to the reproducible moments,
     ``||W|| max(1, lambda)^{2n}``: a far-out atom with a tiny weight can
     still carry an order-one share of the top moment and must be kept.
     """
     Xi0 = rep.vectors[:, :N]
+    pad = t.shape[0] - Xi0.shape[0]
+    if pad:
+        Xi0 = np.vstack([Xi0, np.zeros((pad, N), dtype=Xi0.dtype)])
     atoms = []
     inf_weight = None
     for ti, V in clustered_eigh(t, cluster_tol):

@@ -17,7 +17,11 @@ a bijection between admissible parameters ``tau`` and the compressions to the
 representation space of resolvents of non-negative extensions (possibly in a
 larger space).  Hermitian-constant parameters correspond exactly to the
 extensions inside the space: ``tau = 0`` recovers the Krein corner ``t_M`` and
-the ideal parameter (``tau = infinity``) recovers ``t_mu`` itself.
+the ideal parameter (``tau = infinity``) recovers ``t_mu`` itself.  A rational
+parameter ``tau0 + sum W_k / (p_k - z)`` corresponds to an exit-space
+extension: a Hermitian contraction on ``C^d + C^r`` (``r = sum rank W_k``),
+written in closed form at the base point by :func:`exit_space_extension`, so
+its solution is the exact spectral measure of a finite matrix.
 
 All of it comes from the eigenpairs of ``t_mu = V diag(w) V*``, with no solve
 per ``z``: for ``c = 1 - w - z (1 + w)``, ``V* R_z V = diag((1 + w)/c)`` and
@@ -39,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import asymmetry, complement, herm, min_eigh, orth_cols
+from ._linalg import PINV_RCOND, asymmetry, complement, herm, min_eigh, orth_cols
 from .errors import (
     BadPoint,
     NotIndeterminate,
@@ -63,6 +67,7 @@ __all__ = [
     "solution_transform",
     "constant_tau_of_extension",
     "extension_of_constant_tau",
+    "exit_space_extension",
     "DEFAULT_CLASS_POINTS",
 ]
 
@@ -455,6 +460,29 @@ def constant_tau_of_extension(gw, t, tol=1e-7):
     return herm(gw.M0 - 2.0 * np.linalg.inv(D))
 
 
+def _verified(gw, tau, t, checks, tol):
+    """``t`` after the run-time checks: Hermitian, contractive, and with the
+    resolvent the formula returns for ``tau`` on ``C^d`` at the check points
+    (an exit-space ``t`` is compared by its leading ``d x d`` block)."""
+    if asymmetry(t) > tol * max(1.0, float(np.abs(t).max())):
+        raise PropertyViolated("recovered extension is not Hermitian", witness=t)
+    t = herm(t)
+    if float(np.linalg.norm(t, 2)) > 1.0 + tol:
+        raise PropertyViolated("recovered extension is not a contraction", witness=t)
+    d = gw.dim
+    for zc in checks:
+        err = np.abs(
+            krein_resolvent(gw, tau, zc) - resolvent_from_contraction(t, zc)[:d, :d]
+        ).max()
+        if err > tol:
+            raise PropertyViolated(
+                f"recovered extension mismatches the formula at z = {zc} "
+                f"({err:.3e})",
+                witness=t,
+            )
+    return t
+
+
 def extension_of_constant_tau(gw, tau, checks=(1.7j, -0.8 + 0.9j), tol=1e-7):
     """Contractive extension whose resolvent the formula returns for ``tau``.
 
@@ -475,19 +503,56 @@ def extension_of_constant_tau(gw, tau, checks=(1.7j, -0.8 + 0.9j), tol=1e-7):
         )
     JP = gw.J @ P
     t = gw.t_mu - 2.0 * JP @ np.linalg.solve(K, JP.conj().T)
-    if asymmetry(t) > tol * max(1.0, float(np.abs(t).max())):
-        raise PropertyViolated("recovered extension is not Hermitian", witness=t)
-    t = herm(t)
-    if float(np.linalg.norm(t, 2)) > 1.0 + tol:
-        raise PropertyViolated("recovered extension is not a contraction", witness=t)
-    for zc in checks:
-        err = np.abs(
-            krein_resolvent(gw, tau, zc) - resolvent_from_contraction(t, zc)
-        ).max()
-        if err > tol:
-            raise PropertyViolated(
-                f"recovered extension mismatches the formula at z = {zc} "
-                f"({err:.3e})",
-                witness=t,
-            )
-    return t
+    return _verified(gw, tau, t, checks, tol)
+
+
+def _pole_factors(tau):
+    """``(B, p)`` with ``sum_k W_k / (p_k - z) = B* diag(1/(p - z)) B``: each
+    residue factored at its rank as ``W_k = B_k* B_k``, the ``B_k`` stacked."""
+    rows = [np.zeros((0, tau.finite_dim), dtype=complex)]
+    pos = []
+    for p, W in tau.poles:
+        w, U = np.linalg.eigh(herm(W))
+        keep = w > PINV_RCOND * float(np.abs(w).max())
+        rows.append(np.sqrt(w[keep])[:, None] * U[:, keep].conj().T)
+        pos += [p] * int(keep.sum())
+    return np.vstack(rows), np.array(pos)
+
+
+def exit_space_extension(gw, tau, checks=(1.7j, -0.8 + 0.9j), tol=1e-7):
+    """Contraction on ``C^d + C^r`` whose resolvent, compressed to ``C^d``, is
+    the one the formula returns for ``tau`` (``r`` = summed residue ranks).
+
+    With ``t_c`` the extension of ``tau0`` alone, ``Q = tau0 - P* M(0) P``,
+    ``W_k = B_k* B_k``, ``D' = diag(p) + B Q^{-1} B*``, ``Y = B Q^{-1} P* J*``
+    and ``S = (E + D')^{-1}``::
+
+        T = [[t_c + 2 Y* S Y, 2 Y* S], [2 S Y, (E - D') S]]
+
+    Woodbury makes ``t_mu - 2 J P (tau(z) - P* M(0) P)^{-1} P* J*`` equal to
+    ``t_c + 2 Y* (D' - z)^{-1} Y``, the Schur complement of ``T`` that its
+    compressed resolvent sees.  Admissible parameters give ``D' >= 0``.
+    Without poles (``r = 0``) this is :func:`extension_of_constant_tau`.  The
+    result is verified like that one, on its ``d x d`` resolvent block.
+    """
+    t_c = extension_of_constant_tau(gw, replace(tau, poles=()), checks, tol)
+    B, p = _pole_factors(tau)
+    r = len(p)
+    if r == 0:
+        return t_c
+    P = tau.inclusion(gw.q)
+    QiB = np.linalg.solve(tau.tau0 - P.conj().T @ gw.M0 @ P, B.conj().T)
+    delta, U = np.linalg.eigh(herm(np.diag(p) + B @ QiB))
+    if delta.min() < -tol * max(1.0, float(np.abs(delta).max())):
+        raise PropertyViolated(
+            f"pole block D' has eigenvalue {delta.min():.3e} < 0; the "
+            "exit-space extension is not a contraction"
+        )
+    # T = diag(t_c, -E) + 2 [Y, E]* S [Y, E], with S = U diag(1/(1 + delta)) U*
+    Z = U.conj().T @ np.hstack([QiB.conj().T @ (gw.J @ P).conj().T, np.eye(r)])
+    d = gw.dim
+    t = np.zeros((d + r, d + r), dtype=complex)
+    t[:d, :d] = t_c
+    t[d:, d:] = -np.eye(r)
+    t += 2.0 * Z.conj().T @ (Z / (1.0 + delta)[:, None])
+    return _verified(gw, tau, t, checks, tol)

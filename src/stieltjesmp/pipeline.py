@@ -23,12 +23,11 @@ from .gns import build_space
 from .krein import (
     build_gamma_weyl,
     constant_tau_of_extension,
-    extension_of_constant_tau,
+    exit_space_extension,
     krein_resolvent,
-    solution_transform,
 )
 from .shiftop import build_shift
-from .solutions import perron_invert, verify_moments
+from .solutions import verify_moments
 
 __all__ = ["Tolerances", "Analysis", "analyze", "solve_tau_grid", "solve_with_tau"]
 
@@ -41,7 +40,7 @@ class Tolerances:
     det_tol: float | None = None
     ker_tol: float = 1e-9
     rtol: float = 1e-8
-    invert_rtol: float = 1e-3
+    invert_rtol: float = 1e-3  # gate for Perron-inverted measures (solve's are exact)
 
 
 @dataclass(frozen=True)
@@ -108,10 +107,12 @@ def analyze(seq, tols=Tolerances()):
     )
 
 
-def _gated(analysis, meas, rtol, exact):
-    """Attach the verification report; refuse silently-broken measures."""
+def _gated(analysis, meas, rtol):
+    """Attach the verification report; refuse silently-broken measures.  Every
+    measure the solvers emit is the spectral measure of an extension, so it
+    is marked exact."""
     report = verify_moments(meas, analysis.seq, upto=2 * analysis.seq.n, rtol=rtol)
-    return {"measure": meas, "verification": report, "exact": exact}
+    return {"measure": meas, "verification": report, "exact": True}
 
 
 def unique_solution(analysis, tols=Tolerances()):
@@ -120,7 +121,7 @@ def unique_solution(analysis, tols=Tolerances()):
     if not analysis.verdict.determinate:
         raise MomentProblemError("problem is not determinate")
     meas = spectral_solution(analysis.picture.t_mu, analysis.rep, analysis.N)
-    return _gated(analysis, meas, tols.rtol, exact=True)
+    return _gated(analysis, meas, tols.rtol)
 
 
 def solve_tau_grid(analysis, count, tols=Tolerances()):
@@ -139,7 +140,7 @@ def solve_tau_grid(analysis, count, tols=Tolerances()):
         s = (j + 1) / count
         t = pic.t_mu + s * (pic.t_M - pic.t_mu)
         meas = spectral_solution(t, analysis.rep, analysis.N)
-        entry = _gated(analysis, meas, tols.rtol, exact=True)
+        entry = _gated(analysis, meas, tols.rtol)
         entry["s"] = s
         if analysis.gamma_weyl is not None:
             try:
@@ -152,45 +153,20 @@ def solve_tau_grid(analysis, count, tols=Tolerances()):
     return out
 
 
-def solve_with_tau(
-    analysis,
-    tau,
-    tols=Tolerances(),
-    grid=None,
-    eps_schedule=(1e-2, 1e-3, 1e-4),
-    n_grid=2001,
-):
-    """Solution attached to one parameter.
+def solve_with_tau(analysis, tau, tols=Tolerances()):
+    """Solution attached to one parameter: the spectral measure of the
+    extension it defines, exact and gated at ``tols.rtol``.
 
-    Parameters without z-dependence go through the exact spectral route (the
-    corresponding extension lives inside the representation space); rational
-    parameters are evaluated through the resolvent formula and inverted, and
-    the resulting measure is marked approximate.
+    A parameter without poles defines an extension inside the representation
+    space; a rational one ``tau0 + sum W_k / (p_k - z)`` defines an
+    exit-space extension, a contraction on ``C^d + C^r``
+    (:func:`krein.exit_space_extension`), whose atoms and weights are read
+    off its eigenpairs like any other.  Stieltjes-Perron inversion of a
+    transform is the ``invert`` command's business, not the solver's.
     """
-    gw = analysis.require_gamma_weyl()
-    if not tau.poles:
-        t = extension_of_constant_tau(gw, tau)
-        meas = spectral_solution(t, analysis.rep, analysis.N)
-        return _gated(analysis, meas, tols.rtol, exact=True)
-
-    def sampler(z):
-        return solution_transform(gw, tau, analysis.rep, analysis.N, z)
-
-    if grid is None:
-        # generous default support window: the Friedrichs-corner atoms plus
-        # the parameter's poles bound where solution atoms can appear
-        w = gw.w[1.0 + gw.w > 1e-9]
-        top = float(((1.0 - w) / (1.0 + w)).max()) if w.size else 1.0
-        top = max(top, max((p for p, _ in tau.poles), default=0.0))
-        grid = (-0.5, 2.5 * top + 5.0)
-    meas = perron_invert(
-        sampler,
-        grid=grid,
-        eps_schedule=eps_schedule,
-        atom_tol=tols.invert_rtol,
-        n_grid=n_grid,
-    )
-    return _gated(analysis, meas, tols.invert_rtol, exact=False)
+    t = exit_space_extension(analysis.require_gamma_weyl(), tau)
+    meas = spectral_solution(t, analysis.rep, analysis.N)
+    return _gated(analysis, meas, tols.rtol)
 
 
 def resolvent(analysis, tau, z):

@@ -1,4 +1,6 @@
 import json
+
+import numpy as np
 import pytest
 
 from stieltjesmp.cli import main
@@ -178,7 +180,8 @@ def test_solve_constant_tau_file(two_atom_file, tmp_path, capsys):
     assert min(a["position"] for a in res["measure"]["atoms"]) <= 1e-9
 
 
-def test_solve_rational_tau_approximate(two_atom_file, tmp_path, capsys):
+def test_solve_rational_tau_exact(two_atom_file, tmp_path, capsys):
+    # the spectral measure of the exit-space extension, gated at 1e-8
     tau = write(
         tmp_path / "tau.json",
         {"type": "rational", "tau0": [[-1.0]], "poles": [{"p": 1.5, "W": [[0.5]]}]},
@@ -186,8 +189,23 @@ def test_solve_rational_tau_approximate(two_atom_file, tmp_path, capsys):
     assert run("solve", two_atom_file, "--tau", tau) == 0
     doc = json.loads(capsys.readouterr().out)
     (res,) = doc["results"]
-    assert res["status"] == "ok" and res["exact"] is False
-    assert len(res["measure"]["atoms"]) == 3
+    assert res["status"] == "ok" and res["exact"] is True
+    assert res["verification"]["pass"] and res["verification"]["rtol"] == 1e-8
+    positions = [a["position"] for a in res["measure"]["atoms"]]
+    assert np.allclose(positions, [0.46366, 1.5, 2.24300], atol=1e-5)
+
+
+def test_solve_rational_tau_out_of_class_is_a_result_entry(two_atom_file, tmp_path, capsys):
+    # tau(0) = -0.1 + 0.5/1.5 > 0: the exit-space extension is not a
+    # contraction, reported like an out-of-class constant (no traceback)
+    tau = write(
+        tmp_path / "tau.json",
+        {"type": "rational", "tau0": [[-0.1]], "poles": [{"p": 1.5, "W": [[0.5]]}]},
+    )
+    assert run("solve", two_atom_file, "--tau", tau, "--allow-unverified") == 70
+    (res,) = json.loads(capsys.readouterr().out)["results"]
+    assert res["status"] == "error"
+    assert res["error"]["type"] == "PropertyViolated"
 
 
 def test_solve_out_of_class_tau_refused(two_atom_file, tmp_path):

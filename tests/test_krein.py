@@ -9,7 +9,9 @@ from stieltjesmp import (
     SchemaError,
     build_gamma_weyl,
     check_stieltjes_class,
+    PropertyViolated,
     constant_tau_of_extension,
+    exit_space_extension,
     extension_of_constant_tau,
     krein_resolvent,
     make_tau,
@@ -18,7 +20,11 @@ from stieltjesmp import (
     transform_from_contraction,
 )
 from stieltjesmp.krein import DEFAULT_CLASS_POINTS
-from stieltjesmp.solutions import measure_distance
+from stieltjesmp.solutions import (
+    measure_distance,
+    perron_invert,
+    transform_of_measure,
+)
 from stieltjesmp.extensions import spectral_solution
 
 UPPER = (1j, 2j, 1 + 1j, -1 + 1j, 0.5 + 1.5j)
@@ -288,6 +294,150 @@ def test_eigenbasis_formula_matches_dense_reference(indeterminate_battery):
                 ):
                     err = np.abs(got - ref).max() / np.abs(ref).max()
                     assert err <= 1e-10, (name, tau.kind, z, err)
+
+
+# ---------------------------------------------------------------------------
+# exit-space extensions of rational parameters
+
+#: the z set of test_eigenbasis_formula_matches_dense_reference
+REFERENCE_Z = (1j, -2.0, -0.3 + 0.2j, 0.7 + 1e-4j, 0.05 + 1e-3j)
+
+RATIONAL = {"type": "rational", "tau0": [[-1.0]], "poles": [{"p": 1.5, "W": [[0.5]]}]}
+
+
+def _random_rational(rng, q, poles):
+    """Admissible ``tau0 + sum W_k / (p_k - z)`` with ``tau(0) < 0`` and
+    residues of random rank (so the exit-space size ``r`` varies)."""
+    from stieltjesmp.io import encode_matrix
+
+    docs, total = [], np.zeros((q, q), dtype=complex)
+    for _ in range(poles):
+        k = int(rng.integers(1, q + 1))
+        G = rng.standard_normal((k, q)) + 1j * rng.standard_normal((k, q))
+        W = G.conj().T @ G / q
+        p = float(rng.uniform(0.3, 5.0))
+        total += W / p
+        docs.append({"p": p, "W": encode_matrix(W)})
+    tau0 = -total - 0.3 * np.eye(q)
+    return make_tau({"type": "rational", "tau0": encode_matrix(tau0), "poles": docs})
+
+
+def _pole_taus(q, seed=0):
+    """Admissible parameters with poles: the reference rational one, two
+    random ones and (for q >= 2) a mixed one.  The reference mixed parameter
+    has ``tau(0) > 0``, so it is not admissible and has no contraction."""
+    from stieltjesmp.io import encode_matrix
+
+    rng = np.random.default_rng(seed)
+    taus = [tau for tau in _reference_taus(q) if tau.kind == "rational"]
+    taus += [_random_rational(rng, q, k) for k in (1, 2)]
+    if q >= 2:
+        mixed = {
+            "type": "mixed",
+            "ideal_subspace": [encode_matrix(np.eye(q)[0])[0]],
+            "tau0": encode_matrix(-2.0 * np.eye(q - 1)),
+            "poles": [{"p": 0.8, "W": encode_matrix(np.eye(q - 1))}],
+        }
+        taus.append(make_tau(mixed, hdim=q))
+    assert all(tau.class_ok for tau in taus)
+    return taus
+
+
+def test_exit_space_measure_matches_the_formula(indeterminate_battery):
+    # the exact measure's transform is the formula's, for rational and
+    # mixed-with-poles parameters, on every indeterminate battery problem
+    kinds = set()
+    for name, a in indeterminate_battery.items():
+        gw = a.gamma_weyl
+        for tau in _pole_taus(gw.q):
+            t = exit_space_extension(gw, tau)
+            r = sum(np.linalg.matrix_rank(W) for _, W in tau.poles)
+            assert t.shape == (gw.dim + r, gw.dim + r)
+            meas = spectral_solution(t, a.rep, a.N)
+            for z in REFERENCE_Z:
+                ref = solution_transform(gw, tau, a.rep, a.N, z)
+                got = transform_of_measure(meas, z)
+                err = np.abs(got - ref).max() / np.abs(ref).max()
+                assert err <= 1e-10, (name, tau.kind, z, err)
+            kinds.add(tau.kind)
+    assert kinds == {"rational", "mixed"}
+
+
+def test_rational_solutions_round_trip(indeterminate_battery):
+    from stieltjesmp import solve_with_tau
+
+    for name, a in indeterminate_battery.items():
+        for tau in _pole_taus(a.gamma_weyl.q, seed=1):
+            if tau.ideal_basis is not None:
+                continue  # an ideal part puts mass at infinity
+            entry = solve_with_tau(a, tau)
+            assert entry["exact"] and entry["measure"].mass_at_infinity is None
+            assert max(entry["verification"]["errors"]) <= 1e-8, name
+
+
+def test_perron_inversion_agrees_with_exact_atoms(two_atom):
+    gw = two_atom.gamma_weyl
+    tau = make_tau(RATIONAL)
+    exact = spectral_solution(exit_space_extension(gw, tau), two_atom.rep, 1)
+    got = perron_invert(
+        lambda z: solution_transform(gw, tau, two_atom.rep, 1, z), grid=(-0.5, 4.0)
+    )
+    assert len(got.atoms) == len(exact.atoms) == 3
+    for (lam, W), (lam0, W0) in zip(got.atoms, exact.atoms):
+        assert abs(lam - lam0) <= 1e-4
+        assert np.abs(W - W0).max() <= 1e-3
+
+
+def test_exit_space_without_poles_is_the_in_space_extension(battery):
+    from stieltjesmp.io import encode_matrix
+
+    a = battery["n3_rand"]
+    gw = a.gamma_weyl
+    for tau in _reference_taus(gw.q):
+        if not tau.poles:
+            t = exit_space_extension(gw, tau)
+            assert np.array_equal(t, extension_of_constant_tau(gw, tau))
+    # a zero residue has rank 0: no exit space either
+    zero = make_tau(
+        {
+            "type": "rational",
+            "tau0": encode_matrix(-np.eye(3)),
+            "poles": [{"p": 2.0, "W": encode_matrix(np.zeros((3, 3)))}],
+        }
+    )
+    const = make_tau({"type": "constant", "matrix": encode_matrix(-np.eye(3))})
+    assert np.array_equal(
+        exit_space_extension(gw, zero), extension_of_constant_tau(gw, const)
+    )
+
+
+def test_exit_space_run_time_checks(two_atom):
+    from dataclasses import replace
+
+    gw = two_atom.gamma_weyl
+    tau = make_tau(RATIONAL)
+    # a non-Hermitian tau0 makes the in-space part non-Hermitian
+    with pytest.raises(PropertyViolated, match="not Hermitian"):
+        exit_space_extension(gw, replace(tau, tau0=np.array([[-1.0 + 0.5j]])))
+    # a pole on the negative axis: the pole block D' is not >= 0
+    neg = make_tau(dict(RATIONAL, poles=[{"p": -0.5, "W": [[0.5]]}]))
+    assert not neg.class_ok
+    with pytest.raises(PropertyViolated, match="pole block"):
+        exit_space_extension(gw, neg)
+    # tau(0) > 0: D' >= 0, yet the extension is not a contraction
+    pos = make_tau(dict(RATIONAL, tau0=[[-0.1]]))
+    assert not pos.class_ok
+    with pytest.raises(PropertyViolated, match="recovered extension is not a contraction"):
+        exit_space_extension(gw, pos)
+    # a non-Hermitian residue: the extension realizes its Hermitian part,
+    # which the formula check at the check points tells apart
+    skew = replace(tau, poles=((1.5, np.array([[0.5 + 0.2j]])),))
+    with pytest.raises(PropertyViolated, match="mismatches the formula"):
+        exit_space_extension(gw, skew)
+    # a singular parameter block at the base point
+    sing = make_tau(dict(RATIONAL, tau0=[[float(gw.M0[0, 0].real)]]))
+    with pytest.raises(ParameterDegenerate, match="z = -1"):
+        exit_space_extension(gw, sing)
 
 
 @pytest.mark.parametrize("z", [0.0, 2.0])
