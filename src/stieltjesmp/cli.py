@@ -381,7 +381,6 @@ def _build_parser():
         sp.add_argument("--consistency-tol", type=float, default=None)
         sp.add_argument("--det-tol", type=float, default=None)
         sp.add_argument("--rtol", type=float, default=None)
-        sp.add_argument("--invert-rtol", type=float, default=None)
         sp.add_argument("--out", default=None, help="write JSON here (default stdout)")
 
     sp = sub.add_parser("check", help="solvability report")

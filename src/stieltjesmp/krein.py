@@ -77,6 +77,10 @@ DEFAULT_CLASS_POINTS = (1j, 2j, 1 + 1j, -1 + 1j, 0.5 + 1.5j)
 #: condition-number guard for the parameter block of the resolvent formula
 CONDITION_LIMIT = 1e12
 
+#: check points and tolerance of the run-time checks on a recovered extension
+CHECK_POINTS = (1.7j, -0.8 + 0.9j)
+CHECK_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class GammaWeyl:
@@ -460,21 +464,21 @@ def constant_tau_of_extension(gw, t, tol=1e-7):
     return herm(gw.M0 - 2.0 * np.linalg.inv(D))
 
 
-def _verified(gw, tau, t, checks, tol):
+def _verified(gw, tau, t):
     """``t`` after the run-time checks: Hermitian, contractive, and with the
     resolvent the formula returns for ``tau`` on ``C^d`` at the check points
     (an exit-space ``t`` is compared by its leading ``d x d`` block)."""
-    if asymmetry(t) > tol * max(1.0, float(np.abs(t).max())):
+    if asymmetry(t) > CHECK_TOL * max(1.0, float(np.abs(t).max())):
         raise PropertyViolated("recovered extension is not Hermitian", witness=t)
     t = herm(t)
-    if float(np.linalg.norm(t, 2)) > 1.0 + tol:
+    if float(np.linalg.norm(t, 2)) > 1.0 + CHECK_TOL:
         raise PropertyViolated("recovered extension is not a contraction", witness=t)
     d = gw.dim
-    for zc in checks:
+    for zc in CHECK_POINTS:
         err = np.abs(
             krein_resolvent(gw, tau, zc) - resolvent_from_contraction(t, zc)[:d, :d]
         ).max()
-        if err > tol:
+        if err > CHECK_TOL:
             raise PropertyViolated(
                 f"recovered extension mismatches the formula at z = {zc} "
                 f"({err:.3e})",
@@ -483,7 +487,20 @@ def _verified(gw, tau, t, checks, tol):
     return t
 
 
-def extension_of_constant_tau(gw, tau, checks=(1.7j, -0.8 + 0.9j), tol=1e-7):
+def _base_point_solve(gw, tau, B):
+    """``(JP, Q^{-1} [P* J*, B*])`` with ``P`` the inclusion of ``tau`` and
+    ``Q = tau0 - P* M(0) P`` its block at ``z = -1``, from one factorization."""
+    P = tau.inclusion(gw.q)
+    Q = tau.tau0 - P.conj().T @ gw.M0 @ P
+    if np.linalg.cond(Q) > CONDITION_LIMIT:
+        raise ParameterDegenerate(
+            f"parameter block at z = -1 has condition above {CONDITION_LIMIT:.0e}"
+        )
+    JP = gw.J @ P
+    return JP, np.linalg.solve(Q, np.hstack([JP.conj().T, B.conj().T]))
+
+
+def extension_of_constant_tau(gw, tau):
     """Contractive extension whose resolvent the formula returns for ``tau``.
 
     Valid for parameters without z-dependence (constant, ideal, or mixed with
@@ -495,15 +512,8 @@ def extension_of_constant_tau(gw, tau, checks=(1.7j, -0.8 + 0.9j), tol=1e-7):
         raise ValueError("only constant/ideal parameters define an in-space extension")
     if tau.is_ideal:
         return gw.t_mu.copy()
-    P = tau.inclusion(gw.q)
-    K = tau.tau0 - P.conj().T @ gw.M0 @ P
-    if np.linalg.cond(K) > CONDITION_LIMIT:
-        raise ParameterDegenerate(
-            f"parameter block at z = -1 has condition above {CONDITION_LIMIT:.0e}"
-        )
-    JP = gw.J @ P
-    t = gw.t_mu - 2.0 * JP @ np.linalg.solve(K, JP.conj().T)
-    return _verified(gw, tau, t, checks, tol)
+    JP, QiJP = _base_point_solve(gw, tau, np.zeros((0, tau.finite_dim)))
+    return _verified(gw, tau, gw.t_mu - 2.0 * JP @ QiJP)
 
 
 def _pole_factors(tau):
@@ -519,40 +529,41 @@ def _pole_factors(tau):
     return np.vstack(rows), np.array(pos)
 
 
-def exit_space_extension(gw, tau, checks=(1.7j, -0.8 + 0.9j), tol=1e-7):
+def exit_space_extension(gw, tau):
     """Contraction on ``C^d + C^r`` whose resolvent, compressed to ``C^d``, is
     the one the formula returns for ``tau`` (``r`` = summed residue ranks).
 
-    With ``t_c`` the extension of ``tau0`` alone, ``Q = tau0 - P* M(0) P``,
-    ``W_k = B_k* B_k``, ``D' = diag(p) + B Q^{-1} B*``, ``Y = B Q^{-1} P* J*``
-    and ``S = (E + D')^{-1}``::
+    With ``Q = tau0 - P* M(0) P``, ``t_c = t_mu - 2 J P Q^{-1} P* J*`` (the
+    extension of ``tau0`` alone), ``W_k = B_k* B_k``,
+    ``D' = diag(p) + B Q^{-1} B*``, ``Y = B Q^{-1} P* J*`` and
+    ``S = (E + D')^{-1}``::
 
         T = [[t_c + 2 Y* S Y, 2 Y* S], [2 S Y, (E - D') S]]
 
     Woodbury makes ``t_mu - 2 J P (tau(z) - P* M(0) P)^{-1} P* J*`` equal to
     ``t_c + 2 Y* (D' - z)^{-1} Y``, the Schur complement of ``T`` that its
     compressed resolvent sees.  Admissible parameters give ``D' >= 0``.
-    Without poles (``r = 0``) this is :func:`extension_of_constant_tau`.  The
-    result is verified like that one, on its ``d x d`` resolvent block.
+    Without poles (``r = 0``) this is :func:`extension_of_constant_tau`.
+    Otherwise ``T`` is verified like that one, once, on its ``d x d``
+    resolvent block (which covers ``t_c``, its leading block).
     """
-    t_c = extension_of_constant_tau(gw, replace(tau, poles=()), checks, tol)
     B, p = _pole_factors(tau)
     r = len(p)
     if r == 0:
-        return t_c
-    P = tau.inclusion(gw.q)
-    QiB = np.linalg.solve(tau.tau0 - P.conj().T @ gw.M0 @ P, B.conj().T)
+        return extension_of_constant_tau(gw, replace(tau, poles=()))
+    d = gw.dim
+    JP, X = _base_point_solve(gw, tau, B)
+    QiJP, QiB = X[:, :d], X[:, d:]
     delta, U = np.linalg.eigh(herm(np.diag(p) + B @ QiB))
-    if delta.min() < -tol * max(1.0, float(np.abs(delta).max())):
+    if delta.min() < -CHECK_TOL * max(1.0, float(np.abs(delta).max())):
         raise PropertyViolated(
             f"pole block D' has eigenvalue {delta.min():.3e} < 0; the "
             "exit-space extension is not a contraction"
         )
     # T = diag(t_c, -E) + 2 [Y, E]* S [Y, E], with S = U diag(1/(1 + delta)) U*
-    Z = U.conj().T @ np.hstack([QiB.conj().T @ (gw.J @ P).conj().T, np.eye(r)])
-    d = gw.dim
+    Z = U.conj().T @ np.hstack([B @ QiJP, np.eye(r)])
     t = np.zeros((d + r, d + r), dtype=complex)
-    t[:d, :d] = t_c
+    t[:d, :d] = gw.t_mu - 2.0 * JP @ QiJP
     t[d:, d:] = -np.eye(r)
     t += 2.0 * Z.conj().T @ (Z / (1.0 + delta)[:, None])
-    return _verified(gw, tau, t, checks, tol)
+    return _verified(gw, tau, t)

@@ -40,7 +40,8 @@ class Tolerances:
     det_tol: float | None = None
     ker_tol: float = 1e-9
     rtol: float = 1e-8
-    invert_rtol: float = 1e-3  # gate for Perron-inverted measures (solve's are exact)
+    # read by no library code; kept only for the benchmark harness's import
+    invert_rtol: float = 1e-3
 
 
 @dataclass(frozen=True)
