@@ -51,13 +51,6 @@ def complement(basis, dim):
     return vh[rank:].conj().T
 
 
-def project(basis, v):
-    """Orthogonal projection of v onto span of the orthonormal columns of basis."""
-    if basis.shape[1] == 0:
-        return np.zeros_like(v)
-    return basis @ (basis.conj().T @ v)
-
-
 def hpinv(M, rcond=PINV_RCOND):
     """Moore-Penrose pseudo-inverse of a Hermitian matrix via eigh."""
     M = herm(np.asarray(M, dtype=complex))

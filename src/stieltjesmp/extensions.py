@@ -15,8 +15,9 @@ and the feasible corners ``X`` form the operator interval between
     X_max = +I - T21 (I - T11)^+ T21*,      (Krein side)
 
 which are the corners of the extremal extensions ``t_mu`` and ``t_M``.  The
-completion interval is validated against a brute-force feasibility oracle in
-the test suite.
+splitting is read off one complete QR factorization of ``(A + E)`` on the
+coordinate domain of :mod:`shiftop`.  The completion interval is validated
+against a brute-force feasibility oracle in the test suite.
 
 The dense reference resolvent is computed from the contraction itself:
 ``R_z = (E + t) ((1 - z) E - (1 + z) t)^{-1}``.  An eigenvalue ``-1`` of ``t``
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import complement, herm, hpinv, orth_cols, random_unitary
+from ._linalg import PINV_RCOND, herm, hpinv, random_unitary
 from .errors import BadPoint, CompletionInfeasible, PropertyViolated
 from .shiftop import _off_positive_axis
 from .solutions import solution_measure
@@ -47,7 +48,6 @@ __all__ = [
     "resolvent_from_contraction",
     "transform_from_contraction",
     "spectral_solution",
-    "clustered_eigh",
 ]
 
 #: eigenvalues of a contraction within this distance of -1 are treated as the
@@ -115,29 +115,28 @@ class DeterminacyVerdict:
 
 
 def cayley(op):
-    """Contraction picture of a shift operator: ``T (A+E) f = (E-A) f``."""
+    """Contraction picture of a shift operator: ``T (A+E) f = (E-A) f``.
+
+    One complete QR factorization ``(A + E) B = Q R`` of the domain images
+    splits the space: ``Q[:, :q1]`` is an orthonormal basis of ``D(T)``,
+    ``Q[:, q1:]`` one of ``N_{-1}``, and ``T Q[:, :q1] = (E - A) B R^{-1}``.
+    """
     d = op.dim
     B = op.domain_basis
-    A = op.matrix
-    I = np.eye(d, dtype=complex)
-    U = (A + I) @ B
-    W = (I - A) @ B
-    dom_basis = orth_cols(U)
-    if dom_basis.shape[1] != B.shape[1]:
+    q1 = B.shape[1]
+    AB = op.matrix @ B
+    Q, R = np.linalg.qr(AB + B, mode="complete")
+    diag = np.abs(np.diag(R))
+    if q1 and diag.min() <= PINV_RCOND * diag.max():
         raise PropertyViolated(
             "(A + E) lost injectivity on the domain; the operator is not "
             "non-negative within tolerance"
         )
-    if B.shape[1]:
-        coeff = np.linalg.lstsq(U, dom_basis, rcond=None)[0]
-        t_on_dom = W @ coeff
-    else:
-        t_on_dom = np.zeros((d, 0), dtype=complex)
     return ContractionPicture(
         dim=d,
-        dom_basis=dom_basis,
-        defect_basis=complement(dom_basis, d),
-        t_on_dom=t_on_dom,
+        dom_basis=Q[:, :q1],
+        defect_basis=Q[:, q1:],
+        t_on_dom=np.linalg.solve(R[:q1].T, (B - AB).T).T,
     )
 
 
@@ -166,14 +165,12 @@ def extremal_extensions(pic, feas_tol=1e-8):
     t_mu = assemble_completion(pic, X_min)
     t_M = assemble_completion(pic, X_max)
     for name, t in (("t_mu", t_mu), ("t_M", t_M)):
-        I = np.eye(pic.dim, dtype=complex)
-        for sgn in (+1.0, -1.0):
-            lo = float(np.linalg.eigvalsh(I + sgn * t).min()) if pic.dim else 0.0
-            if lo < -feas_tol:
-                raise CompletionInfeasible(
-                    f"extremal completion {name} violates contractivity by "
-                    f"{lo:.3e}"
-                )
+        w = np.linalg.eigvalsh(t) if pic.dim else np.zeros(1)
+        lo = min(1.0 + float(w[0]), 1.0 - float(w[-1]))
+        if lo < -feas_tol:
+            raise CompletionInfeasible(
+                f"extremal completion {name} violates contractivity by {lo:.3e}"
+            )
     C = herm(t_M - t_mu)
     return replace(pic, t_mu=t_mu, t_M=t_M, C=C)
 
@@ -231,9 +228,9 @@ def determinacy(pic, det_tol=None, ker_tol=DEFAULT_KER_TOL):
     if not pic.has_extremals:
         raise ValueError("extremal extensions not computed")
     q = pic.defect_dim
-    gap = float(np.linalg.norm(pic.C, 2)) if pic.dim else 0.0
+    gap = float(np.abs(np.linalg.eigvalsh(pic.C)).max()) if pic.dim else 0.0
     if det_tol is None:
-        tnorm = float(np.linalg.norm(pic.t_M, 2)) if pic.dim else 0.0
+        tnorm = float(np.abs(np.linalg.eigvalsh(pic.t_M)).max()) if pic.dim else 0.0
         det_tol = 1e-9 * tnorm + 1e-12
     determinate = q == 0 or gap <= det_tol
     ups = q if determinate else _gap_kernel(pic, ker_tol)[0].shape[1]
@@ -290,31 +287,6 @@ def transform_from_contraction(t, rep, N, z):
     return Xi0.conj().T @ resolvent_from_contraction(t, z) @ Xi0
 
 
-def clustered_eigh(t, cluster_tol=DEFAULT_CLUSTER_TOL):
-    """Eigendecomposition of a Hermitian contraction with near-degenerate
-    eigenvalues merged; returns a list of (eigenvalue, eigenvector block)
-    pairs with orthonormal block columns.
-
-    Downstream weights are always formed from inner products with the
-    eigenvectors, never by sandwiching the assembled projector: a far atom
-    can carry a weight many orders below the matrix scale, and the projector
-    product would cancel it down into roundoff.
-    """
-    t = herm(np.asarray(t, dtype=complex))
-    if t.shape[0] == 0:
-        return []
-    w, V = np.linalg.eigh(t)
-    w = np.clip(w, -1.0, 1.0)
-    groups = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[start] > cluster_tol:
-            idx = slice(start, i)
-            groups.append((float(np.mean(w[idx])), V[:, idx]))
-            start = i
-    return groups
-
-
 def spectral_solution(
     t, rep, N, cluster_tol=DEFAULT_CLUSTER_TOL, weight_tol=None
 ):
@@ -328,8 +300,12 @@ def spectral_solution(
     An exit-space extension acts on ``C^d + C^r``; the data vectors live in
     the first ``d`` coordinates, so they are padded with ``r`` zero rows.
 
-    Atoms with negligible weight are dropped, where "negligible" is judged by
-    the atom's largest contribution to the reproducible moments,
+    Eigenvalues within ``cluster_tol`` of a cluster's first one are merged
+    into one atom.  Weights are formed from eigenvector overlaps, never by
+    sandwiching the assembled projector: a far atom can carry a weight many
+    orders below the matrix scale, and the projector would cancel it into
+    roundoff.  Atoms with negligible weight are dropped, where "negligible" is
+    judged by the atom's largest contribution to the reproducible moments,
     ``||W|| max(1, lambda)^{2n}``: a far-out atom with a tiny weight can
     still carry an order-one share of the top moment and must be kept.
     """
@@ -337,10 +313,17 @@ def spectral_solution(
     pad = t.shape[0] - Xi0.shape[0]
     if pad:
         Xi0 = np.vstack([Xi0, np.zeros((pad, N), dtype=Xi0.dtype)])
+    w, V = np.linalg.eigh(herm(np.asarray(t, dtype=complex)))
+    w = np.clip(w, -1.0, 1.0)
     atoms = []
     inf_weight = None
-    for ti, V in clustered_eigh(t, cluster_tol):
-        G = V.conj().T @ Xi0  # overlaps first; keeps tiny weights accurate
+    start = 0
+    for i in range(1, len(w) + 1):
+        if i < len(w) and w[i] - w[start] <= cluster_tol:
+            continue
+        ti = float(np.mean(w[start:i]))
+        G = V[:, start:i].conj().T @ Xi0
+        start = i
         W = herm(G.conj().T @ G)
         if 1.0 + ti <= INFINITY_TOL:
             inf_weight = W if inf_weight is None else herm(inf_weight + W)

@@ -1,10 +1,14 @@
 """Concrete realization of the scalarized Gram as inner products of vectors.
 
 A positive semi-definite Gram matrix ``gamma`` of size ``(n+1)N`` factors as
-``gamma = X* X`` with ``X = Lambda_kept^{1/2} U_kept*`` from the truncated
-eigendecomposition.  The columns ``xi_a`` of ``X`` live in ``C^d`` (d = rank)
-and reproduce the Gram in the standard inner product:
-``vdot(xi_a, xi_b) = gamma[a, b]``.
+``gamma = X* X`` with ``X`` its Cholesky factor in natural order, i.e.
+Gram-Schmidt of ``xi_0, xi_1, ...``: column ``k`` opens a new coordinate when
+its pivot (its squared residual after the earlier kept columns) exceeds
+``rank_tol * gamma[k, k]``, and is dropped into their span otherwise.  The
+columns ``xi_a`` of ``X`` live in ``C^d`` (d = kept columns) and reproduce the
+Gram in the standard inner product: ``vdot(xi_a, xi_b) = gamma[a, b]``.
+``X`` is upper trapezoidal, so the span of the first vectors is a span of
+leading coordinates (the block-Jacobi basis of matrix orthogonal polynomials).
 
 Rank-deficient Grams are a first-class case: linearly dependent ``xi_a`` are
 expected and everything downstream is tested only through inner products.
@@ -28,7 +32,9 @@ DEFAULT_RANK_TOL = 1e-10
 class HilbertRep:
     """Coordinate vectors realizing a scalarized Gram.
 
-    ``vectors`` has shape ``(dim, size)``; column ``a`` is ``xi_a``.
+    ``vectors`` has shape ``(dim, size)``; column ``a`` is ``xi_a``.  It is
+    upper trapezoidal: the first nonzero of row ``i`` is the positive pivot
+    of the ``i``-th kept column.
     """
 
     dim: int
@@ -44,22 +50,32 @@ class HilbertRep:
 
 
 def build_space(gram, rank_tol=DEFAULT_RANK_TOL):
-    """Factor a scalarized Gram into coordinate vectors.
+    """Factor a scalarized Gram into coordinate vectors, in natural order.
 
-    Eigenvalues above ``rank_tol * lambda_max`` are kept; eigenvalues below
-    ``-rank_tol * max(lambda_max, 1)`` mean the Gram is not positive
-    semi-definite (unsolvable input reached the construction) and raise
-    :class:`NotPSD`.
+    With ``c_k = max(gamma[k, k], 1)``, a pivot below ``-rank_tol * c_k``, or
+    a dropped column's Schur-complement row with ``|s_kj|^2 > rank_tol c_k c_j``
+    (the Cauchy-Schwarz bound its pivot allows), means the Gram is not positive
+    semi-definite (unsolvable input reached the construction): :class:`NotPSD`.
     """
     G = herm(np.asarray(gram.gamma, dtype=complex))
-    w, U = np.linalg.eigh(G)
-    lam_max = float(w.max()) if w.size else 0.0
-    if w.size and float(w.min()) < -rank_tol * max(lam_max, 1.0):
-        raise NotPSD(
-            f"Gram matrix has eigenvalue {w.min():.3e} below "
-            f"-{rank_tol:.1e} * {max(lam_max, 1.0):.3e}"
-        )
-    keep = w > rank_tol * lam_max if lam_max > 0.0 else np.zeros_like(w, dtype=bool)
-    X = (np.sqrt(w[keep])[:, None]) * U[:, keep].conj().T
-    return HilbertRep(dim=int(keep.sum()), vectors=X, gram=gram, rank_tol=rank_tol)
-
+    size = G.shape[0]
+    scale = np.maximum(G.diagonal().real, 1.0)
+    R = np.zeros((size, size), dtype=complex)
+    d = 0
+    for k in range(size):
+        row = G[k, k:] - R[:d, k].conj() @ R[:d, k:]
+        pivot = row[0].real
+        if pivot < -rank_tol * scale[k]:
+            raise NotPSD(
+                f"Gram pivot {k} is {pivot:.3e}, below "
+                f"-{rank_tol:.1e} * {scale[k]:.3e}"
+            )
+        if pivot > rank_tol * G[k, k].real:
+            R[d, k:] = row / np.sqrt(pivot)
+            d += 1
+        elif (np.abs(row[1:]) ** 2 > rank_tol * scale[k] * scale[k + 1 :]).any():
+            raise NotPSD(
+                f"Gram column {k} is dropped (pivot {pivot:.3e}) but its "
+                "Schur-complement row is not negligible"
+            )
+    return HilbertRep(dim=d, vectors=R[:d], gram=gram, rank_tol=rank_tol)

@@ -2,9 +2,10 @@
 
 On the representation space the data prescribe ``A xi_k = xi_{k+N}`` for
 ``0 <= k < n*N``; the domain is the span of the first ``n*N`` coordinate
-vectors.  Because the truncated Gram may be rank-deficient, this prescription
-is not automatically well defined: the least-squares solution is accepted only
-when its residual is negligible, otherwise the truncated data simply do not
+vectors, which the natural-order factor of :mod:`gns` makes the first ``q1``
+coordinates.  ``A`` is fixed there by the kept columns, and must then also
+map the dropped ones: the solution is accepted only when its residual is
+negligible on every column, otherwise the truncated data simply do not
 determine the operator and :class:`InconsistentTruncation` is raised.
 
 Defect subspaces are computed exactly as the finite-dimensional geometry
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import orth_cols, project
+from ._linalg import orth_cols
 from .errors import BadPoint, InconsistentTruncation, OrderTooLow, PropertyViolated
 
 __all__ = [
@@ -37,13 +38,12 @@ DEFAULT_CONSISTENCY_TOL = 1e-8
 class ShiftOperator:
     """Matrix of the shift on its domain subspace.
 
-    ``matrix`` acts as the operator only on vectors in the span of
-    ``domain_basis``; its action elsewhere is an artifact of the
-    least-squares construction and is never used.
+    ``domain_basis`` is the leading ``q1`` identity columns; ``matrix`` acts
+    as the operator on them and is zero on the other coordinates.
     """
 
     rep: object
-    domain_basis: np.ndarray  # (d, q1) orthonormal
+    domain_basis: np.ndarray  # (d, q1) leading identity columns
     matrix: np.ndarray  # (d, d)
     consistency_residual: float
     N: int
@@ -74,16 +74,19 @@ def _off_positive_axis(z):
 
 
 def build_shift(rep, N=None, tol=DEFAULT_CONSISTENCY_TOL):
-    """Solve ``A xi_k = xi_{k+N}`` on the domain span in least squares.
+    """Solve ``A xi_k = xi_{k+N}`` on the domain by one triangular solve.
+
+    The kept columns among the first ``n*N`` are upper triangular on the
+    first ``q1`` coordinates; ``A`` there is their images times its inverse.
 
     Raises
     ------
     OrderTooLow
         The sequence stops at ``S_0`` or ``S_1`` (empty domain, n = 0).
     InconsistentTruncation
-        The least-squares residual exceeds ``tol`` relative to the shifted
-        vectors, i.e. the kernel of the domain Gram is not mapped into the
-        kernel of the shifted Gram.
+        The residual on some domain column exceeds ``tol`` relative to the
+        shifted vectors, i.e. the kernel of the domain Gram is not mapped into
+        the kernel of the shifted Gram.
     """
     if N is None:
         N = rep.gram.N
@@ -91,9 +94,14 @@ def build_shift(rep, N=None, tol=DEFAULT_CONSISTENCY_TOL):
     if n < 1:
         raise OrderTooLow("need moments through S_2 to define the shift")
     X = rep.vectors
+    d = rep.dim
     dom = X[:, : n * N]
     img = X[:, N:]
-    A = img @ np.linalg.pinv(dom, rcond=1e-12)
+    pivots = (X != 0).argmax(axis=1)
+    q1 = int(np.count_nonzero(pivots < n * N))
+    A = np.zeros((d, d), dtype=complex)
+    tri = X[:q1, pivots[:q1]]
+    A[:, :q1] = np.linalg.solve(tri.T, img[:, pivots[:q1]].T).T
     target = np.linalg.norm(img, axis=0)
     achieved = np.linalg.norm(A @ dom - img, axis=0)
     top = float(target.max()) if target.size else 0.0
@@ -105,7 +113,7 @@ def build_shift(rep, N=None, tol=DEFAULT_CONSISTENCY_TOL):
         )
     return ShiftOperator(
         rep=rep,
-        domain_basis=orth_cols(dom),
+        domain_basis=np.eye(d, q1, dtype=complex),
         matrix=A,
         consistency_residual=residual,
         N=int(N),
@@ -166,15 +174,10 @@ def defect_subspace(op, z):
         raise BadPoint(f"z = {z} lies on [0, inf)")
     d = op.dim
     B = op.domain_basis
-    rng_basis = orth_cols((op.matrix - z * np.eye(d)) @ B) if B.shape[1] else np.zeros(
-        (d, 0), dtype=complex
-    )
+    rng_basis = orth_cols((op.matrix - z * np.eye(d)) @ B)
     X = op.rep.vectors
-    ys = []
-    for k in range(min(op.N, X.shape[1])):
-        xi = X[:, k]
-        ys.append(xi - project(rng_basis, xi))
-    Y = np.column_stack(ys) if ys else np.zeros((d, 0), dtype=complex)
+    X0 = X[:, : op.N]
+    Y = X0 - rng_basis @ (rng_basis.conj().T @ X0)
     # Rank decisions for the y's are made against the scale of the coordinate
     # vectors themselves, not of Y: when the defect is trivial every y is pure
     # roundoff and must not masquerade as a direction.

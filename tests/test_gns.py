@@ -66,3 +66,57 @@ def test_phase_convention_invisible_through_inner_products():
     phases = np.exp(2j * np.pi * rng.uniform(size=rep.dim))
     flipped = (phases[:, None]) * rep.vectors
     assert np.allclose(flipped.conj().T @ flipped, rep.reproduced_gram(), atol=1e-12)
+
+
+def test_zero_pivot_with_live_row_is_not_psd():
+    # column 1 repeats column 0 on the diagonal block (pivot 0, dropped) but
+    # not against column 2: indefinite, and only the dropped row shows it
+    with pytest.raises(NotPSD, match="Schur-complement row"):
+        build_space(gram_of([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]))
+
+
+def test_factor_is_upper_trapezoidal_with_positive_pivots():
+    seq = moments_of_measure(random_discrete_measure(2, 2, 2, min_sep=0.5), 4)
+    rep = build_space(scalarize(seq))
+    X = rep.vectors
+    pivots = (X != 0).argmax(axis=1)
+    assert (np.diff(pivots) > 0).all()
+    assert (X[np.arange(rep.dim), pivots].real > 0).all()
+    assert np.allclose(X[np.arange(rep.dim), pivots].imag, 0.0)
+
+
+def test_factor_matches_high_precision_cholesky():
+    # the Hankel of Lebesgue measure on [0, 1] (a Hilbert matrix), 7 x 7 with
+    # condition ~5e8: full rank, so the factor is the Cholesky factor G = X* X
+    mpmath = pytest.importorskip("mpmath")
+    size = 7
+    seq = moment_sequence([[[1.0 / (p + 1)]] for p in range(2 * size - 1)])
+    rep = build_space(scalarize(seq))
+    assert rep.dim == size
+    with mpmath.workdps(50):
+        hilbert = mpmath.matrix(
+            [[mpmath.mpf(1) / (i + j + 1) for j in range(size)] for i in range(size)]
+        )
+        L = mpmath.cholesky(hilbert)
+        ref = np.array(
+            [[float(L[j, i]) for j in range(size)] for i in range(size)]
+        )
+    # column-wise relative error of xi_a, against the column's norm
+    err = np.linalg.norm(rep.vectors - ref, axis=0) / np.linalg.norm(ref, axis=0)
+    assert err.max() <= 1e-10
+
+
+@pytest.mark.parametrize("N", [1, 4])
+@pytest.mark.parametrize("seed", range(6))
+def test_full_rank_data_keep_every_direction(N, seed):
+    # n + 2 full-rank atoms at m = 9: the Gram has full rank (n + 1) N and the
+    # problem is indeterminate, so no direction may be dropped
+    from stieltjesmp import analyze, solve_tau_grid
+
+    m = 9
+    n = m // 2
+    meas = random_discrete_measure(seed, N, n + 2, lam_range=(0.1, 4.0))
+    a = analyze(moments_of_measure(meas, m))
+    assert a.rep.dim == (n + 1) * N
+    assert not a.verdict.determinate
+    assert all(e["verification"]["pass"] for e in solve_tau_grid(a, 3))

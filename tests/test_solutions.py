@@ -190,28 +190,61 @@ def test_random_measure_determinism_and_separation():
 
 
 def test_borderline_rank_truncation_is_gated_not_silent():
-    # seed 14: the smallest genuine Gram eigenvalue (5.0e-6) sits just below
-    # the default relative rank cutoff, so one true direction is truncated
-    # and the emitted measures miss the 1e-8 gate by ~2e-7.  The pipeline
-    # must refuse (gate), and a tighter rank tolerance must recover the
-    # direction and pass cleanly.
+    # seed 14: the smallest genuine Gram eigenvalue (5.0e-6 of the largest)
+    # is far above every pivot threshold of the natural-order factor, so the
+    # default keeps all 12 directions and the measures pass cleanly.  A loose
+    # rank tolerance truncates genuine directions; the emitted measures then
+    # miss the 1e-8 gate, and the pipeline must refuse (gate), not pass.
     from stieltjesmp import analyze, solve_tau_grid
     from stieltjesmp.pipeline import Tolerances
 
     meas = random_discrete_measure(14, 3, 4, lam_range=(0.2, 6.0), min_sep=0.7)
     seq = moments_of_measure(meas, 7)
 
-    loose = analyze(seq)
-    assert loose.rep.dim == 11
-    entries = solve_tau_grid(loose, 2)
-    assert all(not e["verification"]["pass"] for e in entries)
-    assert all(max(e["verification"]["errors"]) < 1e-5 for e in entries)
-
-    tight_tols = Tolerances(rank_tol=1e-13)
-    tight = analyze(seq, tight_tols)
-    assert tight.rep.dim == 12
-    entries = solve_tau_grid(tight, 2, tight_tols)
+    full = analyze(seq)
+    assert full.rep.dim == 12
+    entries = solve_tau_grid(full, 2)
     assert all(e["verification"]["pass"] for e in entries)
+
+    loose_tols = Tolerances(rank_tol=1e-5)
+    loose = analyze(seq, loose_tols)
+    assert loose.rep.dim < 12
+    entries = solve_tau_grid(loose, 2, loose_tols)
+    assert all(not e["verification"]["pass"] for e in entries)
+    assert all(max(e["verification"]["errors"]) < 1e-4 for e in entries)
+
+
+def test_close_atom_pairs_keep_the_full_defect_space():
+    # N = 2, m = 5, four full-rank atoms in two close pairs: the Gram has full
+    # rank 6 at condition ~1e11.  A global eigenvalue cutoff dropped one
+    # genuine direction here, shrank the defect space to C^1 and refused any
+    # C^2 parameter with a SchemaError.
+    from stieltjesmp import analyze, make_tau, solve_with_tau
+
+    atoms = [
+        (2.3002013551070517, [[2.4908178079640466, 0.1601539097094028 - 1.2521999264119505j],
+                              [0.1601539097094028 + 1.2521999264119505j, 0.813926239855253]]),
+        (2.3116759170204357, [[3.1584085129733914, 2.308774870347483 - 1.974264660534522j],
+                              [2.308774870347483 + 1.974264660534522j, 5.844340255984646]]),
+        (3.2064044066833066, [[4.939196167890713, 1.3562014015363275 - 2.143389483454203j],
+                              [1.3562014015363275 + 2.143389483454203j, 1.6157668145126935]]),
+        (3.2070296468007293, [[2.4995094562349793, 2.108168822679291 - 0.8828345425354281j],
+                              [2.108168822679291 + 0.8828345425354281j, 2.7514678708231393]]),
+    ]
+    a = analyze(moments_of_measure(solution_measure(2, atoms), 5))
+    assert a.rep.dim == 6
+    assert a.picture.defect_dim == 2
+    tau = make_tau(
+        {
+            "type": "rational",
+            "tau0": [[-1.5, 0.5], [0.5, -3.0]],
+            "poles": [{"p": 2.9, "W": [[0.3, 0.1], [0.1, 0.8]]}],
+        },
+        require_class=True,
+    )
+    entry = solve_with_tau(a, tau)
+    assert entry["verification"]["pass"]
+    assert max(entry["verification"]["errors"]) <= 1e-8
 
 
 def test_measure_distance_zero_iff_same():
