@@ -75,10 +75,15 @@ def _jsonable(obj):
 def _output(doc, out_path):
     text = io.dumps_canonical(_jsonable(doc))
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        io.write_text(out_path, text)
     else:
         sys.stdout.write(text)
+
+
+def _check(ok, message):
+    """Refuse a bad command-line argument as a usage error."""
+    if not ok:
+        raise SchemaError(message)
 
 
 def _read_moments(path):
@@ -176,12 +181,20 @@ def cmd_determinacy(args):
     return EXIT_OK
 
 
-def _measure_entry(entry):
+def _result(entry, tau_doc, allow_unverified):
+    """Result document of one measure; one that fails the round-trip gate
+    becomes an error entry unless ``allow_unverified`` is set."""
+    rep = _jsonable(entry["verification"])
+    if not (rep["pass"] or allow_unverified):
+        inf = " (mass at infinity)" if rep.get("has_mass_at_infinity") else ""
+        message = "measure fails the moment round trip" + inf
+        return _error(tau_doc, "RoundTripGate", message, verification=rep)
     doc = {
         "status": "ok",
         "exact": entry["exact"],
-        "verification": _jsonable(entry["verification"]),
+        "verification": rep,
         "measure": io.measure_to_dict(entry["measure"]),
+        "tau": tau_doc,
     }
     if "s" in entry:
         doc["s"] = entry["s"]
@@ -190,85 +203,47 @@ def _measure_entry(entry):
     return doc
 
 
+def _error(tau_doc, kind, message, **extra):
+    error = {"type": kind, "message": message, **extra}
+    return {"status": "error", "tau": tau_doc, "error": error}
+
+
 def cmd_solve(args):
     tau_grid = 3 if args.tau is None and args.tau_grid is None else args.tau_grid
+    _check(tau_grid is None or tau_grid >= 1, "--tau-grid must be at least 1")
     seq = _read_moments(args.moments)
     analysis = analyze(seq, args.tols)
-    results = []
+    allow = args.allow_unverified
     if analysis.verdict.determinate:
         entry = unique_solution(analysis, args.tols)
-        entry_doc = _measure_entry(entry)
-        entry_doc["tau"] = {"type": "unique"}
-        results.append(entry_doc)
+        results = [_result(entry, {"type": "unique"}, allow)]
     elif tau_grid is not None:
-        for entry in solve_tau_grid(analysis, tau_grid, args.tols):
-            doc = _measure_entry(entry)
-            doc["tau"] = {"type": "constant-grid"}
-            results.append(doc)
+        entries = solve_tau_grid(analysis, tau_grid, args.tols)
+        results = [_result(e, {"type": "constant-grid"}, allow) for e in entries]
     else:
         tau_doc = io.read_json(args.tau)
         try:
-            tau = make_tau(tau_doc, require_class=not args.allow_unverified)
+            tau = make_tau(tau_doc, require_class=not allow)
             entry = solve_with_tau(analysis, tau, args.tols)
-            doc = _measure_entry(entry)
-            doc["tau"] = tau_doc
-            results.append(doc)
+            results = [_result(entry, tau_doc, allow)]
         except SchemaError:
             raise
         except MomentProblemError as exc:
-            results.append(
-                {
-                    "status": "error",
-                    "tau": tau_doc,
-                    "error": {"type": type(exc).__name__, "message": str(exc)},
-                }
-            )
-
-    emitted = []
-    for rdoc in results:
-        if rdoc.get("status") != "ok":
-            emitted.append(rdoc)
-            continue
-        if rdoc["verification"]["pass"] or args.allow_unverified:
-            emitted.append(rdoc)
-        else:
-            emitted.append(
-                {
-                    "status": "error",
-                    "tau": rdoc.get("tau"),
-                    "error": {
-                        "type": "RoundTripGate",
-                        "message": (
-                            "measure fails the moment round trip"
-                            + (
-                                " (mass at infinity)"
-                                if rdoc["verification"].get("has_mass_at_infinity")
-                                else ""
-                            )
-                        ),
-                        "verification": rdoc["verification"],
-                    },
-                }
-            )
+            results = [_error(tau_doc, type(exc).__name__, str(exc))]
     doc = {
         "N": seq.N,
         "determinate": analysis.verdict.determinate,
-        "results": emitted,
+        "results": results,
     }
     _output(doc, args.out)
+    ok = [r for r in results if r["status"] == "ok"]
     if args.cumulative_csv:
-        idx = 0
-        for rdoc in emitted:
-            if rdoc.get("status") != "ok":
-                continue
+        for idx, rdoc in enumerate(ok):
             meas = io.measure_from_dict(rdoc["measure"])
             top = float(meas.positions.max()) if meas.atoms else 1.0
             grid = np.linspace(-0.25, top + 1.0, 201)
             io.write_cumulative_csv(f"{args.cumulative_csv}{idx}.csv", meas, grid)
-            idx += 1
-    if any(r.get("status") == "ok" for r in emitted):
-        return EXIT_OK
-    return EXIT_NUMERIC
+    return EXIT_OK if ok else EXIT_NUMERIC
 
 
 def cmd_transform(args):
@@ -288,6 +263,11 @@ def cmd_transform(args):
 
 def cmd_invert(args):
     eps = _parse_list(args.eps, float, "eps")
+    _check(
+        len(set(eps)) >= 2 and all(e > 0.0 for e in eps),
+        "--eps needs at least two distinct positive values",
+    )
+    _check(args.grid_points >= 2, "--grid-points must be at least 2")
     if args.from_measure:
         meas = io.measure_from_dict(io.read_json(args.from_measure))
 
@@ -320,10 +300,11 @@ def _parse_atoms_spec(text):
         if not part:
             continue
         try:
-            pos, weight = part.split(":")
-            atoms.append((float(pos), np.array([[float(weight)]], dtype=complex)))
+            pos, weight = (float(v) for v in part.split(":"))
         except ValueError as exc:
             raise SchemaError(f"cannot parse atom {part!r} (want pos:weight)") from exc
+        _check(pos >= 0.0 and weight >= 0.0, f"atom {part!r} is negative")
+        atoms.append((pos, np.array([[weight]], dtype=complex)))
     if not atoms:
         raise SchemaError("empty atoms specification")
     return atoms
@@ -335,9 +316,13 @@ def cmd_gen(args):
         count = len(meas.atoms)
     else:
         count = args.count
-        meas = random_discrete_measure(
-            _gen_seed(args), args.N, count, min_sep=args.min_sep
-        )
+        _check(args.N >= 1 and count >= 1, "--N and --count must be at least 1")
+        try:
+            meas = random_discrete_measure(
+                _gen_seed(args), args.N, count, min_sep=args.min_sep
+            )
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from exc
     order = args.order if args.order is not None else max(2 * count - 1, 1)
     seq = moments_of_measure(meas, order)
     io.write_json(args.out_moments, io.moments_to_dict(seq))
@@ -348,6 +333,10 @@ def cmd_gen(args):
 def cmd_verify(args):
     meas = io.measure_from_dict(io.read_json(args.measure))
     seq = _read_moments(args.moments)
+    _check(
+        args.upto is None or 0 <= args.upto <= seq.m,
+        f"--upto must lie in 0..{seq.m} (the data stop at S_{seq.m})",
+    )
     report = verify_moments(meas, seq, upto=args.upto, rtol=args.tols.rtol)
     _output(report, args.out)
     return EXIT_OK if report["pass"] else EXIT_NEGATIVE

@@ -19,6 +19,11 @@ splitting is read off one complete QR factorization of ``(A + E)`` on the
 coordinate domain of :mod:`shiftop`.  The completion interval is validated
 against a brute-force feasibility oracle in the test suite.
 
+Both corners agree with ``T`` on ``D(T)``, so the interval is
+``t_mu + J [0, G] J*`` (``J`` the defect basis) for the ``q x q`` gap
+``G = X_max - X_min``.  Determinacy, the gap norm and the gap kernel are read
+off one ``eigh`` of ``G`` (:func:`_gap_kernel`), never of a ``d x d`` matrix.
+
 The dense reference resolvent is computed from the contraction itself:
 ``R_z = (E + t) ((1 - z) E - (1 + z) t)^{-1}``.  An eigenvalue ``-1`` of ``t``
 (a point mass at infinity of the extension, routine for the Friedrichs corner
@@ -27,7 +32,7 @@ of a truncated problem) then contributes nothing, with no singular inversion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -54,8 +59,18 @@ __all__ = [
 #: point at infinity of the inverse Cayley transform
 INFINITY_TOL = 1e-12
 
-DEFAULT_KER_TOL = 1e-9
-DEFAULT_CLUSTER_TOL = 1e-9
+#: contractivity slack allowed to an extremal completion
+FEAS_TOL = 1e-8
+#: gap eigenvalues up to this fraction of the largest one span the gap kernel
+KER_TOL = 1e-9
+#: determinate when the gap norm is at most ``1e-9 ||t_M|| + 1e-12``, where
+#: ``||t_M|| = 1`` for any non-trivial defect: the Krein corner makes
+#: ``E - t_M`` singular
+DET_TOL = 1e-9 + 1e-12
+#: eigenvalues this close form one atom; an atom whose moment importance is
+#: below ``WEIGHT_RTOL`` times the total is dropped
+CLUSTER_TOL = 1e-9
+WEIGHT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -105,13 +120,7 @@ class DeterminacyVerdict:
     defect_dim: int
 
     def to_dict(self):
-        return {
-            "determinate": self.determinate,
-            "completely_indeterminate": self.completely_indeterminate,
-            "upsilon_dim": self.upsilon_dim,
-            "gap_norm": self.gap_norm,
-            "defect_dim": self.defect_dim,
-        }
+        return asdict(self)
 
 
 def cayley(op):
@@ -147,31 +156,32 @@ def assemble_completion(pic, X):
     return herm(B @ blk @ B.conj().T)
 
 
-def extremal_extensions(pic, feas_tol=1e-8):
+def extremal_extensions(pic):
     """Fill in the extremal extensions ``t_mu <= t_M`` and the gap ``C``.
 
-    Raises :class:`CompletionInfeasible` when the assembled extremal
-    completions fail contractivity beyond ``feas_tol`` (numerically
-    inconsistent input; cannot happen for a genuine contraction).
+    ``t_mu`` is the completion at ``X_min``; the gap is
+    ``C = J (X_max - X_min) J*`` and ``t_M = t_mu + C``.  Raises
+    :class:`CompletionInfeasible` when either extremal completion fails
+    contractivity beyond ``FEAS_TOL`` (numerically inconsistent input;
+    cannot happen for a genuine contraction).
     """
     T11 = pic.t11()
     T21 = pic.t21()
-    q1 = pic.dom_dim
-    q = pic.defect_dim
-    Iq1 = np.eye(q1, dtype=complex)
-    Iq = np.eye(q, dtype=complex)
+    J = pic.defect_basis
+    Iq1 = np.eye(pic.dom_dim, dtype=complex)
+    Iq = np.eye(pic.defect_dim, dtype=complex)
     X_min = herm(-Iq + T21 @ hpinv(Iq1 + T11) @ T21.conj().T)
     X_max = herm(Iq - T21 @ hpinv(Iq1 - T11) @ T21.conj().T)
     t_mu = assemble_completion(pic, X_min)
-    t_M = assemble_completion(pic, X_max)
+    C = herm(J @ (X_max - X_min) @ J.conj().T)
+    t_M = t_mu + C
     for name, t in (("t_mu", t_mu), ("t_M", t_M)):
         w = np.linalg.eigvalsh(t) if pic.dim else np.zeros(1)
         lo = min(1.0 + float(w[0]), 1.0 - float(w[-1]))
-        if lo < -feas_tol:
+        if lo < -FEAS_TOL:
             raise CompletionInfeasible(
                 f"extremal completion {name} violates contractivity by {lo:.3e}"
             )
-    C = herm(t_M - t_mu)
     return replace(pic, t_mu=t_mu, t_M=t_M, C=C)
 
 
@@ -179,26 +189,18 @@ def sample_sc_extensions(pic, count, seed=0):
     """Deterministic sample of self-adjoint contractive extensions of T.
 
     Returns ``count`` Hermitian contraction matrices extending T: the segment
-    ``t_mu + s (t_M - t_mu)`` at evenly spaced ``s`` in ``[0, 1]`` plus
+    ``t_mu + s C`` at evenly spaced ``s`` in ``[0, 1]`` plus
     randomized feasible corners drawn inside the completion interval.
     """
-    if not pic.has_extremals:
-        raise ValueError("extremal extensions not computed")
+    w, V, _ = _gap_kernel(pic)
+    root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
     count = int(count)
     if count <= 0:
         return []
     n_seg = min(count, max(2, (count + 1) // 2))
-    out = [
-        herm(pic.t_mu + s * (pic.t_M - pic.t_mu))
-        for s in np.linspace(0.0, 1.0, n_seg)
-    ]
+    out = [pic.t_mu + s * pic.C for s in np.linspace(0.0, 1.0, n_seg)]
     rng = np.random.default_rng(seed)
     q = pic.defect_dim
-    D = herm(
-        pic.defect_basis.conj().T @ (pic.t_M - pic.t_mu) @ pic.defect_basis
-    )
-    w, V = np.linalg.eigh(D)
-    root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
     X_min = herm(pic.defect_basis.conj().T @ pic.t_mu @ pic.defect_basis)
     while len(out) < count:
         if q == 0:
@@ -211,29 +213,33 @@ def sample_sc_extensions(pic, count, seed=0):
     return out[:count]
 
 
-def _gap_kernel(pic, ker_tol):
-    """Defect coordinates split into ``ker(J* C J)`` and its complement.
+def _gap_kernel(pic):
+    """``(w, V, in_ker)``: the eigenpairs of the ``q x q`` gap ``G = J* C J``
+    and the mask of its kernel.
 
-    The kernel holds the eigenvectors whose eigenvalue is at most ``ker_tol``
+    The kernel holds the eigenvectors whose eigenvalue is at most ``KER_TOL``
     times the largest one; :func:`determinacy` counts them and
     :func:`extend_ext` absorbs them, by this one rule.
     """
-    w, V = np.linalg.eigh(herm(pic.defect_basis.conj().T @ pic.C @ pic.defect_basis))
-    in_ker = w <= ker_tol * max(float(w.max()) if w.size else 0.0, 1e-300)
-    return V[:, in_ker], V[:, ~in_ker]
-
-
-def determinacy(pic, det_tol=None, ker_tol=DEFAULT_KER_TOL):
-    """Decide determinacy and measure the gap between the extremal extensions."""
     if not pic.has_extremals:
         raise ValueError("extremal extensions not computed")
+    J = pic.defect_basis
+    w, V = np.linalg.eigh(herm(J.conj().T @ pic.C @ J))
+    return w, V, w <= KER_TOL * max(float(w.max()) if w.size else 0.0, 1e-300)
+
+
+def determinacy(pic, det_tol=DET_TOL):
+    """Decide determinacy and measure the gap between the extremal extensions.
+
+    The gap norm is the largest ``|eigenvalue|`` of the ``q x q`` gap; the
+    problem is determinate when the defect is trivial or that norm is at most
+    ``det_tol``.
+    """
+    w, _, in_ker = _gap_kernel(pic)
     q = pic.defect_dim
-    gap = float(np.abs(np.linalg.eigvalsh(pic.C)).max()) if pic.dim else 0.0
-    if det_tol is None:
-        tnorm = float(np.abs(np.linalg.eigvalsh(pic.t_M)).max()) if pic.dim else 0.0
-        det_tol = 1e-9 * tnorm + 1e-12
+    gap = float(np.abs(w).max()) if q else 0.0
     determinate = q == 0 or gap <= det_tol
-    ups = q if determinate else _gap_kernel(pic, ker_tol)[0].shape[1]
+    ups = q if determinate else int(in_ker.sum())
     return DeterminacyVerdict(
         upsilon_dim=ups,
         completely_indeterminate=(ups == 0 and q > 0),
@@ -243,27 +249,24 @@ def determinacy(pic, det_tol=None, ker_tol=DEFAULT_KER_TOL):
     )
 
 
-def extend_ext(pic, ker_tol=DEFAULT_KER_TOL):
+def extend_ext(pic):
     """Absorb ker(C | defect) into the domain, forcing complete indeterminacy.
 
     On the kernel of the gap all self-adjoint contractive extensions agree
     with both extremal ones, so T extends canonically there; the regularized
-    picture has the same extremal pair and a trivial gap kernel.  Returns
-    ``pic`` itself when there is nothing to absorb.
+    picture keeps the extremal pair ``t_mu``, ``t_M``, ``C`` and has a trivial
+    gap kernel.  Returns ``pic`` itself when there is nothing to absorb.
     """
-    if not pic.has_extremals:
-        raise ValueError("extremal extensions not computed")
-    ker, rest = _gap_kernel(pic, ker_tol)
-    if ker.shape[1] == 0:
+    _, V, in_ker = _gap_kernel(pic)
+    if not in_ker.any():
         return pic
-    absorbed = pic.defect_basis @ ker
-    extended = ContractionPicture(
-        dim=pic.dim,
+    absorbed = pic.defect_basis @ V[:, in_ker]
+    return replace(
+        pic,
         dom_basis=np.hstack([pic.dom_basis, absorbed]),
-        defect_basis=pic.defect_basis @ rest,
+        defect_basis=pic.defect_basis @ V[:, ~in_ker],
         t_on_dom=np.hstack([pic.t_on_dom, pic.t_mu @ absorbed]),
     )
-    return extremal_extensions(extended)
 
 
 def resolvent_from_contraction(t, z):
@@ -287,9 +290,7 @@ def transform_from_contraction(t, rep, N, z):
     return Xi0.conj().T @ resolvent_from_contraction(t, z) @ Xi0
 
 
-def spectral_solution(
-    t, rep, N, cluster_tol=DEFAULT_CLUSTER_TOL, weight_tol=None
-):
+def spectral_solution(t, rep, N):
     """Solution measure of a self-adjoint contractive extension.
 
     Each eigenvalue ``t_i > -1`` of ``t`` maps to an atom at
@@ -300,14 +301,15 @@ def spectral_solution(
     An exit-space extension acts on ``C^d + C^r``; the data vectors live in
     the first ``d`` coordinates, so they are padded with ``r`` zero rows.
 
-    Eigenvalues within ``cluster_tol`` of a cluster's first one are merged
+    Eigenvalues within ``CLUSTER_TOL`` of a cluster's first one are merged
     into one atom.  Weights are formed from eigenvector overlaps, never by
     sandwiching the assembled projector: a far atom can carry a weight many
     orders below the matrix scale, and the projector would cancel it into
     roundoff.  Atoms with negligible weight are dropped, where "negligible" is
     judged by the atom's largest contribution to the reproducible moments,
-    ``||W|| max(1, lambda)^{2n}``: a far-out atom with a tiny weight can
-    still carry an order-one share of the top moment and must be kept.
+    ``||W|| max(1, lambda)^{2n}``, against ``WEIGHT_RTOL`` times the total:
+    a far-out atom with a tiny weight can still carry an order-one share of
+    the top moment and must be kept.
     """
     Xi0 = rep.vectors[:, :N]
     pad = t.shape[0] - Xi0.shape[0]
@@ -319,7 +321,7 @@ def spectral_solution(
     inf_weight = None
     start = 0
     for i in range(1, len(w) + 1):
-        if i < len(w) and w[i] - w[start] <= cluster_tol:
+        if i < len(w) and w[i] - w[start] <= CLUSTER_TOL:
             continue
         ti = float(np.mean(w[start:i]))
         G = V[:, start:i].conj().T @ Xi0
@@ -334,8 +336,7 @@ def spectral_solution(
     importance = [
         float(np.linalg.norm(W)) * max(1.0, lam) ** two_n for lam, W in atoms
     ]
-    if weight_tol is None:
-        weight_tol = 1e-12 * max(1.0, sum(importance))
+    weight_tol = WEIGHT_RTOL * max(1.0, sum(importance))
     atoms = [
         (lam, W) for (lam, W), imp in zip(atoms, importance) if imp > weight_tol
     ]

@@ -16,7 +16,7 @@ of maximal representable order ``n = floor(m/2)`` viewed entrywise, so that
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,8 +37,8 @@ __all__ = [
     "check_solvable",
 ]
 
-#: default relative asymmetry tolerated (and silently symmetrized) on input
-DEFAULT_ATOL = 1e-12
+#: relative asymmetry tolerated (and symmetrized with a warning) on input
+HERMITIAN_TOL = 1e-12
 
 #: default relative PSD tolerance of the solvability verdict
 DEFAULT_PSD_TOL = 1e-10
@@ -102,14 +102,7 @@ class SolvabilityReport:
 
     def to_dict(self):
         return {
-            "verdict": self.verdict,
-            "psd_tol": self.psd_tol,
-            "plain_min_eigs": list(self.plain_min_eigs),
-            "shifted_min_eigs": list(self.shifted_min_eigs),
-            "plain_scales": list(self.plain_scales),
-            "shifted_scales": list(self.shifted_scales),
-            "max_plain_order": self.max_plain_order,
-            "max_shifted_order": self.max_shifted_order,
+            **asdict(self),
             "note": (
                 "verdict certifies positive semi-definiteness of the block "
                 "Hankel matrices up to the stated orders only"
@@ -117,7 +110,7 @@ class SolvabilityReport:
         }
 
 
-def _validate_matrices(mats, N, atol):
+def _validate_matrices(mats, N):
     """Hermitian-validate and symmetrize a list of N x N arrays."""
     out = []
     for p, S in enumerate(mats):
@@ -126,10 +119,10 @@ def _validate_matrices(mats, N, atol):
             raise SchemaError(f"moment {p}: expected shape {(N, N)}, got {S.shape}")
         scale = max(1.0, float(np.abs(S).max()))
         asym = asymmetry(S)
-        if asym > atol * scale:
+        if asym > HERMITIAN_TOL * scale:
             raise NotHermitian(
                 f"moment {p} deviates from Hermitian symmetry by {asym:.3e} "
-                f"(tolerance {atol * scale:.3e})"
+                f"(tolerance {HERMITIAN_TOL * scale:.3e})"
             )
         if asym > 0.0:
             warnings.warn(
@@ -140,7 +133,7 @@ def _validate_matrices(mats, N, atol):
     return tuple(out)
 
 
-def moment_sequence(matrices, N=None, atol=DEFAULT_ATOL):
+def moment_sequence(matrices, N=None):
     """Build a validated :class:`MomentSequence` from in-memory matrices."""
     matrices = [np.atleast_2d(np.asarray(S, dtype=complex)) for S in matrices]
     if not matrices:
@@ -149,10 +142,10 @@ def moment_sequence(matrices, N=None, atol=DEFAULT_ATOL):
         N = matrices[0].shape[0]
     if N < 1:
         raise SchemaError("block size N must be >= 1")
-    return MomentSequence(N=int(N), moments=_validate_matrices(matrices, N, atol))
+    return MomentSequence(N=int(N), moments=_validate_matrices(matrices, N))
 
 
-def load_moments(raw, atol=DEFAULT_ATOL):
+def load_moments(raw):
     """Validate a parsed moments document and return a :class:`MomentSequence`.
 
     Parameters
@@ -160,10 +153,8 @@ def load_moments(raw, atol=DEFAULT_ATOL):
     raw : dict
         Parsed JSON of shape ``{"N": int, "moments": [matrix, ...]}`` where a
         matrix is a row-major nested array of ``[re, im]`` pairs (bare reals
-        accepted).
-    atol : float
-        Relative asymmetry tolerance; deviations up to ``atol * scale`` are
-        symmetrized with a warning, anything larger raises.
+        accepted).  Asymmetry up to ``HERMITIAN_TOL`` times the matrix scale
+        is symmetrized with a warning; anything larger raises.
 
     Raises
     ------
@@ -186,7 +177,7 @@ def load_moments(raw, atol=DEFAULT_ATOL):
         parse_matrix(Sj, shape=(N, N), where=f"moments[{p}]")
         for p, Sj in enumerate(mom_raw)
     ]
-    return MomentSequence(N=N, moments=_validate_matrices(mats, N, atol))
+    return MomentSequence(N=N, moments=_validate_matrices(mats, N))
 
 
 def _block_hankel(seq, n, offset):

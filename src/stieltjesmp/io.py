@@ -25,6 +25,7 @@ __all__ = [
     "encode_matrix",
     "dumps_canonical",
     "read_json",
+    "write_text",
     "write_json",
     "measure_to_dict",
     "measure_from_dict",
@@ -158,10 +159,18 @@ def read_json(path):
         raise SchemaError(f"cannot read JSON document {path}: {exc}") from exc
 
 
+def write_text(path, text):
+    """Write ``text`` to ``path``; an unwritable path is a schema error, like
+    an unreadable input document."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc
+
+
 def write_json(path, obj):
-    text = dumps_canonical(obj)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_text(path, dumps_canonical(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +248,7 @@ def write_cumulative_csv(path, meas, grid):
             for j in range(N):
                 row += [_fmt_float(M[k, j].real), _fmt_float(M[k, j].imag)]
         lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_scan_csv(path, xs, eps, values):
@@ -257,5 +265,4 @@ def write_scan_csv(path, xs, eps, values):
             for j in range(N):
                 row.append(_fmt_float(V[k, j].imag))
         lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")

@@ -53,7 +53,7 @@ from .errors import (
     SchemaError,
     WeylLimitDivergent,
 )
-from .extensions import determinacy, resolvent_from_contraction
+from .extensions import DET_TOL, _gap_kernel, resolvent_from_contraction
 from .io import parse_matrix
 from .shiftop import _off_positive_axis
 
@@ -74,10 +74,19 @@ __all__ = [
 #: default upper-half-plane sample set for the class kernel test
 DEFAULT_CLASS_POINTS = (1j, 2j, 1 + 1j, -1 + 1j, 0.5 + 1.5j)
 
+#: the class kernels may dip this far below zero, relative to their scale
+CLASS_TOL = 1e-9
+
+#: ``t_mu`` has an eigenvalue at 0 where ``1 - w <= ZERO_TOL (1 + w)``; its
+#: overlap weight with the defect space above ``OVERLAP_TOL`` diverges ``M(0)``
+ZERO_TOL, OVERLAP_TOL = 1e-9, 1e-10
+
 #: condition-number guard for the parameter block of the resolvent formula
 CONDITION_LIMIT = 1e12
 
 #: check points and tolerance of the run-time checks on a recovered extension
+#: (the tolerance also bounds how far an extension may differ from the
+#: Friedrichs corner off the defect space in :func:`constant_tau_of_extension`)
 CHECK_POINTS = (1.7j, -0.8 + 0.9j)
 CHECK_TOL = 1e-7
 
@@ -114,30 +123,20 @@ class GammaWeyl:
         return (complex(z) + 1.0) * (self.ov.conj().T @ (g[:, None] * self.ov))
 
 
-def build_gamma_weyl(pic, zero_tol=1e-9, overlap_tol=1e-10):
+def build_gamma_weyl(pic):
     """Gamma field / Weyl function of a completely indeterminate picture.
 
-    Parameters
-    ----------
-    pic : ContractionPicture
-        Picture with extremal extensions whose gap has trivial kernel on the
-        defect space (apply :func:`extensions.extend_ext` first otherwise).
-
-    Raises
-    ------
-    NotIndeterminate
-        Trivial defect (the problem is determinate) or non-trivial gap kernel.
-    WeylLimitDivergent
-        The Friedrichs corner has an eigenvalue at 0 whose eigenspace
-        overlaps the defect space, so ``M`` has no finite limit at 0.
+    ``pic`` carries extremal extensions whose gap has a trivial kernel (apply
+    :func:`extensions.extend_ext` first otherwise); a trivial defect, a
+    collapsed gap or a gap kernel raise :class:`NotIndeterminate`.  When the
+    Friedrichs corner has an eigenvalue at 0 whose eigenspace overlaps the
+    defect space, ``M`` has no finite limit at 0: :class:`WeylLimitDivergent`.
     """
-    if not pic.has_extremals:
-        raise ValueError("extremal extensions not computed")
     q = pic.defect_dim
     if q == 0:
         raise NotIndeterminate("trivial defect space: the problem is determinate")
-    verdict = determinacy(pic)
-    if not verdict.completely_indeterminate:
+    gap, _, in_ker = _gap_kernel(pic)
+    if in_ker.any() or float(np.abs(gap).max()) <= DET_TOL:
         raise NotIndeterminate(
             "gap kernel is non-trivial; regularize with extend_ext first"
         )
@@ -145,9 +144,9 @@ def build_gamma_weyl(pic, zero_tol=1e-9, overlap_tol=1e-10):
     # M(0) is M(z) at z = 0, where 2/c = 2/(1 - w)
     w, V = np.linalg.eigh(pic.t_mu)
     ov = V.conj().T @ J  # overlaps first, as in spectral_solution
-    at_zero = 1.0 - w <= zero_tol * (1.0 + w)
+    at_zero = 1.0 - w <= ZERO_TOL * (1.0 + w)
     weight = float(np.linalg.norm(ov[at_zero].conj().T @ ov[at_zero]))
-    if weight > overlap_tol:
+    if weight > OVERLAP_TOL:
         raise WeylLimitDivergent(
             "Friedrichs-corner eigenvalue at 0 overlaps the defect "
             f"space (weight {weight:.3e}); M(0) diverges"
@@ -263,13 +262,7 @@ def _parse_poles(raw, fin_dim):
     return tuple(poles), fin_dim
 
 
-def make_tau(
-    spec,
-    hdim=None,
-    require_class=False,
-    sample_points=DEFAULT_CLASS_POINTS,
-    class_tol=1e-9,
-):
+def make_tau(spec, hdim=None, require_class=False):
     """Build a validated :class:`TauParameter` from a parsed description.
 
     Accepted shapes::
@@ -323,7 +316,7 @@ def make_tau(
         hdim = tau0.shape[0] if hdim is None else hdim
 
     tau = TauParameter(kind=kind, hdim=hdim, ideal_basis=ideal, tau0=tau0, poles=poles)
-    ok, worst = check_stieltjes_class(tau, sample_points, tol=class_tol)
+    ok, worst = check_stieltjes_class(tau)
     tau = replace(tau, class_ok=ok, class_min_eig=worst)
     if require_class and not ok:
         raise NotStieltjesClass(
@@ -351,12 +344,12 @@ def _kernel_min_eig(fun, pts, dim):
     return float(w.min()), float(np.abs(w).max())
 
 
-def check_stieltjes_class(tau, sample_points=DEFAULT_CLASS_POINTS, tol=1e-9):
+def check_stieltjes_class(tau, sample_points=DEFAULT_CLASS_POINTS):
     """Sampled kernel test for admissibility of a parameter.
 
     Builds, over the sample points and a basis of finite-part directions, the
     Nevanlinna kernels of ``z -> tau(z)/z`` and of ``tau`` itself, and passes
-    iff both have smallest eigenvalue at least ``-tol`` (relative to the
+    iff both have smallest eigenvalue at least ``-CLASS_TOL`` (relative to the
     kernel scale).  A parameter with empty finite part passes vacuously.
 
     ``tau`` may be a :class:`TauParameter` or a bare callable
@@ -380,7 +373,7 @@ def check_stieltjes_class(tau, sample_points=DEFAULT_CLASS_POINTS, tol=1e-9):
     for fun in (lambda z: value(z) / z, value):
         lo, scale = _kernel_min_eig(fun, pts, dim)
         worst = min(worst, lo)
-        if lo < -tol * max(1.0, scale):
+        if lo < -CLASS_TOL * max(1.0, scale):
             ok = False
     return ok, float(worst)
 
@@ -434,7 +427,7 @@ def solution_transform(gw, tau, rep, N, z):
 #     t = t_mu - 2 J (tau - M(0))^{-1} J*,    tau = M(0) - 2 (J* (t - t_mu) J)^{-1}.
 
 
-def constant_tau_of_extension(gw, t, tol=1e-7):
+def constant_tau_of_extension(gw, t):
     """Hermitian constant parameter reproducing a contractive extension.
 
     Raises :class:`ParameterDegenerate` when ``t`` does not differ from the
@@ -446,7 +439,7 @@ def constant_tau_of_extension(gw, t, tol=1e-7):
     diff = np.asarray(t, dtype=complex) - gw.t_mu
     D = herm(J.conj().T @ diff @ J)
     off = float(np.abs(diff - J @ D @ J.conj().T).max())
-    if off > tol:  # entries of a contraction are at most 1: tol is relative
+    if off > CHECK_TOL:  # entries of a contraction are at most 1: relative
         raise ParameterDegenerate(
             f"extension differs from the Friedrichs corner by {off:.3e} off "
             "the defect space; it is not an in-space extension"

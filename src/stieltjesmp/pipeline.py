@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from . import hankel
 from .errors import MomentProblemError, NotIndeterminate, WeylLimitDivergent
 from .extensions import (
+    DET_TOL,
     cayley,
     determinacy,
     extend_ext,
@@ -37,8 +38,7 @@ class Tolerances:
     psd_tol: float = 1e-10
     rank_tol: float = 1e-10
     consistency_tol: float = 1e-8
-    det_tol: float | None = None
-    ker_tol: float = 1e-9
+    det_tol: float = DET_TOL
     rtol: float = 1e-8
     # read by no library code; kept only for the benchmark harness's import
     invert_rtol: float = 1e-3
@@ -84,12 +84,12 @@ def analyze(seq, tols=Tolerances()):
     rep = build_space(gram, tols.rank_tol)
     shift = build_shift(rep, tol=tols.consistency_tol)
     pic = extremal_extensions(cayley(shift))
-    verdict = determinacy(pic, det_tol=tols.det_tol, ker_tol=tols.ker_tol)
+    verdict = determinacy(pic, det_tol=tols.det_tol)
     extended = None
     gw = None
     gw_error = None
     if not verdict.determinate:
-        extended = extend_ext(pic, ker_tol=tols.ker_tol)
+        extended = extend_ext(pic)
         try:
             gw = build_gamma_weyl(extended)
         except (WeylLimitDivergent, NotIndeterminate) as exc:
@@ -129,17 +129,17 @@ def solve_tau_grid(analysis, count, tols=Tolerances()):
     """Canonical solutions along the extension segment.
 
     Emits ``count`` measures from the contractive extensions
-    ``t_mu + s (t_M - t_mu)`` at ``s = (j+1)/count``; the Krein corner
+    ``t_mu + s C`` at ``s = (j+1)/count``; the Krein corner
     (``s = 1``) is included, and the Friedrichs corner is approached but
     excluded because its measure carries mass at infinity and cannot
     reproduce the top moment.  Each entry reports the Hermitian-constant
     parameter its extension corresponds to.
     """
-    pic = analysis.extended or analysis.picture
+    pic = analysis.picture
     out = []
     for j in range(int(count)):
         s = (j + 1) / count
-        t = pic.t_mu + s * (pic.t_M - pic.t_mu)
+        t = pic.t_mu + s * pic.C
         meas = spectral_solution(t, analysis.rep, analysis.N)
         entry = _gated(analysis, meas, tols.rtol)
         entry["s"] = s

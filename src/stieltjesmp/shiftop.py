@@ -73,7 +73,7 @@ def _off_positive_axis(z):
     return not (z.imag == 0.0 and z.real >= 0.0)
 
 
-def build_shift(rep, N=None, tol=DEFAULT_CONSISTENCY_TOL):
+def build_shift(rep, tol=DEFAULT_CONSISTENCY_TOL):
     """Solve ``A xi_k = xi_{k+N}`` on the domain by one triangular solve.
 
     The kept columns among the first ``n*N`` are upper triangular on the
@@ -88,8 +88,7 @@ def build_shift(rep, N=None, tol=DEFAULT_CONSISTENCY_TOL):
         shifted vectors, i.e. the kernel of the domain Gram is not mapped into
         the kernel of the shifted Gram.
     """
-    if N is None:
-        N = rep.gram.N
+    N = rep.gram.N
     n = rep.gram.n
     if n < 1:
         raise OrderTooLow("need moments through S_2 to define the shift")

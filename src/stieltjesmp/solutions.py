@@ -140,6 +140,9 @@ def transform_of_measure(meas, z):
 # ---------------------------------------------------------------------------
 # Stieltjes-Perron inversion
 
+#: a scan value is a peak candidate above this multiple of the scan's median
+PEAK_FACTOR = 10.0
+
 
 def _imag_part(F):
     return (F - F.conj().T) / 2j
@@ -172,22 +175,26 @@ def perron_invert(
     eps_schedule=(1e-2, 1e-3, 1e-4),
     atom_tol=1e-3,
     n_grid=2001,
-    peak_factor=10.0,
 ):
     """Recover a discrete measure from its Stieltjes transform.
 
     Scans ``trace Im F(x + i eps)`` on the grid at the coarsest ``eps`` to
-    locate peaks (threshold: ``peak_factor`` times the median of the scan),
+    locate peaks (threshold: ``PEAK_FACTOR`` times the median of the scan),
     refines each atom position down the ``eps`` schedule, and estimates
     weights by ``W ~ eps * Im F(lambda + i eps)`` with Richardson
     extrapolation in ``eps^2`` across the schedule.
 
     Raises :class:`NoConvergence` when the two Richardson extrapolants
-    disagree by more than ``atom_tol``.
+    disagree by more than ``atom_tol``, and ``ValueError`` for a schedule
+    without two distinct positive values or a grid of fewer than two points.
     """
-    eps_schedule = sorted(eps_schedule, reverse=True)
-    if len(eps_schedule) < 2:
-        raise ValueError("need at least two epsilon values for extrapolation")
+    eps_schedule = sorted({float(e) for e in eps_schedule}, reverse=True)
+    if len(eps_schedule) < 2 or not all(e > 0.0 for e in eps_schedule):
+        raise ValueError(
+            "need at least two distinct positive epsilon values for extrapolation"
+        )
+    if int(n_grid) < 2:
+        raise ValueError("the scan grid needs at least two points")
     lo, hi = float(grid[0]), float(grid[1])
     xs = np.linspace(lo, hi, int(n_grid))
     eps0 = eps_schedule[0]
@@ -197,7 +204,7 @@ def perron_invert(
     scan[0] = float(np.trace(_imag_part(probe)).real)
     for i in range(1, len(xs)):
         scan[i] = float(np.trace(_imag_part(sampler(xs[i] + 1j * eps0))).real)
-    threshold = max(peak_factor * float(np.median(scan)), 1e-12)
+    threshold = max(PEAK_FACTOR * float(np.median(scan)), 1e-12)
     if float(scan.max()) <= threshold:
         return solution_measure(N, [])
 
@@ -249,11 +256,9 @@ def perron_invert(
 # generation and comparison utilities
 
 
-def random_discrete_measure(
-    seed, N, count, lam_range=(0.0, 10.0), min_sep=0.0, mass_scale=1.0
-):
+def random_discrete_measure(seed, N, count, lam_range=(0.0, 10.0), min_sep=0.0):
     """Deterministic random measure: atoms uniform in ``lam_range``, weights
-    ``W = G* G`` for complex Gaussian ``G`` (PSD, a.s. full rank)."""
+    ``W = G* G / N`` for complex Gaussian ``G`` (PSD, a.s. full rank)."""
     rng = np.random.default_rng(seed)
     lo, hi = lam_range
     positions = []
@@ -268,7 +273,7 @@ def random_discrete_measure(
     atoms = []
     for lam in sorted(positions):
         G = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        W = herm(G.conj().T @ G) * (mass_scale / N)
+        W = herm(G.conj().T @ G) * (1.0 / N)
         atoms.append((lam, W))
     return solution_measure(N, atoms)
 

@@ -414,3 +414,73 @@ def test_env_seed_not_an_integer_exit_usage(tmp_path, monkeypatch):
     monkeypatch.setenv("STIELTJES_MP_SEED", "x1")
     m, g = tmp_path / "m.json", tmp_path / "g.json"
     assert run("gen", "--count", 2, "--N", 1, "--out-moments", m, "--out-measure", g) == 64
+
+
+# ---------------------------------------------------------------------------
+# arguments and paths that must be refused as usage errors
+
+
+@pytest.fixture
+def gen_two_atom(tmp_path):
+    m, g = tmp_path / "m.json", tmp_path / "g.json"
+    assert run("gen", "--atoms", "1:1,2:1", "--out-moments", m, "--out-measure", g) == 0
+    return str(m), str(g)
+
+
+def assert_usage_error(capsys, *args):
+    capsys.readouterr()
+    assert run(*args) == 64
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:"), captured.err
+
+
+def test_verify_upto_past_the_data_exit_usage(gen_two_atom, capsys):
+    m, g = gen_two_atom
+    assert_usage_error(capsys, "verify", g, m, "--upto", 9)
+
+
+def test_invert_grid_points_zero_exit_usage(gen_two_atom, capsys):
+    _, g = gen_two_atom
+    assert_usage_error(capsys, "invert", "--from-measure", g, "--grid-points", 0)
+
+
+@pytest.mark.parametrize("eps", ["1e-2", "1e-2,1e-2", "0,1e-3", "-1e-2,1e-3"])
+def test_invert_eps_schedule_without_two_distinct_positive_values(
+    gen_two_atom, capsys, eps
+):
+    _, g = gen_two_atom
+    assert_usage_error(capsys, "invert", "--from-measure", g, f"--eps={eps}")
+
+
+@pytest.mark.parametrize(
+    "extra", [("--N", 0, "--count", 2), ("--count", 3, "--min-sep", 100), ("--count", -1)]
+)
+def test_gen_impossible_random_measure_exit_usage(tmp_path, capsys, extra):
+    m, g = tmp_path / "m.json", tmp_path / "g.json"
+    assert_usage_error(capsys, "gen", *extra, "--out-moments", m, "--out-measure", g)
+    assert not m.exists()
+
+
+def test_gen_negative_weight_exit_usage(tmp_path, capsys):
+    m, g = tmp_path / "m.json", tmp_path / "g.json"
+    assert_usage_error(capsys, "gen", "--atoms", "1:-1", "--out-moments", m, "--out-measure", g)
+    assert not m.exists()
+
+
+def test_solve_tau_grid_zero_exit_usage(gen_two_atom, capsys):
+    m, _ = gen_two_atom
+    assert_usage_error(capsys, "solve", m, "--tau-grid", 0)
+
+
+@pytest.mark.parametrize("flag", ["--out", "--cumulative-csv", "--csv", "--out-moments"])
+def test_unwritable_output_path_exit_usage(gen_two_atom, tmp_path, capsys, flag):
+    m, g = gen_two_atom
+    bad = tmp_path / "missing" / "x.json"
+    tau = write(tmp_path / "tau.json", {"type": "constant", "matrix": [[-1.0]]})
+    args = {
+        "--out": ("check", m, "--out", bad),
+        "--cumulative-csv": ("solve", m, "--cumulative-csv", bad),
+        "--csv": ("transform", m, "--tau", tau, "--z", "1j", "--csv", bad),
+        "--out-moments": ("gen", "--atoms", "1:1", "--out-moments", bad, "--out-measure", g),
+    }[flag]
+    assert_usage_error(capsys, *args)

@@ -1,0 +1,106 @@
+"""Invariances the determinacy decision must respect, as property tests.
+
+The data are moments of discrete measures of moderate size: block size
+``N <= 2``, order ``m <= 5``, at most three atoms on a fixed grid in
+``[0.2, 5]`` with weights whose non-zero eigenvalues lie in ``[0.5, 2]``.
+"""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from stieltjesmp import analyze, moment_sequence, moments_of_measure  # noqa: E402
+from stieltjesmp import solution_measure, solve_tau_grid  # noqa: E402
+
+GRID = (0.2, 0.6, 1.1, 1.7, 2.4, 3.2, 4.1, 5.0)
+FEW = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+
+
+def _herm(S):
+    return 0.5 * (S + S.conj().T)
+
+
+def _unitary(rng, N):
+    Q, R = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+@st.composite
+def problems(draw):
+    """``(moments, rng)``: moments of a random discrete measure and a
+    generator for any further random choice the property needs."""
+    N = draw(st.integers(1, 2))
+    count = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    atoms = []
+    for lam in rng.choice(GRID, size=count, replace=False):
+        s = rng.uniform(0.5, 2.0, size=N)
+        s[rng.integers(1, N + 1) :] = 0.0  # rank 1..N
+        U = _unitary(rng, N)
+        atoms.append((lam, (U * s) @ U.conj().T))
+    return moments_of_measure(solution_measure(N, atoms), m), rng
+
+
+def _positions(analysis, count):
+    return [e["measure"].positions for e in solve_tau_grid(analysis, count)]
+
+
+def _same_positions(a, b, rtol=1e-6):
+    assert len(a) == len(b)
+    for pa, pb in zip(a, b):
+        assert pa.shape == pb.shape, (pa, pb)
+        assert np.allclose(pa, pb, rtol=rtol, atol=1e-8), (pa, pb)
+
+
+@FEW
+@given(problems())
+def test_unitary_conjugation_leaves_the_decision_unchanged(problem):
+    seq, rng = problem
+    U = _unitary(rng, seq.N)
+    conj = moment_sequence([_herm(U.conj().T @ S @ U) for S in seq.moments])
+    a, b = analyze(seq), analyze(conj)
+    va, vb = a.verdict, b.verdict
+    assert va.determinate == vb.determinate
+    assert va.defect_dim == vb.defect_dim
+    assert va.upsilon_dim == vb.upsilon_dim
+    assert np.isclose(va.gap_norm, vb.gap_norm, rtol=1e-8, atol=1e-12)
+    _same_positions(_positions(a, 3), _positions(b, 3))
+
+
+@FEW
+@given(problems(), problems())
+def test_block_diagonal_data_sum_the_dimensions(p1, p2):
+    (s1, _), (s2, _) = p1, p2
+    m = min(s1.m, s2.m)
+    N1, N2 = s1.N, s2.N
+    mats = []
+    for p in range(m + 1):
+        S = np.zeros((N1 + N2, N1 + N2), dtype=complex)
+        S[:N1, :N1] = s1.moments[p]
+        S[N1:, N1:] = s2.moments[p]
+        mats.append(S)
+    a1 = analyze(moment_sequence(s1.moments[: m + 1]))
+    a2 = analyze(moment_sequence(s2.moments[: m + 1]))
+    v = analyze(moment_sequence(mats)).verdict
+    assert v.defect_dim == a1.verdict.defect_dim + a2.verdict.defect_dim
+    assert v.upsilon_dim == a1.verdict.upsilon_dim + a2.verdict.upsilon_dim
+    assert v.determinate == (a1.verdict.determinate and a2.verdict.determinate)
+
+
+@FEW
+@given(problems(), st.floats(0.5, 2.0))
+def test_scaling_the_axis_scales_the_atoms(problem, c):
+    # S_p -> c^p S_p is the measure pushed forward by x -> c x.  The Krein
+    # corner (s = 1) is the Krein-von Neumann extension, which scales with
+    # the operator; interior points of the Cayley segment do not.
+    seq, _ = problem
+    scaled = moment_sequence([c**p * S for p, S in enumerate(seq.moments)])
+    a, b = analyze(seq), analyze(scaled)
+    assert a.verdict.determinate == b.verdict.determinate
+    assert a.verdict.defect_dim == b.verdict.defect_dim
+    assert a.verdict.upsilon_dim == b.verdict.upsilon_dim
+    _same_positions([c * p for p in _positions(a, 1)], _positions(b, 1))

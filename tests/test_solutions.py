@@ -136,6 +136,15 @@ def test_invert_no_convergence_under_strict_tolerance():
         )
 
 
+@pytest.mark.parametrize(
+    "eps", [(1e-2,), (1e-2, 1e-2), (0.0, 1e-3), (-1e-2, 1e-3)]
+)
+def test_invert_refuses_schedule_without_two_distinct_positive_eps(eps):
+    meas = scalar_measure((1.0, 1.0))
+    with pytest.raises(ValueError):
+        perron_invert(lambda z: transform_of_measure(meas, z), eps_schedule=eps)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_oracle_closure(seed):
     N = seed % 2 + 1
