@@ -51,19 +51,6 @@ def complement(basis, dim):
     return vh[rank:].conj().T
 
 
-def hpinv(M, rcond=PINV_RCOND):
-    """Moore-Penrose pseudo-inverse of a Hermitian matrix via eigh."""
-    M = herm(np.asarray(M, dtype=complex))
-    if M.size == 0:
-        return M.copy()
-    w, U = np.linalg.eigh(M)
-    wmax = np.abs(w).max() if w.size else 0.0
-    keep = np.abs(w) > rcond * max(wmax, 1e-300)
-    inv = np.zeros_like(w)
-    np.divide(1.0, w, out=inv, where=keep)
-    return (U * inv) @ U.conj().T
-
-
 def random_unitary(rng, dim):
     """Haar-ish random unitary via QR of a complex Ginibre matrix."""
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

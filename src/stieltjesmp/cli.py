@@ -333,11 +333,10 @@ def cmd_gen(args):
 def cmd_verify(args):
     meas = io.measure_from_dict(io.read_json(args.measure))
     seq = _read_moments(args.moments)
-    _check(
-        args.upto is None or 0 <= args.upto <= seq.m,
-        f"--upto must lie in 0..{seq.m} (the data stop at S_{seq.m})",
-    )
-    report = verify_moments(meas, seq, upto=args.upto, rtol=args.tols.rtol)
+    try:
+        report = verify_moments(meas, seq, upto=args.upto, rtol=args.tols.rtol)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
     _output(report, args.out)
     return EXIT_OK if report["pass"] else EXIT_NEGATIVE
 
@@ -364,21 +363,21 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_tols(sp):
-        sp.add_argument("--psd-tol", type=float, default=None)
-        sp.add_argument("--rank-tol", type=float, default=None)
-        sp.add_argument("--consistency-tol", type=float, default=None)
-        sp.add_argument("--det-tol", type=float, default=None)
-        sp.add_argument("--rtol", type=float, default=None)
+    # each command takes only the tolerance flags it reads
+    analyze_tols = ("--psd-tol", "--rank-tol", "--consistency-tol", "--det-tol")
+
+    def add_tols(sp, *flags):
+        for flag in flags:
+            sp.add_argument(flag, type=float, default=None)
         sp.add_argument("--out", default=None, help="write JSON here (default stdout)")
 
     sp = sub.add_parser("check", help="solvability report")
     sp.add_argument("moments")
-    add_tols(sp)
+    add_tols(sp, "--psd-tol")
 
     sp = sub.add_parser("determinacy", help="determinacy verdict")
     sp.add_argument("moments")
-    add_tols(sp)
+    add_tols(sp, *analyze_tols)
 
     sp = sub.add_parser("solve", help="solution measures")
     sp.add_argument("moments")
@@ -402,14 +401,14 @@ def _build_parser():
         metavar="PREFIX",
         help="write (lambda, M(lambda)) CSV per emitted measure as PREFIX<i>.csv",
     )
-    add_tols(sp)
+    add_tols(sp, *analyze_tols, "--rtol")
 
     sp = sub.add_parser("transform", help="sampled Stieltjes transform")
     sp.add_argument("moments")
     sp.add_argument("--tau", default=None)
     sp.add_argument("--z", required=True, help="comma-separated complex points")
     sp.add_argument("--csv", default=None, help="also write a CSV of the samples")
-    add_tols(sp)
+    add_tols(sp, *analyze_tols)
 
     sp = sub.add_parser("invert", help="Stieltjes-Perron inversion")
     src = sp.add_mutually_exclusive_group(required=True)
@@ -422,7 +421,7 @@ def _build_parser():
     sp.add_argument("--eps", default="1e-2,1e-3,1e-4")
     sp.add_argument("--atom-tol", type=float, default=1e-3)
     sp.add_argument("--scan-csv", default=None)
-    add_tols(sp)
+    add_tols(sp, *analyze_tols)
 
     sp = sub.add_parser("gen", help="deterministic test data")
     src = sp.add_mutually_exclusive_group(required=True)
@@ -439,7 +438,7 @@ def _build_parser():
     sp.add_argument("measure")
     sp.add_argument("moments")
     sp.add_argument("--upto", type=int, default=None)
-    add_tols(sp)
+    add_tols(sp, "--rtol")
 
     return p
 

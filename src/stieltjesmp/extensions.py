@@ -3,26 +3,28 @@
 The shift ``A`` is traded for the Hermitian contraction ``T`` with
 ``D(T) = (A + E) D(A)`` and ``T (A + E) f = (E - A) f``.  Self-adjoint
 contractive extensions of ``T`` in the representation space correspond
-one-to-one with non-negative self-adjoint extensions of ``A``; in the block
-splitting ``(D(T), N_{-1})`` every such extension is a Hermitian completion
+one-to-one with non-negative self-adjoint extensions of ``A``; they form the
+operator interval ``[t_mu, t_M]`` between the Friedrichs and Krein corners.
+``E + t_mu`` and ``E - t_M`` are the minimal non-negative extensions of
+``E + T`` and ``E - T`` from ``D(T)`` (Krein 1947; Ando-Nishio 1970), each a
+Gram matrix on ``D(T)``: with ``Q1`` an orthonormal basis of ``D(T)`` and
+``T11 = Q1* T Q1``,
 
-    [[ T11,  T21* ],
-     [ T21,  X    ]]
+    E + t_mu = (Q1 + T Q1) (I + T11)^{-1} (Q1 + T Q1)*,
+    E - t_M  = (Q1 - T Q1) (I - T11)^+  (Q1 - T Q1)*,
 
-and the feasible corners ``X`` form the operator interval between
-
-    X_min = -I + T21 (I + T11)^+ T21*,      (Friedrichs side)
-    X_max = +I - T21 (I - T11)^+ T21*,      (Krein side)
-
-which are the corners of the extremal extensions ``t_mu`` and ``t_M``.  The
-splitting is read off one complete QR factorization of ``(A + E)`` on the
-coordinate domain of :mod:`shiftop`.  The completion interval is validated
-against a brute-force feasibility oracle in the test suite.
+read off a Cholesky factor of ``I + T11`` (positive definite for any
+contraction) and the positive part of ``I - T11``.  The splitting into
+``D(T)`` and the defect space ``N_{-1}`` is read off one complete QR
+factorization of ``(A + E)`` on the coordinate domain of :mod:`shiftop`.  The
+interval is validated against a brute-force feasibility oracle in the test
+suite.
 
 Both corners agree with ``T`` on ``D(T)``, so the interval is
 ``t_mu + J [0, G] J*`` (``J`` the defect basis) for the ``q x q`` gap
-``G = X_max - X_min``.  Determinacy, the gap norm and the gap kernel are read
-off one ``eigh`` of ``G`` (:func:`_gap_kernel`), never of a ``d x d`` matrix.
+``G = J* (t_M - t_mu) J``.  Determinacy, the gap norm and the gap kernel are
+read off one ``eigh`` of ``G`` (:func:`_gap_kernel`), never of a ``d x d``
+matrix.
 
 The dense reference resolvent is computed from the contraction itself:
 ``R_z = (E + t) ((1 - z) E - (1 + z) t)^{-1}``.  An eigenvalue ``-1`` of ``t``
@@ -36,7 +38,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._linalg import PINV_RCOND, herm, hpinv, random_unitary
+from ._linalg import PINV_RCOND, herm, random_unitary
 from .errors import BadPoint, CompletionInfeasible, PropertyViolated
 from .shiftop import _off_positive_axis
 from .solutions import solution_measure
@@ -46,7 +48,6 @@ __all__ = [
     "DeterminacyVerdict",
     "cayley",
     "extremal_extensions",
-    "assemble_completion",
     "sample_sc_extensions",
     "determinacy",
     "extend_ext",
@@ -77,9 +78,10 @@ WEIGHT_RTOL = 1e-12
 class ContractionPicture:
     """The contraction ``T`` with (optionally) its extremal extensions.
 
-    ``t_on_dom`` holds the ambient images of the orthonormal columns of
-    ``dom_basis``; ``t_mu``/``t_M``/``C`` are filled in by
-    :func:`extremal_extensions`.
+    ``t_on_dom`` holds the ambient images ``T Q1`` of the orthonormal columns
+    ``Q1`` of ``dom_basis``, which is all of ``T``.  :func:`extremal_extensions`
+    fills in the corners ``t_mu``/``t_M`` and their gap ``C = t_M - t_mu``,
+    which is supported on the defect space.
     """
 
     dim: int
@@ -101,14 +103,6 @@ class ContractionPicture:
     @property
     def has_extremals(self):
         return self.t_mu is not None
-
-    def t11(self):
-        """Compression of T to D(T)."""
-        return self.dom_basis.conj().T @ self.t_on_dom
-
-    def t21(self):
-        """Component of T|D(T) in the defect space."""
-        return self.defect_basis.conj().T @ self.t_on_dom
 
 
 @dataclass(frozen=True)
@@ -149,31 +143,36 @@ def cayley(op):
     )
 
 
-def assemble_completion(pic, X):
-    """Full Hermitian extension matrix with corner ``X`` on the defect space."""
-    B = np.hstack([pic.dom_basis, pic.defect_basis])
-    blk = np.block([[pic.t11(), pic.t21().conj().T], [pic.t21(), X]])
-    return herm(B @ blk @ B.conj().T)
-
-
 def extremal_extensions(pic):
     """Fill in the extremal extensions ``t_mu <= t_M`` and the gap ``C``.
 
-    ``t_mu`` is the completion at ``X_min``; the gap is
-    ``C = J (X_max - X_min) J*`` and ``t_M = t_mu + C``.  Raises
-    :class:`CompletionInfeasible` when either extremal completion fails
+    ``E + t_mu = W W*`` with ``W = (Q1 + T Q1) L^{-*}`` for the Cholesky
+    factor ``L`` of ``I + T11``; ``E - t_M = Z Z*`` with
+    ``Z = (Q1 - T Q1) Y mu^{-1/2}`` over the eigenpairs of ``I - T11`` above
+    ``PINV_RCOND`` times the largest (a signed cutoff, so a roundoff-negative
+    eigenvalue is never inverted).  The gap is formed on the defect space
+    only, ``C = J G J*`` with ``G = 2I - (J* W)(J* W)* - (J* Z)(J* Z)*``, and
+    ``t_M = t_mu + C``.  Raises :class:`CompletionInfeasible` when
+    ``I + T11`` is not positive definite or either extremal extension fails
     contractivity beyond ``FEAS_TOL`` (numerically inconsistent input;
     cannot happen for a genuine contraction).
     """
-    T11 = pic.t11()
-    T21 = pic.t21()
-    J = pic.defect_basis
-    Iq1 = np.eye(pic.dom_dim, dtype=complex)
-    Iq = np.eye(pic.defect_dim, dtype=complex)
-    X_min = herm(-Iq + T21 @ hpinv(Iq1 + T11) @ T21.conj().T)
-    X_max = herm(Iq - T21 @ hpinv(Iq1 - T11) @ T21.conj().T)
-    t_mu = assemble_completion(pic, X_min)
-    C = herm(J @ (X_max - X_min) @ J.conj().T)
+    Q1, TQ, J = pic.dom_basis, pic.t_on_dom, pic.defect_basis
+    try:
+        L = np.linalg.cholesky(herm(Q1.conj().T @ (Q1 + TQ)))
+    except np.linalg.LinAlgError:
+        raise CompletionInfeasible(
+            "I + T is not positive definite on D(T); T is not a contraction"
+        ) from None
+    W = np.linalg.solve(L, (Q1 + TQ).conj().T).conj().T
+    mu, Y = np.linalg.eigh(herm(Q1.conj().T @ (Q1 - TQ)))
+    keep = mu > PINV_RCOND * mu.max(initial=0.0)
+    Z = (Q1 - TQ) @ (Y[:, keep] / np.sqrt(mu[keep]))
+    JW = J.conj().T @ W
+    JZ = J.conj().T @ Z
+    G = herm(2.0 * np.eye(pic.defect_dim) - JW @ JW.conj().T - JZ @ JZ.conj().T)
+    t_mu = herm(W @ W.conj().T) - np.eye(pic.dim)
+    C = herm(J @ G @ J.conj().T)
     t_M = t_mu + C
     for name, t in (("t_mu", t_mu), ("t_M", t_M)):
         w = np.linalg.eigvalsh(t) if pic.dim else np.zeros(1)
@@ -189,8 +188,9 @@ def sample_sc_extensions(pic, count, seed=0):
     """Deterministic sample of self-adjoint contractive extensions of T.
 
     Returns ``count`` Hermitian contraction matrices extending T: the segment
-    ``t_mu + s C`` at evenly spaced ``s`` in ``[0, 1]`` plus
-    randomized feasible corners drawn inside the completion interval.
+    ``t_mu + s C`` at evenly spaced ``s`` in ``[0, 1]`` plus random points
+    ``t_mu + J R Y R* J*`` of the interval, with ``R`` the square root of the
+    gap ``G`` and ``0 <= Y <= I``.
     """
     w, V, _ = _gap_kernel(pic)
     root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
@@ -201,15 +201,14 @@ def sample_sc_extensions(pic, count, seed=0):
     out = [pic.t_mu + s * pic.C for s in np.linspace(0.0, 1.0, n_seg)]
     rng = np.random.default_rng(seed)
     q = pic.defect_dim
-    X_min = herm(pic.defect_basis.conj().T @ pic.t_mu @ pic.defect_basis)
+    JR = pic.defect_basis @ root
     while len(out) < count:
         if q == 0:
             out.append(pic.t_mu.copy())
             continue
         Q = random_unitary(rng, q)
         Y = (Q * rng.uniform(0.0, 1.0, size=q)) @ Q.conj().T
-        X = herm(X_min + root @ Y @ root.conj().T)
-        out.append(assemble_completion(pic, X))
+        out.append(pic.t_mu + herm(JR @ Y @ JR.conj().T))
     return out[:count]
 
 

@@ -207,8 +207,8 @@ def measure_from_dict(doc):
         if not isinstance(a, dict) or "position" not in a or "weight" not in a:
             raise SchemaError(f"atom {i} must have 'position' and 'weight'")
         lam = a["position"]
-        if not isinstance(lam, (int, float)) or isinstance(lam, bool):
-            raise SchemaError(f"atom {i}: position must be a real number")
+        if not isinstance(lam, (int, float)) or isinstance(lam, bool) or lam < 0:
+            raise SchemaError(f"atom {i}: position must be a non-negative real number")
         W = parse_matrix(a["weight"], shape=(N, N), where=f"atom {i} weight")
         atoms.append((float(lam), W))
     inf = None

@@ -104,10 +104,12 @@ def verify_moments(meas, seq, upto=None, rtol=1e-8):
     Error at order p is ``||sum lambda^p W - S_p||_F / max(1, ||S_p||_F)``;
     the report passes iff every error is at most ``rtol``.
     """
+    if meas.N != seq.N:
+        raise ValueError(f"the measure has N={meas.N} but the moments have N={seq.N}")
     if upto is None:
         upto = seq.m
-    if upto > seq.m:
-        raise ValueError(f"upto={upto} exceeds the data (m={seq.m})")
+    if not 0 <= upto <= seq.m:
+        raise ValueError(f"upto={upto} lies outside the data's orders 0..{seq.m}")
     got = moments_of_measure(meas, upto)
     errors = []
     for p in range(upto + 1):

@@ -27,7 +27,7 @@ from stieltjesmp import (
     transform_of_measure,
 )
 from stieltjesmp.cli import main
-from stieltjesmp.extensions import assemble_completion, spectral_solution
+from stieltjesmp.extensions import spectral_solution
 from stieltjesmp.io import encode_matrix, moments_to_dict, write_json
 from stieltjesmp.shiftop import defect_subspace
 from stieltjesmp.solutions import measure_distance, random_discrete_measure
@@ -58,6 +58,16 @@ def min_eig(M):
 
 def im(M):
     return (M - M.conj().T) / 2j
+
+
+def assemble_completion(pic, X):
+    """Reference extension of T with corner ``X`` on the defect space, built
+    block by block from ``dom_basis`` and ``t_on_dom`` alone."""
+    T11 = pic.dom_basis.conj().T @ pic.t_on_dom
+    T21 = pic.defect_basis.conj().T @ pic.t_on_dom
+    B = np.hstack([pic.dom_basis, pic.defect_basis])
+    blk = np.block([[T11, T21.conj().T], [T21, X]])
+    return herm(B @ blk @ B.conj().T)
 
 
 # ---------------------------------------------------------------------------

@@ -484,3 +484,38 @@ def test_unwritable_output_path_exit_usage(gen_two_atom, tmp_path, capsys, flag)
         "--out-moments": ("gen", "--atoms", "1:1", "--out-moments", bad, "--out-measure", g),
     }[flag]
     assert_usage_error(capsys, *args)
+
+
+NEGATIVE_ATOM = {
+    "N": 1,
+    "atoms": [
+        {"position": -1.0, "weight": [[[1.0, 0.0]]]},
+        {"position": 2.0, "weight": [[[1.0, 0.0]]]},
+    ],
+}
+
+
+def test_invert_from_measure_negative_position_exit_usage(tmp_path, capsys):
+    g = write(tmp_path / "g.json", NEGATIVE_ATOM)
+    assert_usage_error(capsys, "invert", "--from-measure", g, "--lo", -2, "--hi", 4)
+
+
+def test_verify_negative_position_exit_usage(two_atom_file, tmp_path, capsys):
+    g = write(tmp_path / "g.json", NEGATIVE_ATOM)
+    assert_usage_error(capsys, "verify", g, two_atom_file)
+
+
+def test_verify_block_size_mismatch_exit_usage(gen_two_atom, tmp_path, capsys):
+    _, g = gen_two_atom
+    m2, g2 = tmp_path / "m2.json", tmp_path / "g2.json"
+    assert run(
+        "gen", "--count", 2, "--N", 2, "--seed", 1, "--out-moments", m2,
+        "--out-measure", g2,
+    ) == 0
+    assert_usage_error(capsys, "verify", g, m2)
+
+
+def test_unread_tolerance_flag_exit_usage(two_atom_file):
+    # check reads only --psd-tol; a flag nothing reads is refused, not ignored
+    assert run("check", two_atom_file, "--rank-tol", 1e-6) == 64
+    assert run("verify", two_atom_file, two_atom_file, "--det-tol", 1e-6) == 64

@@ -3,14 +3,18 @@ import pytest
 
 from stieltjesmp import (
     BadPoint,
+    CompletionInfeasible,
+    analyze,
     determinacy,
     extend_ext,
     extremal_extensions,
     resolvent_from_contraction,
     sample_sc_extensions,
+    solution_measure,
+    solve_tau_grid,
     spectral_solution,
 )
-from stieltjesmp.extensions import ContractionPicture, assemble_completion
+from stieltjesmp.extensions import ContractionPicture
 from stieltjesmp.solutions import moments_of_measure, verify_moments
 
 
@@ -20,6 +24,16 @@ def herm(M):
 
 def min_eig(M):
     return float(np.linalg.eigvalsh(herm(M)).min())
+
+
+def assemble_completion(pic, X):
+    """Reference extension of T with corner ``X`` on the defect space, built
+    block by block from ``dom_basis`` and ``t_on_dom`` alone."""
+    T11 = pic.dom_basis.conj().T @ pic.t_on_dom
+    T21 = pic.defect_basis.conj().T @ pic.t_on_dom
+    B = np.hstack([pic.dom_basis, pic.defect_basis])
+    blk = np.block([[T11, T21.conj().T], [T21, X]])
+    return herm(B @ blk @ B.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +101,50 @@ def test_empty_domain_interval_is_full():
     pic = extremal_extensions(pic)
     assert np.allclose(pic.t_mu, [[-1.0]])
     assert np.allclose(pic.t_M, [[1.0]])
+
+
+@pytest.mark.parametrize(
+    "t_e1",
+    [[0.9, 0.9], [-1.5, 0.0]],
+    ids=["norm-above-one", "eigenvalue-below-minus-one"],
+)
+def test_non_contraction_is_infeasible(t_e1):
+    # T e1 = 0.9 e1 + 0.9 e2 has norm 1.27; T e1 = -1.5 e1 makes I + T11
+    # indefinite, so its Cholesky factor does not exist
+    pic = ContractionPicture(
+        dim=2,
+        dom_basis=np.array([[1.0], [0.0]], dtype=complex),
+        defect_basis=np.array([[0.0], [1.0]], dtype=complex),
+        t_on_dom=np.array(t_e1, dtype=complex).reshape(2, 1),
+    )
+    with pytest.raises(CompletionInfeasible):
+        extremal_extensions(pic)
+
+
+def _atom_at_zero_sequence(seed, N=4):
+    # atoms 0, 0.366, 2.103, 6.866 with weight ranks 4, 3, 2, 4 and weights
+    # s G*G, s = 10^U(-3, 3); order m = 6 or 7
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(6, 8))
+    s = 10.0 ** rng.uniform(-3, 3)
+    atoms = []
+    for lam, r in zip((0.0, 0.366, 2.103, 6.866), (4, 3, 2, 4)):
+        G = rng.standard_normal((r, N)) + 1j * rng.standard_normal((r, N))
+        atoms.append((lam, herm(s * (G.conj().T @ G))))
+    return moments_of_measure(solution_measure(N, atoms), m)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 6, 7, 9])
+def test_atom_at_zero_keeps_krein_corner_contractive(seed):
+    # the atom at 0 puts an eigenvalue of I - T11 at zero up to roundoff of
+    # either sign; it must not be inverted, or the Krein corner leaves the
+    # unit ball and the input is refused as CompletionInfeasible
+    a = analyze(_atom_at_zero_sequence(seed))
+    assert not a.verdict.determinate
+    entries = solve_tau_grid(a, 3)
+    assert len(entries) == 3
+    for e in entries:
+        assert e["verification"]["pass"], e["verification"]
 
 
 def test_two_atom_extremal_eigenvalues(two_atom):

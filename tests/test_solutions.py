@@ -63,6 +63,13 @@ def test_verify_rejects_upto_past_data():
         verify_moments(meas, seq, upto=5)
 
 
+def test_verify_rejects_block_size_mismatch():
+    meas = scalar_measure((1.0, 1.0), (2.0, 1.0))
+    seq = moments_of_measure(random_discrete_measure(1, 2, 2), 2)
+    with pytest.raises(ValueError):
+        verify_moments(meas, seq)
+
+
 # ---------------------------------------------------------------------------
 # transforms
 
