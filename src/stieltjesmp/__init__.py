@@ -29,7 +29,6 @@ from .errors import (
 from .extensions import (
     ContractionPicture,
     DeterminacyVerdict,
-    cayley,
     determinacy,
     extend_ext,
     extremal_extensions,

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# Relative cutoff used for every pseudo-inverse in the package.
+# Relative cutoff of every rank decision and pseudo-inverse after the Gram
+# factor: orthonormal bases (``orth_cols``), the ranks of pole residues, and
+# the eigenvalues of ``A11`` that the Krein corner inverts (a signed cutoff).
 PINV_RCOND = 1e-12
 
 

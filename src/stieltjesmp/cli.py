@@ -86,6 +86,11 @@ def _check(ok, message):
         raise SchemaError(message)
 
 
+def _check_tol(flag, value):
+    """Refuse a tolerance flag that is not finite or is negative."""
+    _check(np.isfinite(value) and value >= 0.0, f"{flag} must be finite and non-negative")
+
+
 def _read_moments(path):
     return load_moments(io.read_json(path))
 
@@ -108,9 +113,13 @@ def _parse_list(text, conv, what):
 
 
 def _tols_from_args(args):
-    """Tolerances from the flags given (zero included); defaults elsewhere."""
+    """Tolerances from the flags given (zero included); defaults elsewhere.
+    A given value must be finite and non-negative."""
     given = {f.name: getattr(args, f.name, None) for f in fields(Tolerances)}
-    return Tolerances(**{k: v for k, v in given.items() if v is not None})
+    given = {k: v for k, v in given.items() if v is not None}
+    for name, value in given.items():
+        _check_tol("--" + name.replace("_", "-"), value)
+    return Tolerances(**given)
 
 
 def _gen_seed(args):
@@ -268,6 +277,8 @@ def cmd_invert(args):
         "--eps needs at least two distinct positive values",
     )
     _check(args.grid_points >= 2, "--grid-points must be at least 2")
+    _check(np.isfinite([args.lo, args.hi]).all(), "--lo and --hi must be finite")
+    _check_tol("--atom-tol", args.atom_tol)
     if args.from_measure:
         meas = io.measure_from_dict(io.read_json(args.from_measure))
 
@@ -451,8 +462,8 @@ def main(argv=None):
         # argparse exits 2 on usage errors; remap to the documented code
         return EXIT_USAGE if exc.code not in (0, None) else 0
 
-    args.tols = _tols_from_args(args)
     try:
+        args.tols = _tols_from_args(args)
         return COMMANDS[args.command](args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

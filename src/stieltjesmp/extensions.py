@@ -1,30 +1,39 @@
-"""Cayley-transform calculus for the non-negative shift operator.
+"""The interval of non-negative extensions of the shift, in Cayley form.
 
 The shift ``A`` is traded for the Hermitian contraction ``T`` with
 ``D(T) = (A + E) D(A)`` and ``T (A + E) f = (E - A) f``.  Self-adjoint
-contractive extensions of ``T`` in the representation space correspond
-one-to-one with non-negative self-adjoint extensions of ``A``; they form the
-operator interval ``[t_mu, t_M]`` between the Friedrichs and Krein corners.
-``E + t_mu`` and ``E - t_M`` are the minimal non-negative extensions of
-``E + T`` and ``E - T`` from ``D(T)`` (Krein 1947; Ando-Nishio 1970), each a
-Gram matrix on ``D(T)``: with ``Q1`` an orthonormal basis of ``D(T)`` and
-``T11 = Q1* T Q1``,
+contractive extensions of ``T`` correspond one-to-one with non-negative
+self-adjoint extensions of ``A``; they form the operator interval
+``[t_mu, t_M]`` between the Friedrichs and Krein corners.
 
-    E + t_mu = (Q1 + T Q1) (I + T11)^{-1} (Q1 + T Q1)*,
-    E - t_M  = (Q1 - T Q1) (I - T11)^+  (Q1 - T Q1)*,
+In the natural-order coordinates of :mod:`shiftop`, ``A`` is known on the
+first ``q1`` coordinates, by its blocks ``A11`` (``q1 x q1``, Hermitian) and
+``A21``, and both corners have closed forms in them (Krein 1947;
+Ando-Nishio 1970).  The Friedrichs extension is ``A11`` plus a multivalued
+part on the last ``q`` coordinates, so
 
-read off a Cholesky factor of ``I + T11`` (positive definite for any
-contraction) and the positive part of ``I - T11``.  The splitting into
-``D(T)`` and the defect space ``N_{-1}`` is read off one complete QR
-factorization of ``(A + E)`` on the coordinate domain of :mod:`shiftop`.  The
-interval is validated against a brute-force feasibility oracle in the test
-suite.
+    t_mu = diag(2 (E + A11)^{-1} - E, -E_q),
 
-Both corners agree with ``T`` on ``D(T)``, so the interval is
-``t_mu + J [0, G] J*`` (``J`` the defect basis) for the ``q x q`` gap
-``G = J* (t_M - t_mu) J``.  Determinacy, the gap norm and the gap kernel are
-read off one ``eigh`` of ``G`` (:func:`_gap_kernel`), never of a ``d x d``
-matrix.
+with the eigenpairs ``cay(a) = (1 - a) / (1 + a)`` over ``eigh(A11)`` and
+``-1`` on the last coordinates.  The Krein extension completes ``A`` by the
+Schur complement ``B_K = A21 A11^+ A21*``.  The defect space
+``N_{-1} = D(T)^perp`` is spanned by the columns of
+``K = [-(E + A11)^{-1} A21*; E_q]``; the canonical orthonormal basis is
+``J = K L^{-*}`` with ``L`` the Cholesky factor of ``K* K``, so ``J[q1:]``
+is upper triangular with a positive diagonal.  On it the corners differ by
+the ``q x q`` gap
+
+    G = J* (t_M - t_mu) J = 2 L* S_K^{-1} L,
+    S_K = E_q + A21 A11^+ (E + A11)^{-1} A21*,
+
+and ``t_M = t_mu + J G J*``.  This needs ``A21`` to vanish on the kernel of
+``A11``, as it does for solvable data; otherwise the Krein extension is no
+operator and the contractivity check on ``t_M`` refuses the input.  The
+interval is validated against a brute-force feasibility oracle and an
+independent Gram-factor construction in the test suite.
+
+Determinacy, the gap norm and the gap kernel are read off one ``eigh`` of
+``G`` (:func:`_gap_kernel`), never of a ``d x d`` matrix.
 
 The dense reference resolvent is computed from the contraction itself:
 ``R_z = (E + t) ((1 - z) E - (1 + z) t)^{-1}``.  An eigenvalue ``-1`` of ``t``
@@ -39,14 +48,13 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from ._linalg import PINV_RCOND, herm, random_unitary
-from .errors import BadPoint, CompletionInfeasible, PropertyViolated
+from .errors import BadPoint, CompletionInfeasible
 from .shiftop import _off_positive_axis
 from .solutions import solution_measure
 
 __all__ = [
     "ContractionPicture",
     "DeterminacyVerdict",
-    "cayley",
     "extremal_extensions",
     "sample_sc_extensions",
     "determinacy",
@@ -60,7 +68,8 @@ __all__ = [
 #: point at infinity of the inverse Cayley transform
 INFINITY_TOL = 1e-12
 
-#: contractivity slack allowed to an extremal completion
+#: contractivity slack allowed to an extremal completion (and negativity
+#: allowed to ``A11``)
 FEAS_TOL = 1e-8
 #: gap eigenvalues up to this fraction of the largest one span the gap kernel
 KER_TOL = 1e-9
@@ -68,41 +77,29 @@ KER_TOL = 1e-9
 #: ``||t_M|| = 1`` for any non-trivial defect: the Krein corner makes
 #: ``E - t_M`` singular
 DET_TOL = 1e-9 + 1e-12
-#: eigenvalues this close form one atom; an atom whose moment importance is
-#: below ``WEIGHT_RTOL`` times the total is dropped
+#: eigenvalues this close form one atom
 CLUSTER_TOL = 1e-9
-WEIGHT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class ContractionPicture:
-    """The contraction ``T`` with (optionally) its extremal extensions.
+    """The extremal extensions ``t_mu <= t_M`` of the contraction ``T``.
 
-    ``t_on_dom`` holds the ambient images ``T Q1`` of the orthonormal columns
-    ``Q1`` of ``dom_basis``, which is all of ``T``.  :func:`extremal_extensions`
-    fills in the corners ``t_mu``/``t_M`` and their gap ``C = t_M - t_mu``,
-    which is supported on the defect space.
+    Their gap ``C = t_M - t_mu`` is supported on the defect space.
+    ``t_mu = V diag(w) V*`` with the eigenpairs read off ``eigh(A11)``.
     """
 
     dim: int
-    dom_basis: np.ndarray  # (d, q1) orthonormal basis of D(T)
     defect_basis: np.ndarray  # (d, q) orthonormal basis of N_{-1}
-    t_on_dom: np.ndarray  # (d, q1)
-    t_mu: np.ndarray | None = None
-    t_M: np.ndarray | None = None
-    C: np.ndarray | None = None
-
-    @property
-    def dom_dim(self):
-        return self.dom_basis.shape[1]
+    t_mu: np.ndarray
+    t_M: np.ndarray
+    C: np.ndarray
+    w: np.ndarray  # (d,) eigenvalues of t_mu
+    V: np.ndarray  # (d, d) eigenvectors of t_mu
 
     @property
     def defect_dim(self):
         return self.defect_basis.shape[1]
-
-    @property
-    def has_extremals(self):
-        return self.t_mu is not None
 
 
 @dataclass(frozen=True)
@@ -117,71 +114,60 @@ class DeterminacyVerdict:
         return asdict(self)
 
 
-def cayley(op):
-    """Contraction picture of a shift operator: ``T (A+E) f = (E-A) f``.
+def extremal_extensions(op):
+    """The extremal extensions of the shift ``op``, from its blocks ``A11``
+    and ``A21``.
 
-    One complete QR factorization ``(A + E) B = Q R`` of the domain images
-    splits the space: ``Q[:, :q1]`` is an orthonormal basis of ``D(T)``,
-    ``Q[:, q1:]`` one of ``N_{-1}``, and ``T Q[:, :q1] = (E - A) B R^{-1}``.
+    ``t_mu`` is ``cay(A11)`` on the domain, formed by a solve with
+    ``E + A11``, and ``-E`` on the last ``q`` coordinates; ``J = K L^{-*}``;
+    the gap ``G = 2 L* S_K^{-1} L`` keeps the eigenvalues ``a`` of ``A11``
+    with ``a / (1 + a)`` above ``PINV_RCOND`` times the largest (a signed
+    cutoff, so a roundoff-negative eigenvalue at an atom at 0 is never
+    inverted); ``C = J G J*`` and ``t_M = t_mu + C``.  Raises
+    :class:`CompletionInfeasible` when ``A11`` has an eigenvalue below
+    ``-FEAS_TOL`` (``A`` is not non-negative) or ``t_M`` fails contractivity
+    beyond ``FEAS_TOL`` (numerically inconsistent input).
     """
-    d = op.dim
-    B = op.domain_basis
-    q1 = B.shape[1]
-    AB = op.matrix @ B
-    Q, R = np.linalg.qr(AB + B, mode="complete")
-    diag = np.abs(np.diag(R))
-    if q1 and diag.min() <= PINV_RCOND * diag.max():
-        raise PropertyViolated(
-            "(A + E) lost injectivity on the domain; the operator is not "
-            "non-negative within tolerance"
-        )
-    return ContractionPicture(
-        dim=d,
-        dom_basis=Q[:, :q1],
-        defect_basis=Q[:, q1:],
-        t_on_dom=np.linalg.solve(R[:q1].T, (B - AB).T).T,
-    )
-
-
-def extremal_extensions(pic):
-    """Fill in the extremal extensions ``t_mu <= t_M`` and the gap ``C``.
-
-    ``E + t_mu = W W*`` with ``W = (Q1 + T Q1) L^{-*}`` for the Cholesky
-    factor ``L`` of ``I + T11``; ``E - t_M = Z Z*`` with
-    ``Z = (Q1 - T Q1) Y mu^{-1/2}`` over the eigenpairs of ``I - T11`` above
-    ``PINV_RCOND`` times the largest (a signed cutoff, so a roundoff-negative
-    eigenvalue is never inverted).  The gap is formed on the defect space
-    only, ``C = J G J*`` with ``G = 2I - (J* W)(J* W)* - (J* Z)(J* Z)*``, and
-    ``t_M = t_mu + C``.  Raises :class:`CompletionInfeasible` when
-    ``I + T11`` is not positive definite or either extremal extension fails
-    contractivity beyond ``FEAS_TOL`` (numerically inconsistent input;
-    cannot happen for a genuine contraction).
-    """
-    Q1, TQ, J = pic.dom_basis, pic.t_on_dom, pic.defect_basis
-    try:
-        L = np.linalg.cholesky(herm(Q1.conj().T @ (Q1 + TQ)))
-    except np.linalg.LinAlgError:
+    d, q1 = op.dim, op.domain_dim
+    q = d - q1
+    A11 = herm(op.matrix[:q1, :q1])
+    A21 = op.matrix[q1:, :q1]
+    a, U = np.linalg.eigh(A11)
+    if q1 and a[0] < -FEAS_TOL:
         raise CompletionInfeasible(
-            "I + T is not positive definite on D(T); T is not a contraction"
-        ) from None
-    W = np.linalg.solve(L, (Q1 + TQ).conj().T).conj().T
-    mu, Y = np.linalg.eigh(herm(Q1.conj().T @ (Q1 - TQ)))
-    keep = mu > PINV_RCOND * mu.max(initial=0.0)
-    Z = (Q1 - TQ) @ (Y[:, keep] / np.sqrt(mu[keep]))
-    JW = J.conj().T @ W
-    JZ = J.conj().T @ Z
-    G = herm(2.0 * np.eye(pic.defect_dim) - JW @ JW.conj().T - JZ @ JZ.conj().T)
-    t_mu = herm(W @ W.conj().T) - np.eye(pic.dim)
+            f"A11 has eigenvalue {a[0]:.3e}; the shift is not non-negative"
+        )
+    E1 = np.eye(q1)
+    P = np.linalg.solve(E1 + A11, np.hstack([E1, A21.conj().T]))
+    t_mu = -np.eye(d, dtype=complex)
+    t_mu[:q1, :q1] = herm(2.0 * P[:, :q1] - E1)
+    K = np.vstack([-P[:, q1:], np.eye(q)])
+    L = np.linalg.cholesky(herm(K.conj().T @ K))
+    J = np.linalg.solve(L, K.conj().T).conj().T
+    r = a / (1.0 + a)
+    keep = r > PINV_RCOND * r.max(initial=0.0)
+    F = (A21 @ U[:, keep]) / np.sqrt(a[keep] * (1.0 + a[keep]))
+    S = np.eye(q) + F @ F.conj().T
+    G = herm(2.0 * L.conj().T @ np.linalg.solve(S, L))
     C = herm(J @ G @ J.conj().T)
     t_M = t_mu + C
-    for name, t in (("t_mu", t_mu), ("t_M", t_M)):
-        w = np.linalg.eigvalsh(t) if pic.dim else np.zeros(1)
-        lo = min(1.0 + float(w[0]), 1.0 - float(w[-1]))
-        if lo < -FEAS_TOL:
-            raise CompletionInfeasible(
-                f"extremal completion {name} violates contractivity by {lo:.3e}"
-            )
-    return replace(pic, t_mu=t_mu, t_M=t_M, C=C)
+    ev = np.linalg.eigvalsh(t_M) if d else np.zeros(1)
+    lo = min(1.0 + float(ev[0]), 1.0 - float(ev[-1]))
+    if lo < -FEAS_TOL:
+        raise CompletionInfeasible(
+            f"extremal completion t_M violates contractivity by {lo:.3e}"
+        )
+    V = np.eye(d, dtype=complex)
+    V[:q1, :q1] = U
+    return ContractionPicture(
+        dim=d,
+        defect_basis=J,
+        t_mu=t_mu,
+        t_M=t_M,
+        C=C,
+        w=np.concatenate([(1.0 - a) / (1.0 + a), -np.ones(q)]),
+        V=V,
+    )
 
 
 def sample_sc_extensions(pic, count, seed=0):
@@ -218,10 +204,8 @@ def _gap_kernel(pic):
 
     The kernel holds the eigenvectors whose eigenvalue is at most ``KER_TOL``
     times the largest one; :func:`determinacy` counts them and
-    :func:`extend_ext` absorbs them, by this one rule.
+    :func:`extend_ext` drops them, by this one rule.
     """
-    if not pic.has_extremals:
-        raise ValueError("extremal extensions not computed")
     J = pic.defect_basis
     w, V = np.linalg.eigh(herm(J.conj().T @ pic.C @ J))
     return w, V, w <= KER_TOL * max(float(w.max()) if w.size else 0.0, 1e-300)
@@ -249,23 +233,18 @@ def determinacy(pic, det_tol=DET_TOL):
 
 
 def extend_ext(pic):
-    """Absorb ker(C | defect) into the domain, forcing complete indeterminacy.
+    """Drop ker(C | defect) from the defect space, forcing complete
+    indeterminacy.
 
     On the kernel of the gap all self-adjoint contractive extensions agree
     with both extremal ones, so T extends canonically there; the regularized
     picture keeps the extremal pair ``t_mu``, ``t_M``, ``C`` and has a trivial
-    gap kernel.  Returns ``pic`` itself when there is nothing to absorb.
+    gap kernel.  Returns ``pic`` itself when there is nothing to drop.
     """
     _, V, in_ker = _gap_kernel(pic)
     if not in_ker.any():
         return pic
-    absorbed = pic.defect_basis @ V[:, in_ker]
-    return replace(
-        pic,
-        dom_basis=np.hstack([pic.dom_basis, absorbed]),
-        defect_basis=pic.defect_basis @ V[:, ~in_ker],
-        t_on_dom=np.hstack([pic.t_on_dom, pic.t_mu @ absorbed]),
-    )
+    return replace(pic, defect_basis=pic.defect_basis @ V[:, ~in_ker])
 
 
 def resolvent_from_contraction(t, z):
@@ -304,11 +283,8 @@ def spectral_solution(t, rep, N):
     into one atom.  Weights are formed from eigenvector overlaps, never by
     sandwiching the assembled projector: a far atom can carry a weight many
     orders below the matrix scale, and the projector would cancel it into
-    roundoff.  Atoms with negligible weight are dropped, where "negligible" is
-    judged by the atom's largest contribution to the reproducible moments,
-    ``||W|| max(1, lambda)^{2n}``, against ``WEIGHT_RTOL`` times the total:
-    a far-out atom with a tiny weight can still carry an order-one share of
-    the top moment and must be kept.
+    roundoff.  No atom is dropped for being small: a weight far below the
+    total can still carry the share of some moment that the round trip needs.
     """
     Xi0 = rep.vectors[:, :N]
     pad = t.shape[0] - Xi0.shape[0]
@@ -331,12 +307,4 @@ def spectral_solution(t, rep, N):
             continue
         lam = (1.0 - ti) / (1.0 + ti)
         atoms.append((max(lam, 0.0), W))
-    two_n = 2 * rep.gram.n
-    importance = [
-        float(np.linalg.norm(W)) * max(1.0, lam) ** two_n for lam, W in atoms
-    ]
-    weight_tol = WEIGHT_RTOL * max(1.0, sum(importance))
-    atoms = [
-        (lam, W) for (lam, W), imp in zip(atoms, importance) if imp > weight_tol
-    ]
     return solution_measure(N, atoms, mass_at_infinity=inf_weight)

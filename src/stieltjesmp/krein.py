@@ -23,8 +23,10 @@ extension: a Hermitian contraction on ``C^d + C^r`` (``r = sum rank W_k``),
 written in closed form at the base point by :func:`exit_space_extension`, so
 its solution is the exact spectral measure of a finite matrix.
 
-All of it comes from the eigenpairs of ``t_mu = V diag(w) V*``, with no solve
-per ``z``: for ``c = 1 - w - z (1 + w)``, ``V* R_z V = diag((1 + w)/c)`` and
+All of it comes from the eigenpairs of ``t_mu = V diag(w) V*``, which the
+extension picture reads off ``eigh(A11)`` (``w = cay(a)`` on the first ``q1``
+coordinates, ``-1`` on the last ``q``), with no solve per ``z``: for
+``c = 1 - w - z (1 + w)``, ``V* R_z V = diag((1 + w)/c)`` and
 ``V* gamma(z) = diag(2/c) V* J``.  An eigenvalue ``w = -1`` (mass at infinity)
 needs no special case: there ``c = 2``, so it adds 0 to ``R_z``, 1 to gamma.
 
@@ -140,9 +142,8 @@ def build_gamma_weyl(pic):
         raise NotIndeterminate(
             "gap kernel is non-trivial; regularize with extend_ext first"
         )
-    J = pic.defect_basis
+    J, w, V = pic.defect_basis, pic.w, pic.V
     # M(0) is M(z) at z = 0, where 2/c = 2/(1 - w)
-    w, V = np.linalg.eigh(pic.t_mu)
     ov = V.conj().T @ J  # overlaps first, as in spectral_solution
     at_zero = 1.0 - w <= ZERO_TOL * (1.0 + w)
     weight = float(np.linalg.norm(ov[at_zero].conj().T @ ov[at_zero]))

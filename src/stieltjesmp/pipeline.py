@@ -14,7 +14,6 @@ from . import hankel
 from .errors import MomentProblemError, NotIndeterminate, WeylLimitDivergent
 from .extensions import (
     DET_TOL,
-    cayley,
     determinacy,
     extend_ext,
     extremal_extensions,
@@ -83,7 +82,7 @@ def analyze(seq, tols=Tolerances()):
     gram = hankel.scalarize(seq)
     rep = build_space(gram, tols.rank_tol)
     shift = build_shift(rep, tol=tols.consistency_tol)
-    pic = extremal_extensions(cayley(shift))
+    pic = extremal_extensions(shift)
     verdict = determinacy(pic, det_tol=tols.det_tol)
     extended = None
     gw = None

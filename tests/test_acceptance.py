@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 import pytest
+from corner_reference import assemble_completion, cayley_reference
 
 from stieltjesmp import (
     check_stieltjes_class,
@@ -58,16 +59,6 @@ def min_eig(M):
 
 def im(M):
     return (M - M.conj().T) / 2j
-
-
-def assemble_completion(pic, X):
-    """Reference extension of T with corner ``X`` on the defect space, built
-    block by block from ``dom_basis`` and ``t_on_dom`` alone."""
-    T11 = pic.dom_basis.conj().T @ pic.t_on_dom
-    T21 = pic.defect_basis.conj().T @ pic.t_on_dom
-    B = np.hstack([pic.dom_basis, pic.defect_basis])
-    blk = np.block([[T11, T21.conj().T], [T21, X]])
-    return herm(B @ blk @ B.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +160,16 @@ def test_criterion_05_extremality_oracle(battery):
         if a.rep.dim > 3 or pic.defect_dim == 0:
             continue
         q = pic.defect_dim
-        X_min = herm(pic.defect_basis.conj().T @ pic.t_mu @ pic.defect_basis)
-        X_max = herm(pic.defect_basis.conj().T @ pic.t_M @ pic.defect_basis)
+        # completions from the reference bases, bounds from the corners
+        J = cayley_reference(a.shift)[2]
+        X_min = herm(J.conj().T @ pic.t_mu @ J)
+        X_max = herm(J.conj().T @ pic.t_M @ J)
         I = np.eye(pic.dim)
         feasible = 0
         for _ in range(10_000):
             G = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
             X = herm(G) * rng.uniform(0.2, 1.5)
-            t = assemble_completion(pic, X)
+            t = assemble_completion(a.shift, X)
             if min_eig(I - t) >= -1e-10 and min_eig(I + t) >= -1e-10:
                 feasible += 1
                 assert min_eig(X - X_min) >= -1e-8, name

@@ -486,6 +486,33 @@ def test_unwritable_output_path_exit_usage(gen_two_atom, tmp_path, capsys, flag)
     assert_usage_error(capsys, *args)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("determinacy", "--rank-tol", "nan"),
+        ("determinacy", "--rank-tol", "inf"),
+        ("determinacy", "--rank-tol", -1),
+        ("check", "--psd-tol", "nan"),
+        ("solve", "--rtol", "nan"),
+    ],
+    ids=["rank-tol-nan", "rank-tol-inf", "rank-tol-negative", "psd-tol-nan", "rtol-nan"],
+)
+def test_non_finite_or_negative_tolerance_exit_usage(gen_two_atom, capsys, args):
+    # nan used to pass every comparison (a wrong determinate verdict, or a
+    # traceback from non-finite JSON output); a negative rank-tol exited 70
+    m, _ = gen_two_atom
+    assert_usage_error(capsys, args[0], m, *args[1:])
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--lo", "nan"), ("--hi", "inf"), ("--atom-tol", "nan"), ("--atom-tol", -1)]
+)
+def test_invert_non_finite_window_or_atom_tol_exit_usage(gen_two_atom, capsys, flag, value):
+    # --lo nan used to exit 0 with an empty measure
+    _, g = gen_two_atom
+    assert_usage_error(capsys, "invert", "--from-measure", g, flag, value)
+
+
 NEGATIVE_ATOM = {
     "N": 1,
     "atoms": [

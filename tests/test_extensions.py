@@ -1,6 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-
+from corner_reference import (
+    assemble_completion,
+    cayley_reference,
+    gap_kernel_dim,
+    reference_corners,
+)
 from stieltjesmp import (
     BadPoint,
     CompletionInfeasible,
@@ -8,13 +15,13 @@ from stieltjesmp import (
     determinacy,
     extend_ext,
     extremal_extensions,
+    moment_sequence,
     resolvent_from_contraction,
     sample_sc_extensions,
     solution_measure,
     solve_tau_grid,
     spectral_solution,
 )
-from stieltjesmp.extensions import ContractionPicture
 from stieltjesmp.solutions import moments_of_measure, verify_moments
 
 
@@ -26,14 +33,12 @@ def min_eig(M):
     return float(np.linalg.eigvalsh(herm(M)).min())
 
 
-def assemble_completion(pic, X):
-    """Reference extension of T with corner ``X`` on the defect space, built
-    block by block from ``dom_basis`` and ``t_on_dom`` alone."""
-    T11 = pic.dom_basis.conj().T @ pic.t_on_dom
-    T21 = pic.defect_basis.conj().T @ pic.t_on_dom
-    B = np.hstack([pic.dom_basis, pic.defect_basis])
-    blk = np.block([[T11, T21.conj().T], [T21, X]])
-    return herm(B @ blk @ B.conj().T)
+def domain_images(shift, c):
+    """``(u, T u)`` for ``u = (A + E) f``, ``f`` the domain vector with
+    coordinates ``c``: ``T u = (E - A) f``."""
+    f = shift.domain_basis @ c
+    Af = shift.matrix @ f
+    return Af + f, f - Af
 
 
 # ---------------------------------------------------------------------------
@@ -42,30 +47,33 @@ def assemble_completion(pic, X):
 
 def test_cayley_of_zero_operator_is_identity(dirac0):
     pic = dirac0.picture
-    # D(T) is the whole (1-dim) space and T acts as +1
-    assert pic.dom_dim == 1 and pic.defect_dim == 0
-    assert np.allclose(pic.t_on_dom, pic.dom_basis)
+    # D(T) is the whole (1-dim) space and T acts as +1: its only extension
+    assert dirac0.shift.domain_dim == 1 and pic.defect_dim == 0
+    assert np.allclose(pic.t_mu, [[1.0]]) and np.allclose(pic.t_M, [[1.0]])
 
 
 def test_cayley_of_identity_operator_is_zero(delta1):
     pic = delta1.picture
-    assert pic.dom_dim == 1 and pic.defect_dim == 0
-    assert np.allclose(pic.t_on_dom, 0.0)
+    assert delta1.shift.domain_dim == 1 and pic.defect_dim == 0
+    assert np.allclose(pic.t_mu, 0.0) and np.allclose(pic.t_M, 0.0)
 
 
 def test_cayley_two_atom_splitting(two_atom):
     pic = two_atom.picture
-    assert pic.dim == 2 and pic.dom_dim == 1 and pic.defect_dim == 1
+    assert pic.dim == 2 and two_atom.shift.domain_dim == 1 and pic.defect_dim == 1
 
 
 def test_contraction_on_domain(two_atom):
+    # T (A + E) f = (E - A) f is a contraction, and both corners extend it
+    op = two_atom.shift
     pic = two_atom.picture
     rng = np.random.default_rng(5)
     for _ in range(16):
-        c = rng.standard_normal(pic.dom_dim) + 1j * rng.standard_normal(pic.dom_dim)
-        u = pic.dom_basis @ c
-        Tu = pic.t_on_dom @ c
+        c = rng.standard_normal(op.domain_dim) + 1j * rng.standard_normal(op.domain_dim)
+        u, Tu = domain_images(op, c)
         assert np.linalg.norm(Tu) <= np.linalg.norm(u) + 1e-12
+        assert np.linalg.norm(pic.t_mu @ u - Tu) <= 1e-12 * np.linalg.norm(u)
+        assert np.linalg.norm(pic.t_M @ u - Tu) <= 1e-12 * np.linalg.norm(u)
 
 
 def test_cayley_inverse_through_resolvents(two_atom):
@@ -88,37 +96,55 @@ def test_cayley_inverse_through_resolvents(two_atom):
 def test_self_adjoint_case_has_zero_gap(delta1):
     pic = delta1.picture
     assert np.allclose(pic.t_mu, pic.t_M, atol=1e-12)
-    assert np.allclose(pic.t_mu, assemble_completion(pic, np.zeros((0, 0))))
+    ref = assemble_completion(delta1.shift, np.zeros((0, 0)))
+    assert np.allclose(pic.t_mu, ref)
 
 
-def test_empty_domain_interval_is_full():
-    pic = ContractionPicture(
-        dim=1,
-        dom_basis=np.zeros((1, 0), dtype=complex),
-        defect_basis=np.eye(1, dtype=complex),
-        t_on_dom=np.zeros((1, 0), dtype=complex),
+def test_empty_domain_interval_is_full(delta1):
+    # a shift with an empty domain on C^1: every contraction extends T
+    op = replace(
+        delta1.shift,
+        domain_basis=np.zeros((1, 0), dtype=complex),
+        matrix=np.zeros((1, 1), dtype=complex),
     )
-    pic = extremal_extensions(pic)
+    pic = extremal_extensions(op)
+    assert pic.defect_dim == 1
     assert np.allclose(pic.t_mu, [[-1.0]])
     assert np.allclose(pic.t_M, [[1.0]])
 
 
+def _two_dim_shift(two_atom, a11, a21):
+    """The two-atom shift with its blocks replaced: ``A e1 = a11 e1 + a21 e2``."""
+    A = np.zeros((2, 2), dtype=complex)
+    A[:, 0] = [a11, a21]
+    return replace(two_atom.shift, matrix=A)
+
+
 @pytest.mark.parametrize(
-    "t_e1",
-    [[0.9, 0.9], [-1.5, 0.0]],
-    ids=["norm-above-one", "eigenvalue-below-minus-one"],
+    "a11",
+    [-0.5, -3.0, -1.0],
+    ids=["norm-above-one", "eigenvalue-below-minus-one", "singular-A-plus-E"],
 )
-def test_non_contraction_is_infeasible(t_e1):
-    # T e1 = 0.9 e1 + 0.9 e2 has norm 1.27; T e1 = -1.5 e1 makes I + T11
-    # indefinite, so its Cholesky factor does not exist
-    pic = ContractionPicture(
-        dim=2,
-        dom_basis=np.array([[1.0], [0.0]], dtype=complex),
-        defect_basis=np.array([[0.0], [1.0]], dtype=complex),
-        t_on_dom=np.array(t_e1, dtype=complex).reshape(2, 1),
-    )
+def test_non_contraction_is_infeasible(two_atom, a11):
+    # T = cay(A11) on e1 is 3 for A11 = -0.5 and -2 for A11 = -3; at -1 it
+    # does not exist
+    with pytest.raises(CompletionInfeasible, match="A11 has eigenvalue"):
+        extremal_extensions(_two_dim_shift(two_atom, a11, 0.7))
+
+
+def test_krein_corner_contractivity_guard(two_atom):
+    # A11 = -9e-9 passes the A11 >= -FEAS_TOL guard, but T = cay(A11) then
+    # exceeds 1 by 1.8e-8, and so does t_M >= t_mu
+    with pytest.raises(CompletionInfeasible, match="t_M violates contractivity"):
+        extremal_extensions(_two_dim_shift(two_atom, -9e-9, 0.7))
+
+
+def test_kernel_of_A11_not_annihilated_by_A21_is_refused():
+    # S = [1, 0, 1] is not solvable (S_1 = 0 puts all mass at 0, so S_2 = 0):
+    # A xi_0 = xi_1 with (A xi_0, xi_0) = 0.  The Krein corner is not an
+    # operator there; the contractivity guard refuses the input
     with pytest.raises(CompletionInfeasible):
-        extremal_extensions(pic)
+        analyze(moment_sequence([[[1.0]], [[0.0]], [[1.0]]]))
 
 
 def _atom_at_zero_sequence(seed, N=4):
@@ -147,6 +173,46 @@ def test_atom_at_zero_keeps_krein_corner_contractive(seed):
         assert e["verification"]["pass"], e["verification"]
 
 
+def _assert_matches_reference(a, label):
+    # corners within 1e-9 of the Gram-factor reference, the same gap-kernel
+    # dimension, and a defect basis orthogonal to D(T)
+    pic = a.picture
+    t_mu, t_M, J = reference_corners(a.shift)
+    assert np.abs(pic.t_mu - t_mu).max() <= 1e-9, label
+    assert np.abs(pic.t_M - t_M).max() <= 1e-9, label
+    kernel = pic.defect_dim - extend_ext(pic).defect_dim
+    assert kernel == gap_kernel_dim(t_mu, t_M, J), label
+    Q1 = cayley_reference(a.shift)[0]
+    assert np.abs(Q1.conj().T @ pic.defect_basis).max(initial=0.0) <= 1e-12, label
+
+
+def test_corners_match_reference_on_battery(battery):
+    for name, a in battery.items():
+        _assert_matches_reference(a, name)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 6, 7, 9])
+def test_corners_match_reference_with_atom_at_zero(seed):
+    _assert_matches_reference(analyze(_atom_at_zero_sequence(seed)), seed)
+
+
+def test_defect_basis_is_canonical(battery):
+    # J = K L^{-*} with K = [-(E + A11)^{-1} A21*; E]: orthonormal, and its
+    # last q rows L^{-*} are upper triangular with a positive diagonal
+    checked = 0
+    for name, a in battery.items():
+        J = a.picture.defect_basis
+        q = J.shape[1]
+        low = J[a.shift.domain_dim :]
+        assert low.shape == (q, q), name
+        assert np.abs(J.conj().T @ J - np.eye(q)).max(initial=0.0) <= 1e-12, name
+        assert np.abs(np.tril(low, -1)).max(initial=0.0) <= 1e-14, name
+        assert (np.diag(low).real > 0).all(), name
+        assert np.abs(np.diag(low).imag).max(initial=0.0) <= 1e-14, name
+        checked += q > 1
+    assert checked >= 2
+
+
 def test_two_atom_extremal_eigenvalues(two_atom):
     # frozen from the explicit rank-2 factorization of S = [2, 3, 5]
     pic = two_atom.picture
@@ -159,9 +225,11 @@ def test_two_atom_extremal_eigenvalues(two_atom):
 def test_extensions_are_contractions_and_extend_T(two_atom):
     pic = two_atom.picture
     I = np.eye(pic.dim)
+    op = two_atom.shift
+    u, Tu = domain_images(op, np.eye(op.domain_dim))
     for t in sample_sc_extensions(pic, 12, seed=3):
         assert min_eig(I - t @ t) >= -1e-10
-        assert np.abs(t @ pic.dom_basis - pic.t_on_dom).max() <= 1e-9
+        assert np.abs(t @ u - Tu).max() <= 1e-9
 
 
 def test_sandwich_order(two_atom):
@@ -188,15 +256,17 @@ def test_resolvent_ordering(two_atom):
 
 def test_feasible_corner_oracle(two_atom):
     # brute-force search: no feasible Hermitian corner escapes the interval
+    # (completions from the reference bases, bounds from the corners)
     pic = two_atom.picture
-    X_min = (pic.defect_basis.conj().T @ pic.t_mu @ pic.defect_basis).real
-    X_max = (pic.defect_basis.conj().T @ pic.t_M @ pic.defect_basis).real
+    J = cayley_reference(two_atom.shift)[2]
+    X_min = (J.conj().T @ pic.t_mu @ J).real
+    X_max = (J.conj().T @ pic.t_M @ J).real
     rng = np.random.default_rng(11)
     feasible = 0
     I = np.eye(pic.dim)
     for _ in range(2000):
         X = np.array([[rng.uniform(-1.5, 1.5)]], dtype=complex)
-        t = assemble_completion(pic, X)
+        t = assemble_completion(two_atom.shift, X)
         if min_eig(I - t) >= -1e-10 and min_eig(I + t) >= -1e-10:
             feasible += 1
             assert X[0, 0].real >= X_min[0, 0] - 1e-8
@@ -244,37 +314,34 @@ def test_extend_ext_noop_when_completely_indeterminate(two_atom):
 
 
 def test_extend_ext_determinate_fills_space(delta1):
+    # no defect: T is defined on the whole space and nothing is dropped
     ext = extend_ext(delta1.picture)
     assert ext.defect_dim == 0
-    assert ext.dom_dim == delta1.picture.dim
+    assert ext is delta1.picture
 
 
-def _direct_sum(p1, p2):
-    def stack(a, b):
-        top = np.hstack([a, np.zeros((a.shape[0], b.shape[1]))])
-        bot = np.hstack([np.zeros((b.shape[0], a.shape[1])), b])
-        return np.vstack([top, bot]).astype(complex)
-
-    return ContractionPicture(
-        dim=p1.dim + p2.dim,
-        dom_basis=stack(p1.dom_basis, p2.dom_basis),
-        defect_basis=stack(p1.defect_basis, p2.defect_basis),
-        t_on_dom=stack(p1.t_on_dom, p2.t_on_dom),
+def _direct_sum(s1, s2):
+    """Analysis of the direct sum of two scalar problems (block-diagonal
+    data)."""
+    return analyze(
+        moment_sequence(
+            [
+                np.diag(np.concatenate([np.diag(a), np.diag(b)])).astype(complex)
+                for a, b in zip(s1.moments, s2.moments)
+            ]
+        )
     )
 
 
 def test_extend_ext_absorbs_determinate_summand(two_atom):
-    # determinate-with-defect block: T e1 = e2 exactly saturates the norm,
-    # so its completion interval collapses (X_min = X_max = 0)
-    p_det = ContractionPicture(
-        dim=2,
-        dom_basis=np.array([[1.0], [0.0]], dtype=complex),
-        defect_basis=np.array([[0.0], [1.0]], dtype=complex),
-        t_on_dom=np.array([[0.0], [1.0]], dtype=complex),
-    )
-    p_det = extremal_extensions(p_det)
-    assert np.abs(p_det.C).max() <= 1e-12
-    mixed = extremal_extensions(_direct_sum(p_det, two_atom.picture))
+    # determinate-with-defect block: S = [1, 1e-12, 1] puts its mass next to
+    # 0 and a sliver at 1e12, so its gap is 4e-12 (below DET_TOL) and its
+    # completion interval collapses
+    near = moment_sequence([[[1.0]], [[1e-12]], [[1.0]]])
+    v_det = analyze(near).verdict
+    assert v_det.determinate and v_det.defect_dim == 1 and v_det.gap_norm <= 1e-11
+    a = _direct_sum(near, two_atom.seq)
+    mixed = a.picture
     v = determinacy(mixed)
     assert v.defect_dim == 2 and v.upsilon_dim == 1
     ext = extend_ext(mixed)
@@ -287,7 +354,7 @@ def test_extend_ext_absorbs_determinate_summand(two_atom):
 
 
 def test_trivial_direct_sum_with_determinate_instance(delta1, two_atom):
-    mixed = extremal_extensions(_direct_sum(delta1.picture, two_atom.picture))
+    mixed = _direct_sum(delta1.seq, two_atom.seq).picture
     v = determinacy(mixed)
     # the determinate summand has no defect, so nothing is absorbed
     assert v.defect_dim == 1 and v.upsilon_dim == 0
@@ -379,3 +446,27 @@ def test_round_trip_for_interior_extensions(two_atom):
             continue
         rep = verify_moments(meas, two_atom.seq, upto=2, rtol=1e-8)
         assert rep["pass"], rep
+
+
+def _ladder_n4_m9_problem():
+    # the N = 4, m = 9, 6-atom problem of op 1 of the benchmark's size ladder
+    # at seed 1, by its generator's recipe: the ladder draws its cells in
+    # order from one stream, atoms uniform in [0.1, 4], weights G*G / N
+    rng = np.random.default_rng([1, sum(map(ord, "ladder")), 1])
+    for N, count in [(1, 3), (1, 4), (1, 6), (4, 3), (4, 4), (4, 6)]:
+        lam = np.sort(rng.uniform(0.1, 4.0, count))
+        G = rng.standard_normal((count, N, N)) + 1j * rng.standard_normal((count, N, N))
+    W = np.einsum("kji,kjl->kil", G.conj(), G) / 4
+    S = np.einsum("pk,kij->pij", lam[None, :] ** np.arange(10)[:, None], W)
+    return moment_sequence(list(0.5 * (S + S.conj().transpose(0, 2, 1))), N=4)
+
+
+def test_no_real_atom_is_dropped():
+    # at s = 2/3 an atom carrying ~1e-8 of a moment used to be dropped by a
+    # rule that compared it with the summed importance of all atoms, which
+    # far atoms dominate: 19 atoms and a 1.6e-8 round trip, refused by the
+    # 1e-8 gate.  All 20 atoms are kept now.
+    entries = solve_tau_grid(analyze(_ladder_n4_m9_problem()), 3)
+    assert [len(e["measure"].atoms) for e in entries] == [20, 20, 17]
+    for e in entries:
+        assert max(e["verification"]["errors"]) <= 1e-12, e["verification"]

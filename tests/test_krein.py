@@ -106,7 +106,8 @@ def test_weyl_limit_divergence_guard(two_atom):
     from stieltjesmp.errors import WeylLimitDivergent
 
     pic = two_atom.picture
-    doctored = replace(pic, t_mu=pic.t_M)
+    w, V = np.linalg.eigh(pic.t_M)
+    doctored = replace(pic, t_mu=pic.t_M, w=w, V=V)
     with pytest.raises(WeylLimitDivergent):
         build_gamma_weyl(doctored)
 
@@ -510,8 +511,8 @@ def test_constant_tau_refuses_change_off_the_defect_space(two_atom):
     # moving t_M on D(T) leaves the family of extensions of T
     gw = two_atom.gamma_weyl
     pic = two_atom.picture
-    B = pic.dom_basis
-    t = pic.t_M + 1e-3 * B @ B.conj().T
+    J = pic.defect_basis
+    t = pic.t_M + 1e-3 * (np.eye(pic.dim) - J @ J.conj().T)
     with pytest.raises(ParameterDegenerate, match="not an in-space extension"):
         constant_tau_of_extension(gw, t)
 

@@ -1,4 +1,5 @@
-"""Invariances the determinacy decision must respect, as property tests.
+"""Invariances the determinacy decision must respect, and the closed-form
+extremal corners against an independent reference, as property tests.
 
 The data are moments of discrete measures of moderate size: block size
 ``N <= 2``, order ``m <= 5``, at most three atoms on a fixed grid in
@@ -12,8 +13,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from stieltjesmp import analyze, moment_sequence, moments_of_measure  # noqa: E402
-from stieltjesmp import solution_measure, solve_tau_grid  # noqa: E402
+from corner_reference import gap_kernel_dim, reference_corners  # noqa: E402
+
+from stieltjesmp import analyze, extend_ext, moment_sequence  # noqa: E402
+from stieltjesmp import moments_of_measure, solution_measure, solve_tau_grid  # noqa: E402
 
 GRID = (0.2, 0.6, 1.1, 1.7, 2.4, 3.2, 4.1, 5.0)
 FEW = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -104,3 +107,17 @@ def test_scaling_the_axis_scales_the_atoms(problem, c):
     assert a.verdict.defect_dim == b.verdict.defect_dim
     assert a.verdict.upsilon_dim == b.verdict.upsilon_dim
     _same_positions([c * p for p in _positions(a, 1)], _positions(b, 1))
+
+
+@FEW
+@given(problems())
+def test_corners_match_the_gram_factor_reference(problem):
+    # the closed forms in A11, A21 against the Gram factors of E +- T, both
+    # from the same shift
+    seq, _ = problem
+    a = analyze(seq)
+    t_mu, t_M, J = reference_corners(a.shift)
+    assert np.abs(a.picture.t_mu - t_mu).max() <= 1e-9
+    assert np.abs(a.picture.t_M - t_M).max() <= 1e-9
+    kernel = a.picture.defect_dim - extend_ext(a.picture).defect_dim
+    assert kernel == gap_kernel_dim(t_mu, t_M, J)
