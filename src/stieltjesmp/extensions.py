@@ -50,7 +50,7 @@ import numpy as np
 from ._linalg import PINV_RCOND, herm, random_unitary
 from .errors import BadPoint, CompletionInfeasible
 from .shiftop import _off_positive_axis
-from .solutions import solution_measure
+from .solutions import SolutionMeasure
 
 __all__ = [
     "ContractionPicture",
@@ -126,7 +126,9 @@ def extremal_extensions(op):
     inverted); ``C = J G J*`` and ``t_M = t_mu + C``.  Raises
     :class:`CompletionInfeasible` when ``A11`` has an eigenvalue below
     ``-FEAS_TOL`` (``A`` is not non-negative) or ``t_M`` fails contractivity
-    beyond ``FEAS_TOL`` (numerically inconsistent input).
+    beyond ``FEAS_TOL`` (numerically inconsistent input); the latter message
+    names the range-condition residual, the norm of ``A21`` on the
+    eigenvectors of ``A11`` that the cutoff drops.
     """
     d, q1 = op.dim, op.domain_dim
     q = d - q1
@@ -154,8 +156,11 @@ def extremal_extensions(op):
     ev = np.linalg.eigvalsh(t_M) if d else np.zeros(1)
     lo = min(1.0 + float(ev[0]), 1.0 - float(ev[-1]))
     if lo < -FEAS_TOL:
+        off = float(np.linalg.norm(A21 @ U[:, ~keep]))
         raise CompletionInfeasible(
-            f"extremal completion t_M violates contractivity by {lo:.3e}"
+            f"extremal completion t_M violates contractivity by {lo:.3e}; "
+            f"range-condition residual |A21 on ker A11| = {off:.3e} (A21 "
+            f"must vanish on ker A11 for solvable data)"
         )
     V = np.eye(d, dtype=complex)
     V[:q1, :q1] = U
@@ -276,35 +281,43 @@ def spectral_solution(t, rep, N):
     ``W_i[k, j] = <xi_k, P_i xi_j>`` (``k, j < N``); the eigenvalue ``-1``
     contributes a flagged mass-at-infinity weight excluded from the measure.
 
-    An exit-space extension acts on ``C^d + C^r``; the data vectors live in
-    the first ``d`` coordinates, so they are padded with ``r`` zero rows.
+    All weights come from one product after the one ``eigh``: the overlaps
+    ``Y = V[:d]* Xi0`` of every eigenvector with the data vectors, so a
+    simple eigenvalue weighs ``conj(y) y^T`` over its row ``y`` of ``Y``
+    (Golub-Welsch 1969: the weights are the first components of the
+    eigenvectors).  An exit-space extension acts on ``C^d + C^r``; the data
+    vectors live in the first ``d`` coordinates, which the ``[:d]`` slice
+    covers.
 
     Eigenvalues within ``CLUSTER_TOL`` of a cluster's first one are merged
-    into one atom.  Weights are formed from eigenvector overlaps, never by
-    sandwiching the assembled projector: a far atom can carry a weight many
-    orders below the matrix scale, and the projector would cancel it into
-    roundoff.  No atom is dropped for being small: a weight far below the
-    total can still carry the share of some moment that the round trip needs.
+    into one atom of weight ``Y_c* Y_c`` over the cluster's rows.  Weights
+    are formed from eigenvector overlaps, never by sandwiching the assembled
+    projector: a far atom can carry a weight many orders below the matrix
+    scale, and the projector would cancel it into roundoff.  No atom is
+    dropped for being small: a weight far below the total can still carry
+    the share of some moment that the round trip needs.  The atoms come out
+    in decreasing eigenvalue order, which is increasing position.
     """
-    Xi0 = rep.vectors[:, :N]
-    pad = t.shape[0] - Xi0.shape[0]
-    if pad:
-        Xi0 = np.vstack([Xi0, np.zeros((pad, N), dtype=Xi0.dtype)])
     w, V = np.linalg.eigh(herm(np.asarray(t, dtype=complex)))
     w = np.clip(w, -1.0, 1.0)
+    Xi0 = rep.vectors[:, :N]
+    Y = V[: Xi0.shape[0]].conj().T @ Xi0
+    ends = np.searchsorted(w, w + CLUSTER_TOL, side="right").tolist()
+    bounds = []
+    start = 0
+    while start < len(w):
+        bounds.append((start, ends[start]))
+        start = ends[start]
     atoms = []
     inf_weight = None
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i < len(w) and w[i] - w[start] <= CLUSTER_TOL:
-            continue
-        ti = float(np.mean(w[start:i]))
-        G = V[:, start:i].conj().T @ Xi0
-        start = i
+    for start, stop in reversed(bounds):
+        G = Y[start:stop]
         W = herm(G.conj().T @ G)
+        ti = float(w[start]) if stop == start + 1 else float(np.mean(w[start:stop]))
         if 1.0 + ti <= INFINITY_TOL:
-            inf_weight = W if inf_weight is None else herm(inf_weight + W)
-            continue
-        lam = (1.0 - ti) / (1.0 + ti)
-        atoms.append((max(lam, 0.0), W))
-    return solution_measure(N, atoms, mass_at_infinity=inf_weight)
+            # only the lowest cluster: it holds every eigenvalue within
+            # CLUSTER_TOL of the lowest one
+            inf_weight = W
+        else:
+            atoms.append((max((1.0 - ti) / (1.0 + ti), 0.0), W))
+    return SolutionMeasure(N=int(N), atoms=tuple(atoms), mass_at_infinity=inf_weight)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -173,11 +174,32 @@ def load_moments(raw):
     mom_raw = raw["moments"]
     if not isinstance(mom_raw, list) or not mom_raw:
         raise SchemaError("'moments' must be a non-empty array")
-    mats = [
-        parse_matrix(Sj, shape=(N, N), where=f"moments[{p}]")
-        for p, Sj in enumerate(mom_raw)
-    ]
+    mats = _pair_array(mom_raw, N)
+    if mats is None:
+        mats = [
+            parse_matrix(Sj, shape=(N, N), where=f"moments[{p}]")
+            for p, Sj in enumerate(mom_raw)
+        ]
     return MomentSequence(N=N, moments=_validate_matrices(mats, N))
+
+
+def _pair_array(mom_raw, N):
+    """The ``(m+1, N, N)`` complex stack of a moments list whose every entry
+    is an ``[re, im]`` pair of plain numbers, read as one array; ``None`` for
+    any other document, which the per-entry parser then reads or refuses.
+
+    Each level is checked to be lists or tuples of the expected length, and
+    the leaves to be ints or floats (not bools, strings or nulls), so this
+    accepts only what :func:`io.parse_matrix` accepts, with the same values.
+    """
+    level = mom_raw
+    for width in (N, N, 2):
+        if set(map(type, level)) - {list, tuple} or set(map(len, level)) != {width}:
+            return None
+        level = list(chain.from_iterable(level))
+    if set(map(type, level)) - {int, float}:
+        return None
+    return np.array(level, dtype=float).view(complex).reshape(-1, N, N)
 
 
 def _block_hankel(seq, n, offset):

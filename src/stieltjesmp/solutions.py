@@ -5,7 +5,8 @@ A solution is held as atoms ``(lambda_i, W_i)`` with ``lambda_i >= 0`` and
 PSD ``N x N`` weights; the non-decreasing matrix function it induces is the
 left-continuous cumulative ``M(lambda) = sum_{lambda_i < lambda} W_i`` with
 ``M(0) = 0``.  ``moments_of_measure`` is the brute-force oracle the whole
-package is verified against: moments by direct summation.
+package is verified against: moments by direct summation, every order at once
+as the Vandermonde product ``(lambda_i^p) @ (W_i)`` over the atoms.
 """
 
 from __future__ import annotations
@@ -85,17 +86,20 @@ def solution_measure(N, atoms, mass_at_infinity=None, merge_tol=0.0):
 
 
 def moments_of_measure(meas, p_max):
-    """Moments ``S_p = sum_i lambda_i^p W_i`` by direct summation (oracle)."""
+    """Moments ``S_p = sum_i lambda_i^p W_i`` by direct summation (oracle),
+    for every ``p <= p_max`` at once: the Vandermonde matrix ``lambda_i^p``
+    times the stacked weights.  The weights are stacked ``p_max + 1`` atoms
+    at a time, so the stack never takes more memory than the moments."""
     from .hankel import moment_sequence
 
-    N = meas.N
-    mats = []
-    for p in range(int(p_max) + 1):
-        S = np.zeros((N, N), dtype=complex)
-        for lam, W in meas.atoms:
-            S = S + (lam**p) * W
-        mats.append(herm(S))
-    return moment_sequence(mats, N=N)
+    N, P = meas.N, int(p_max) + 1
+    powers = meas.positions[None, :] ** np.arange(P)[:, None]
+    S = np.zeros((P, N * N), dtype=complex)
+    for i in range(0, len(meas.atoms), P):
+        block = np.array([W for _, W in meas.atoms[i : i + P]], dtype=complex)
+        S += powers[:, i : i + P] @ block.reshape(-1, N * N)
+    S = S.reshape(P, N, N)
+    return moment_sequence([herm(Sp) for Sp in S], N=N)
 
 
 def verify_moments(meas, seq, upto=None, rtol=1e-8):

@@ -116,6 +116,16 @@ def test_determinacy_inconsistent_truncation_exit_four(tmp_path):
     assert run("determinacy", f) == 4
 
 
+@pytest.mark.parametrize("cmd", ["determinacy", "solve"])
+def test_range_condition_failure_names_its_cause(tmp_path, capsys, cmd):
+    # S = [1, 0, 1]: check says marginal, but A21 does not vanish on ker A11
+    f = write(tmp_path / "r.json", {"N": 1, "moments": [[[1, 0]], [[0, 0]], [[1, 0]]]})
+    assert run("check", f) == 3
+    assert run(cmd, f) == 70
+    err = capsys.readouterr().err
+    assert "range-condition residual |A21 on ker A11| = 1.000e+00" in err
+
+
 # ---------------------------------------------------------------------------
 # solve
 

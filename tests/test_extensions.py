@@ -8,13 +8,16 @@ from corner_reference import (
     gap_kernel_dim,
     reference_corners,
 )
+from spectral_reference import spectral_reference
 from stieltjesmp import (
     BadPoint,
     CompletionInfeasible,
     analyze,
     determinacy,
+    exit_space_extension,
     extend_ext,
     extremal_extensions,
+    make_tau,
     moment_sequence,
     resolvent_from_contraction,
     sample_sc_extensions,
@@ -142,9 +145,21 @@ def test_krein_corner_contractivity_guard(two_atom):
 def test_kernel_of_A11_not_annihilated_by_A21_is_refused():
     # S = [1, 0, 1] is not solvable (S_1 = 0 puts all mass at 0, so S_2 = 0):
     # A xi_0 = xi_1 with (A xi_0, xi_0) = 0.  The Krein corner is not an
-    # operator there; the contractivity guard refuses the input
-    with pytest.raises(CompletionInfeasible):
+    # operator there; the contractivity guard refuses the input and names
+    # the failed range condition: A11 = 0 and |A21| = 1
+    with pytest.raises(CompletionInfeasible) as info:
         analyze(moment_sequence([[[1.0]], [[0.0]], [[1.0]]]))
+    msg = str(info.value)
+    assert "t_M violates contractivity by -3.236e+00" in msg
+    assert "range-condition residual |A21 on ker A11| = 1.000e+00" in msg
+    assert "A21 must vanish on ker A11 for solvable data" in msg
+
+
+def test_contractivity_guard_residual_is_A21_on_the_dropped_kernel(two_atom):
+    # A11 = -9e-9 falls below the signed cutoff, so its eigenvector counts
+    # as ker A11, and A21 = 0.7 on it
+    with pytest.raises(CompletionInfeasible, match=r"ker A11\| = 7\.000e-01"):
+        extremal_extensions(_two_dim_shift(two_atom, -9e-9, 0.7))
 
 
 def _atom_at_zero_sequence(seed, N=4):
@@ -446,6 +461,78 @@ def test_round_trip_for_interior_extensions(two_atom):
             continue
         rep = verify_moments(meas, two_atom.seq, upto=2, rtol=1e-8)
         assert rep["pass"], rep
+
+
+def _assert_weights_match_reference(meas, t, rep, N):
+    ref = spectral_reference(t, rep, N)
+    assert len(meas.atoms) == len(ref.atoms)
+    assert np.array_equal(meas.positions, ref.positions)
+    pairs = [(W, W0) for (_, W), (_, W0) in zip(meas.atoms, ref.atoms)]
+    assert (meas.mass_at_infinity is None) == (ref.mass_at_infinity is None)
+    if ref.mass_at_infinity is not None:
+        pairs.append((meas.mass_at_infinity, ref.mass_at_infinity))
+    for W, W0 in pairs:
+        assert np.array_equal(W, W.conj().T)
+        assert np.linalg.norm(W - W0) <= 1e-14 * np.linalg.norm(W0)
+    return ref
+
+
+def test_spectral_weights_chained_cluster(battery):
+    # eigenvalues 0, 0.6e-9, 1.2e-9: the middle one is within CLUSTER_TOL of
+    # both neighbours, but the last is not within it of the cluster's first
+    # one, so the rule gives two atoms, not one chained cluster
+    a = battery["n1_three_m5"]
+    assert a.rep.dim == 3
+    U = np.linalg.qr(np.arange(1.0, 10.0).reshape(3, 3) ** 1.5 + 1j * np.eye(3))[0]
+    t = herm(U @ np.diag([0.0, 0.6e-9, 1.2e-9]) @ U.conj().T)
+    meas = spectral_solution(t, a.rep, 1)
+    _assert_weights_match_reference(meas, t, a.rep, 1)
+    assert len(meas.atoms) == 2
+    assert np.isclose(meas.atoms[0][0], (1 - 1.2e-9) / (1 + 1.2e-9), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["two_atom", "n1_three_m5", "n2_rand", "n3_rand"])
+def test_spectral_weights_mass_at_infinity(indeterminate_battery, name):
+    # the Friedrichs corner: -1 on the last q coordinates
+    a = indeterminate_battery[name]
+    meas = spectral_solution(a.picture.t_mu, a.rep, a.N)
+    assert meas.mass_at_infinity is not None
+    _assert_weights_match_reference(meas, a.picture.t_mu, a.rep, a.N)
+
+
+def test_spectral_weights_atom_at_zero(battery):
+    # the Krein corner of atoms {0, 1} has the eigenvalue +1, an atom at 0
+    a = battery["atom0_pair"]
+    meas = spectral_solution(a.picture.t_M, a.rep, a.N)
+    assert meas.atoms[0][0] == 0.0
+    _assert_weights_match_reference(meas, a.picture.t_M, a.rep, a.N)
+
+
+def test_spectral_weights_along_the_segment(indeterminate_battery):
+    for a in indeterminate_battery.values():
+        for s in (0.25, 2 / 3, 1.0):
+            t = a.picture.t_mu + s * a.picture.C
+            _assert_weights_match_reference(spectral_solution(t, a.rep, a.N), t, a.rep, a.N)
+
+
+def test_spectral_weights_exit_space_padding():
+    # a rational parameter with a rank-q residue: the contraction acts on
+    # C^d + C^q, and the data vectors are padded with q zero rows
+    from stieltjesmp.io import encode_matrix
+
+    a = analyze(_ladder_n4_m9_problem())
+    q = a.gamma_weyl.q
+    E = np.eye(q)
+    spec = {
+        "type": "rational",
+        "tau0": encode_matrix(-(1 / 1.2 + 0.3) * E),
+        "poles": [{"p": 1.2, "W": encode_matrix(E)}],
+    }
+    t = exit_space_extension(a.gamma_weyl, make_tau(spec, hdim=q))
+    assert t.shape[0] == a.rep.dim + q
+    meas = spectral_solution(t, a.rep, a.N)
+    assert meas.mass_at_infinity is None
+    _assert_weights_match_reference(meas, t, a.rep, a.N)
 
 
 def _ladder_n4_m9_problem():

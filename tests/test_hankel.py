@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from stieltjesmp import (
     moment_sequence,
     scalarize,
 )
+from stieltjesmp.hankel import _pair_array
+from stieltjesmp.io import parse_matrix
 from stieltjesmp.solutions import moments_of_measure, random_discrete_measure
 
 
@@ -55,6 +59,104 @@ def test_load_rejects_nonreal_diagonal():
 def test_load_rejects_malformed(doc):
     with pytest.raises(SchemaError):
         load_moments(doc)
+
+
+# a Hermitian 2 x 2 moment in [re, im] pairs, with a signed zero
+P2 = [[[2, 0], [0.5, -0.25]], [[0.5, 0.25], [3.0, -0.0]]]
+
+
+def _with_entry(value):
+    """``[P2, P2']`` where ``P2'`` has ``value`` in place of its last entry."""
+    return [P2, [P2[0], [P2[1][0], value]]]
+
+
+def _per_entry(doc):
+    """The moments as the per-entry parser reads and validates them."""
+    N = doc["N"]
+    mats = [
+        parse_matrix(S, shape=(N, N), where=f"moments[{p}]")
+        for p, S in enumerate(doc["moments"])
+    ]
+    return moment_sequence(mats, N=N)
+
+
+def _bits(seq):
+    return np.array(seq.moments).tobytes()
+
+
+@pytest.mark.parametrize(
+    "doc, one_array",
+    [
+        ({"N": 2, "moments": [P2, P2, P2]}, True),
+        ({"N": 2, "moments": [[[[1, 0], [0, 0]], [[0, 0], [2, 0]]]]}, True),  # ints
+        ({"N": 2, "moments": [[[2.0, 0.5], [0.5, 3.0]]]}, False),  # bare reals
+        ({"N": 2, "moments": [P2, [[2, [0.5, -0.25]], [[0.5, 0.25], 3]]]}, False),
+        ({"N": 1, "moments": [[[[2, 0]]], [[[3.5, 0]]], [[[5, -0.0]]]]}, True),
+        ({"N": 1, "moments": [[[2, 0]], [[3.5, 0]], [[5, 0]]]}, False),  # width-1 rows
+        ({"N": 1, "moments": [[[2]], [[[3.5, 0]]], [[5, 0]]]}, False),
+    ],
+    ids=["pairs", "int-pairs", "bare-reals", "mixed", "N1-pairs", "N1-width1-rows",
+         "N1-mixed"],
+)
+def test_load_one_array_parity(doc, one_array):
+    # documents of [re, im] pairs are read as one array, everything else
+    # entry by entry; the moments are bit-identical either way
+    assert (_pair_array(doc["moments"], doc["N"]) is not None) == one_array
+    assert _bits(load_moments(doc)) == _bits(_per_entry(doc))
+
+
+def test_load_one_array_keeps_the_asymmetry_warning():
+    S = [[[1, 0], [0.1, 1e-14]], [[0.1, 0], [1, 0]]]
+    doc = {"N": 2, "moments": [S, P2]}
+    assert _pair_array(doc["moments"], 2) is not None
+    with pytest.warns(UserWarning, match="moment 0: symmetrized asymmetry 1.000e-14"):
+        seq = load_moments(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert _bits(seq) == _bits(_per_entry(doc))
+
+
+@pytest.mark.parametrize(
+    "moments, N, message",
+    [
+        (_with_entry([True, 0]), 2, "moments[1][1][1]: expected a number or [re, im] pair, got [True, 0]"),
+        (_with_entry([3, False]), 2, "moments[1][1][1]: expected a number or [re, im] pair, got [3, False]"),
+        (_with_entry(["1.5", 0]), 2, "moments[1][1][1]: expected a number or [re, im] pair, got ['1.5', 0]"),
+        (_with_entry([None, 0]), 2, "moments[1][1][1]: expected a number or [re, im] pair, got [None, 0]"),
+        (_with_entry([3, 0, 0]), 2, "moments[1][1][1]: expected a number or [re, im] pair, got [3, 0, 0]"),
+        (_with_entry([]), 2, "moments[1][1][1]: expected a number or [re, im] pair, got []"),
+        ([P2, [P2[0], [[0.5, 0.25]]]], 2, "moments[1]: ragged rows"),
+        ([P2, P2], 3, "moments[0]: expected shape (3, 3), got (2, 2)"),
+        ([P2, P2], 1, "moments[0]: expected shape (1, 1), got (2, 2)"),
+        ([P2, [[[[2, 0]], [0.5, -0.25]], P2[1]]], 2, "moments[1][0][0]: expected a number or [re, im] pair, got [[2, 0]]"),
+        ([P2, [[], []]], 2, "moments[1]: row 0 is not a non-empty array"),
+        ([P2, []], 2, "moments[1]: expected a non-empty nested array"),
+        ([P2, "abc"], 2, "moments[1]: expected a non-empty nested array"),
+        ([], 2, "'moments' must be a non-empty array"),
+        ([[[True]]], 1, "moments[0][0][0]: expected a number or [re, im] pair, got True"),
+        ([[[1, 0]], [[None, 0]]], 1, "moments[1][0][0]: expected a number or [re, im] pair, got None"),
+    ],
+    ids=["true", "false-im", "string", "null", "triple", "empty-entry", "ragged",
+         "N-too-large", "N-too-small", "too-deep", "empty-rows", "empty-matrix",
+         "string-matrix", "no-moments", "N1-true", "N1-null"],
+)
+def test_load_malformed_messages(moments, N, message):
+    # the per-entry messages, unchanged by the one-array read
+    with pytest.raises(SchemaError) as info:
+        load_moments({"N": N, "moments": moments})
+    assert str(info.value) == message
+
+
+def test_load_out_of_range_integer_fails_alike_on_both_paths():
+    # an integer beyond the float range passes the one-array type check;
+    # the read must then fail exactly as the per-entry read does
+    doc = {"N": 1, "moments": [[[[10**400, 0]]]]}
+    with pytest.raises(Exception) as one_array:
+        load_moments(doc)
+    with pytest.raises(Exception) as per_entry:
+        _per_entry(doc)
+    assert type(one_array.value) is type(per_entry.value)
+    assert str(one_array.value) == str(per_entry.value)
 
 
 def test_small_asymmetry_is_symmetrized_with_warning():

@@ -32,6 +32,31 @@ def test_moments_dirac_zero():
     assert [S[0, 0].real for S in seq.moments] == [1.0, 0.0, 0.0]
 
 
+def _moments_per_atom(meas, p_max):
+    out = []
+    for p in range(p_max + 1):
+        S = np.zeros((meas.N, meas.N), dtype=complex)
+        for lam, W in meas.atoms:
+            S = S + (lam**p) * W
+        out.append(0.5 * (S + S.conj().T))
+    return out
+
+
+@pytest.mark.parametrize("N, count", [(1, 3), (2, 7), (4, 20), (8, 60), (3, 150)])
+def test_moments_match_per_atom_summation(N, count):
+    for seed in range(5):
+        meas = random_discrete_measure(seed, N, count, lam_range=(0.0, 4.0))
+        got = moments_of_measure(meas, 9).moments
+        for S, ref in zip(got, _moments_per_atom(meas, 9), strict=True):
+            assert np.linalg.norm(S - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+def test_moments_of_the_empty_measure_are_zero():
+    seq = moments_of_measure(solution_measure(3, []), 4)
+    assert seq.N == 3 and seq.m == 4
+    assert all(S.shape == (3, 3) and not S.any() for S in seq.moments)
+
+
 def test_moments_block_diag():
     meas = solution_measure(
         2, [(1.0, np.diag([1.0, 0.0])), (2.0, np.diag([0.0, 1.0]))]
