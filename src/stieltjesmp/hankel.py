@@ -189,8 +189,9 @@ def _pair_array(mom_raw, N):
     any other document, which the per-entry parser then reads or refuses.
 
     Each level is checked to be lists or tuples of the expected length, and
-    the leaves to be ints or floats (not bools, strings or nulls), so this
-    accepts only what :func:`io.parse_matrix` accepts, with the same values.
+    the leaves to be ints or floats (not bools, strings or nulls) within the
+    float range and finite, so this accepts only what :func:`io.parse_matrix`
+    accepts, with the same values.
     """
     level = mom_raw
     for width in (N, N, 2):
@@ -199,7 +200,11 @@ def _pair_array(mom_raw, N):
         level = list(chain.from_iterable(level))
     if set(map(type, level)) - {int, float}:
         return None
-    return np.array(level, dtype=float).view(complex).reshape(-1, N, N)
+    try:
+        arr = np.array(level, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return arr.view(complex).reshape(-1, N, N) if np.isfinite(arr).all() else None
 
 
 def _block_hankel(seq, n, offset):

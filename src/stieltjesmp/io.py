@@ -40,25 +40,27 @@ __all__ = [
 # scalars and matrices
 
 
-def parse_complex(obj, where="value"):
-    """Parse a wire complex number: [re, im] or a bare real number."""
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return complex(obj)
-    if (
-        isinstance(obj, (list, tuple))
-        and len(obj) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
-    ):
-        return complex(obj[0], obj[1])
-    raise SchemaError(f"{where}: expected a number or [re, im] pair, got {obj!r}")
+def _is_real(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _is_pair(row):
-    return (
-        isinstance(row, (list, tuple))
-        and len(row) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
-    )
+    return isinstance(row, (list, tuple)) and len(row) == 2 and all(map(_is_real, row))
+
+
+def parse_complex(obj, where="value"):
+    """Parse a wire complex number: [re, im] or a bare real number.  A
+    non-finite part, or an integer beyond the float range, is refused."""
+    pair = _is_pair(obj)
+    if not (pair or _is_real(obj)):
+        raise SchemaError(f"{where}: expected a number or [re, im] pair, got {obj!r}")
+    try:
+        z = complex(*obj) if pair else complex(obj)
+    except OverflowError:
+        raise SchemaError(f"{where}: an integer beyond the float range") from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise SchemaError(f"{where}: {obj!r} is not a finite number")
+    return z
 
 
 def parse_matrix(obj, shape=None, where="matrix"):
@@ -207,7 +209,7 @@ def measure_from_dict(doc):
         if not isinstance(a, dict) or "position" not in a or "weight" not in a:
             raise SchemaError(f"atom {i} must have 'position' and 'weight'")
         lam = a["position"]
-        if not isinstance(lam, (int, float)) or isinstance(lam, bool) or lam < 0:
+        if not _is_real(lam) or parse_complex(lam, f"atom {i} position").real < 0:
             raise SchemaError(f"atom {i}: position must be a non-negative real number")
         W = parse_matrix(a["weight"], shape=(N, N), where=f"atom {i} weight")
         atoms.append((float(lam), W))

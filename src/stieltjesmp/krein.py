@@ -25,10 +25,12 @@ its solution is the exact spectral measure of a finite matrix.
 
 All of it comes from the eigenpairs of ``t_mu = V diag(w) V*``, which the
 extension picture reads off ``eigh(A11)`` (``w = cay(a)`` on the first ``q1``
-coordinates, ``-1`` on the last ``q``), with no solve per ``z``: for
-``c = 1 - w - z (1 + w)``, ``V* R_z V = diag((1 + w)/c)`` and
-``V* gamma(z) = diag(2/c) V* J``.  An eigenvalue ``w = -1`` (mass at infinity)
-needs no special case: there ``c = 2``, so it adds 0 to ``R_z``, 1 to gamma.
+coordinates, ``-1`` on the last ``q``): for ``c = 1 - w - z (1 + w)``,
+``V* R_z V = diag((1 + w)/c)`` and ``V* gamma(z) = diag(2/c) V* J``.  An
+eigenvalue ``w = -1`` (mass at infinity) needs no special case: there
+``c = 2``, so it adds 0 to ``R_z``, 1 to gamma.  The coordinates of the data
+vectors are formed once per analysis, so one point of the formula costs one
+product (every block at once), one SVD (the condition guard) and one solve.
 
 Admissibility is the sampled kernel test: both ``tau(z)`` and ``tau(z)/z``
 must have positive semi-definite Nevanlinna kernels on upper-half-plane
@@ -42,6 +44,7 @@ admissible (it encodes relation-type behaviour of the parameter at infinity).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +59,7 @@ from .errors import (
     WeylLimitDivergent,
 )
 from .extensions import DET_TOL, _gap_kernel, resolvent_from_contraction
-from .io import parse_matrix
+from .io import parse_complex, parse_matrix
 from .shiftop import _off_positive_axis
 
 __all__ = [
@@ -104,29 +107,38 @@ class GammaWeyl:
     w: np.ndarray  # (d,) eigenvalues of t_mu
     V: np.ndarray  # (d, d) eigenvectors of t_mu
     ov: np.ndarray  # (d, q) overlaps V* J
+    vectors: np.ndarray  # the data vectors' source, ``rep.vectors``
+    Y: np.ndarray  # (d, 2N + q) their coordinates, ``_stacked(w, ov, V* Xi0)``
 
     @property
     def dim(self):
         return self.t_mu.shape[0]
 
-    def _diagonals(self, z):
-        """``(r, g)``: ``V* R_z V = diag(r)``, ``V* gamma(z) = diag(g) V* J``."""
+    def _diagonal(self, z):
+        """``g = 2/c``, so that ``V* gamma(z) = diag(g) V* J``."""
         if not _off_positive_axis(z):
             raise BadPoint(f"z = {complex(z)} lies on [0, inf)")
-        c = 1.0 - self.w - z * (1.0 + self.w)
-        return (1.0 + self.w) / c, 2.0 / c
+        return 2.0 / (1.0 - self.w - z * (1.0 + self.w))
 
     def gamma(self, z):
-        _, g = self._diagonals(z)
-        return self.V @ (g[:, None] * self.ov)
+        return self.V @ (self._diagonal(z)[:, None] * self.ov)
 
     def M(self, z):
-        _, g = self._diagonals(z)
+        g = self._diagonal(z)
         return (complex(z) + 1.0) * (self.ov.conj().T @ (g[:, None] * self.ov))
 
 
-def build_gamma_weyl(pic):
-    """Gamma field / Weyl function of a completely indeterminate picture.
+def _stacked(w, ov, X):
+    """``[s X, X, V* J]`` for eigen-coordinates ``X = V* P``, ``s = sqrt((1+w)/2)``
+    (``1 + w`` clipped at 0): the blocks of ``Y* diag(g) Y`` are then
+    ``P* R_z P``, ``P* gamma(z)``, ``gamma(conj(z))* P`` and ``M(z)/(z + 1)``."""
+    s = np.sqrt(np.clip(1.0 + w, 0.0, None) / 2.0)
+    return np.hstack([s[:, None] * X, X, ov])
+
+
+def build_gamma_weyl(pic, rep):
+    """Gamma field / Weyl function of a completely indeterminate picture,
+    with the coordinates of the data vectors ``xi_0 .. xi_{N-1}`` of ``rep``.
 
     ``pic`` carries extremal extensions whose gap has a trivial kernel (apply
     :func:`extensions.extend_ext` first otherwise); a trivial defect, a
@@ -154,7 +166,11 @@ def build_gamma_weyl(pic):
         )
     kept = ov[~at_zero]
     M0 = kept.conj().T @ ((2.0 / (1.0 - w[~at_zero]))[:, None] * kept)
-    return GammaWeyl(J=J, t_mu=pic.t_mu, M0=herm(M0), q=q, w=w, V=V, ov=ov)
+    # the factor is upper trapezoidal, so Xi0 is zero below row N
+    N = rep.gram.N
+    X = V[:N].conj().T @ rep.vectors[:N, :N]
+    return GammaWeyl(J=J, t_mu=pic.t_mu, M0=herm(M0), q=q, w=w, V=V, ov=ov,
+                     vectors=rep.vectors, Y=_stacked(w, ov, X))
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +205,20 @@ class TauParameter:
         return self.finite_dim == 0
 
     def inclusion(self, q):
-        """Isometry of the finite-part subspace into C^q."""
+        """Isometry of the finite-part subspace into C^q, formed once."""
         if self.hdim is not None and self.hdim != q:
             raise SchemaError(
                 f"parameter lives on C^{self.hdim}, the defect space is C^{q}"
             )
         if self.is_ideal:
             return np.zeros((q, 0), dtype=complex)
+        return self._finite_basis
+
+    @cached_property
+    def _finite_basis(self):
         if self.ideal_basis is None:
-            return np.eye(q, dtype=complex)
-        return complement(self.ideal_basis, q)
+            return np.eye(self.finite_dim, dtype=complex)
+        return complement(self.ideal_basis, self.ideal_basis.shape[0])
 
     def value(self, z):
         """Finite part ``tau(z)`` in its own coordinates."""
@@ -253,6 +273,7 @@ def _parse_poles(raw, fin_dim):
         pos = p["p"]
         if not isinstance(pos, (int, float)) or isinstance(pos, bool):
             raise SchemaError(f"pole {i}: 'p' must be a real number")
+        pos = parse_complex(pos, where=f"pole {i}: 'p'").real
         if pos == 0.0:
             raise SchemaError(f"pole {i}: a pole at 0 is not admissible")
         W = _parse_hermitian(p["W"], f"pole {i} residue", psd=True)
@@ -330,17 +351,14 @@ def make_tau(spec, hdim=None, require_class=False):
 
 def _kernel_min_eig(fun, pts, dim):
     """Smallest eigenvalue of the sampled Nevanlinna kernel of ``fun``."""
-    vals = [np.atleast_2d(fun(z)) for z in pts]
-    m = len(pts) * dim
-    K = np.zeros((m, m), dtype=complex)
+    vals = np.array([np.atleast_2d(fun(z)) for z in pts])
+    p = np.asarray(pts)
     # row block j carries the conjugated slot: K[(j,b),(i,a)] =
     # (G(z_i) - G(z_j)*)[b,a] / (z_i - conj(z_j)), positive semi-definite
     # exactly when G is a Herglotz function.
-    for j in range(len(pts)):
-        for i in range(len(pts)):
-            blk = (vals[i] - vals[j].conj().T) / (pts[i] - np.conj(pts[j]))
-            K[j * dim : (j + 1) * dim, i * dim : (i + 1) * dim] = blk
-    K = herm(K)
+    num = vals[None] - vals.conj().transpose(0, 2, 1)[:, None]
+    blk = num / (p[None, :] - p.conj()[:, None])[:, :, None, None]
+    K = herm(blk.transpose(0, 2, 1, 3).reshape(len(pts) * dim, len(pts) * dim))
     w = np.linalg.eigvalsh(K)
     return float(w.min()), float(np.abs(w).max())
 
@@ -383,24 +401,25 @@ def check_stieltjes_class(tau, sample_points=DEFAULT_CLASS_POINTS):
 # the resolvent formula
 
 
-def _compressed_resolvent(gw, tau, z, P):
-    """``P* (V* R(tau, z) V) P``: there ``R_z`` is ``diag(r)``, ``gamma(z)`` is
-    ``G = diag(g) V* J`` and ``gamma(conj(z))*`` is ``(V* J)* diag(g)``."""
+def _compressed_resolvent(gw, tau, z, Y):
+    """``P* (V* R(tau, z) V) P`` for ``Y = _stacked(gw.w, gw.ov, P)``: one
+    product ``Y* diag(g) Y`` gives every block of the formula, then one SVD
+    guards the parameter block and one solve applies it."""
     z = complex(z)
-    r, g = gw._diagonals(z)
-    Ph = P.conj().T
-    R = Ph @ (r[:, None] * P)
+    g = gw._diagonal(z)
+    n = (Y.shape[1] - gw.q) // 2
+    H = Y.conj().T @ (g[:, None] * Y)
     if tau.is_ideal:
-        return R
+        return H[:n, :n]
     inc = tau.inclusion(gw.q)
-    G = g[:, None] * gw.ov
-    K1 = tau.value(z) + inc.conj().T @ (gw.M(z) - gw.M0) @ inc
-    if np.linalg.cond(K1) > CONDITION_LIMIT:
+    K1 = tau.value(z) + inc.conj().T @ ((z + 1.0) * H[2 * n :, 2 * n :] - gw.M0) @ inc
+    s = np.linalg.svd(K1, compute_uv=False)
+    if s[-1] == 0.0 or s[0] / s[-1] > CONDITION_LIMIT:
         raise ParameterDegenerate(
             f"parameter block at z = {z} has condition above {CONDITION_LIMIT:.0e}"
         )
-    Kinv = inc @ np.linalg.inv(K1) @ inc.conj().T
-    return R - (Ph @ G) @ Kinv @ ((gw.ov.conj().T * g) @ P)
+    X = np.linalg.solve(K1, inc.conj().T @ H[2 * n :, n : 2 * n])
+    return H[:n, :n] - (H[n : 2 * n, 2 * n :] @ inc) @ X
 
 
 def krein_resolvent(gw, tau, z):
@@ -410,12 +429,15 @@ def krein_resolvent(gw, tau, z):
     inverse is embedded by zero on the relation part, so the pure ideal
     parameter returns the Friedrichs-corner resolvent unchanged.
     """
-    return _compressed_resolvent(gw, tau, z, gw.V.conj().T)
+    return _compressed_resolvent(gw, tau, z, _stacked(gw.w, gw.ov, gw.V.conj().T))
 
 
 def solution_transform(gw, tau, rep, N, z):
-    """Matrix Stieltjes transform of the solution attached to ``tau``."""
-    return _compressed_resolvent(gw, tau, z, gw.V.conj().T @ rep.vectors[:, :N])
+    """Matrix Stieltjes transform of the solution attached to ``tau``; the
+    coordinates stored on ``gw`` serve when ``rep`` and ``N`` are its own."""
+    own = rep.vectors is gw.vectors and 2 * N + gw.q == gw.Y.shape[1]
+    Y = gw.Y if own else _stacked(gw.w, gw.ov, gw.V.conj().T @ rep.vectors[:, :N])
+    return _compressed_resolvent(gw, tau, z, Y)
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def analyze(seq, tols=Tolerances()):
     if not verdict.determinate:
         extended = extend_ext(pic)
         try:
-            gw = build_gamma_weyl(extended)
+            gw = build_gamma_weyl(extended, rep)
         except (WeylLimitDivergent, NotIndeterminate) as exc:
             gw_error = str(exc)
     return Analysis(

@@ -83,6 +83,52 @@ def test_check_malformed_exit_usage(tmp_path):
     assert run("check", f) == 64
 
 
+@pytest.mark.parametrize("position", ["NaN", "1e400", "1" + "0" * 400])
+def test_non_finite_atom_position_exit_usage(tmp_path, two_atom_file, position):
+    # a measure document read by verify and invert
+    f = tmp_path / "g.json"
+    atom = '{"position": %s, "weight": [[[1, 0]]]}'
+    f.write_text('{"N": 1, "atoms": [%s, %s]}' % (atom % 1, atom % position))
+    with pytest.raises(SchemaError, match="atom 1 position"):
+        measure_from_dict(read_json(f))
+    assert run("verify", f, two_atom_file) == 64
+    assert run("invert", "--from-measure", f) == 64
+
+
+@pytest.mark.parametrize(
+    "entry", ["NaN", "1e400", "-Infinity", "1" + "0" * 400, "[3, NaN]", "[1e400, 0]"],
+    ids=["nan", "1e400", "-inf", "huge-int", "pair-nan", "pair-1e400"],
+)
+@pytest.mark.parametrize("cmd", ["check", "determinacy", "solve"])
+def test_non_finite_moment_exit_usage(tmp_path, capsys, cmd, entry):
+    # JSON text as a user writes it, on both reads of the moments
+    last = entry if entry.startswith("[") else f"[{entry}, 0]"
+    f = tmp_path / "m.json"
+    f.write_text(f'{{"N": 1, "moments": [[[2, 0]], [[3, 0]], [{last}]]}}')
+    assert run(cmd, f) == 64
+    assert "error: moments[2][0]" in capsys.readouterr().err
+    f.write_text(f'{{"N": 1, "moments": [[[2]], [[3]], [[{entry}]]]}}')
+    assert run(cmd, f) == 64
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"type": "constant", "matrix": [[NaN]]}',
+        '{"type": "rational", "tau0": [[-1]], "poles": [{"p": 1e400, "W": [[0.5]]}]}',
+        '{"type": "rational", "tau0": [[-1]], "poles": [{"p": NaN, "W": [[0.5]]}]}',
+        '{"type": "rational", "tau0": [[-1]], "poles": [{"p": 1.5, "W": [[Infinity]]}]}',
+    ],
+    ids=["matrix-nan", "pole-1e400", "pole-nan", "residue-inf"],
+)
+@pytest.mark.parametrize("cmd", ["solve", "transform"])
+def test_non_finite_tau_exit_usage(two_atom_file, tmp_path, cmd, doc):
+    tau = tmp_path / "tau.json"
+    tau.write_text(doc)
+    extra = ("--z", "1j") if cmd == "transform" else ()
+    assert run(cmd, two_atom_file, "--tau", tau, *extra) == 64
+
+
 # ---------------------------------------------------------------------------
 # determinacy
 

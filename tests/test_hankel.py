@@ -159,6 +159,33 @@ def test_load_out_of_range_integer_fails_alike_on_both_paths():
     assert str(one_array.value) == str(per_entry.value)
 
 
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), -float("inf"), 10**400],
+    ids=["nan", "inf", "-inf", "huge-int"],
+)
+@pytest.mark.parametrize(
+    "entry, one_array",
+    [(lambda v: [v, 0], True), (lambda v: [0.5, v], True), (lambda v: v, False)],
+    ids=["pair-re", "pair-im", "bare"],
+)
+def test_load_refuses_non_finite_numbers(value, entry, one_array):
+    # a NaN, an infinity (JSON's 1e400) or an integer beyond the float range
+    # is a schema error on either read, naming the entry
+    if one_array:
+        moments = [P2, [P2[0], [P2[1][0], entry(value)]]]
+        assert _pair_array([P2, P2], 2) is not None
+    else:
+        moments = [[[2.0, 0.5], [0.5, 3.0]], [[2.0, 0.5], [0.5, entry(value)]]]
+    assert _pair_array(moments, 2) is None
+    with pytest.raises(SchemaError) as info:
+        load_moments({"N": 2, "moments": moments})
+    if isinstance(value, int):
+        message = "moments[1][1][1]: an integer beyond the float range"
+    else:
+        message = f"moments[1][1][1]: {entry(value)!r} is not a finite number"
+    assert str(info.value) == message
+
+
 def test_small_asymmetry_is_symmetrized_with_warning():
     S0 = np.array([[1.0, 0.1 + 1e-14j], [0.1, 1.0]])
     with pytest.warns(UserWarning):

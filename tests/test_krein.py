@@ -92,7 +92,7 @@ def test_gamma_at_base_point_is_J(two_atom):
 
 def test_determinate_input_refused(delta1):
     with pytest.raises(NotIndeterminate):
-        build_gamma_weyl(delta1.picture)
+        build_gamma_weyl(delta1.picture, delta1.rep)
 
 
 def test_weyl_limit_divergence_guard(two_atom):
@@ -109,7 +109,7 @@ def test_weyl_limit_divergence_guard(two_atom):
     w, V = np.linalg.eigh(pic.t_M)
     doctored = replace(pic, t_mu=pic.t_M, w=w, V=V)
     with pytest.raises(WeylLimitDivergent):
-        build_gamma_weyl(doctored)
+        build_gamma_weyl(doctored, two_atom.rep)
 
 
 def test_pipeline_weyl_limit_always_finite(battery):
@@ -195,6 +195,31 @@ def test_make_tau_require_class():
 def test_make_tau_schema_errors(doc):
     with pytest.raises(SchemaError):
         make_tau(doc)
+
+
+def _tau_with(value, where):
+    """A valid parameter description with ``value`` placed at ``where``."""
+    docs = {
+        "constant": {"type": "constant", "matrix": [[value]]},
+        "tau0": {"type": "rational", "tau0": [[value]], "poles": [{"p": 1.5, "W": [[0.5]]}]},
+        "residue": {"type": "rational", "tau0": [[-1.0]], "poles": [{"p": 1.5, "W": [[value]]}]},
+        "pole": {"type": "rational", "tau0": [[-1.0]], "poles": [{"p": value, "W": [[0.5]]}]},
+        "ideal": {"type": "mixed", "ideal_subspace": [[[1, 0], [value, 0]]], "tau0": [[-1.0]]},
+    }
+    return docs[where]
+
+
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), -float("inf"), 10**400],
+    ids=["nan", "inf", "-inf", "huge-int"],
+)
+@pytest.mark.parametrize("where", ["constant", "tau0", "residue", "pole", "ideal"])
+def test_make_tau_refuses_non_finite_numbers(value, where):
+    # matrices and pole positions alike; each valid with a finite value
+    finite = {"ideal": 0.25, "residue": 0.5, "pole": 1.5}.get(where, -1.0)
+    assert make_tau(_tau_with(finite, where)) is not None
+    with pytest.raises(SchemaError, match="not a finite number|beyond the float range"):
+        make_tau(_tau_with(value, where))
 
 
 def test_mixed_parameter_compression(two_atom):

@@ -1,0 +1,251 @@
+"""The resolvent formula against the per-point reference of
+``krein_reference``: every parameter shape, points on and off the real axis,
+representations that are and are not the analysis's own, and the guards."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import krein_reference as ref
+from stieltjesmp import (
+    BadPoint,
+    ParameterDegenerate,
+    analyze,
+    krein_resolvent,
+    make_tau,
+    moments_of_measure,
+    solution_transform,
+)
+from stieltjesmp.io import encode_matrix
+from stieltjesmp.krein import DEFAULT_CLASS_POINTS, TauParameter
+from stieltjesmp.solutions import random_discrete_measure
+
+PARITY_TOL = 1e-13
+
+
+@pytest.fixture(scope="module")
+def n8():
+    """``N = 8``, ``m = 9`` with 12 full-rank atoms in (0.1, 4): ``d = 40``,
+    ``q = 8``, the shape of the benchmark's transform scans."""
+    meas = random_discrete_measure(3, 8, 12, lam_range=(0.1, 4.0), min_sep=0.2)
+    a = analyze(moments_of_measure(meas, 9))
+    assert a.gamma_weyl.q == 8 and a.gamma_weyl.dim == 40
+    return a, meas
+
+
+def _taus(q):
+    """Infinite, constant, rational and (for ``q >= 2``) mixed parameters."""
+    rng = np.random.default_rng(q)
+    G = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
+    const = -np.eye(q) - 0.1 * (G.conj().T @ G) / q
+    docs = {
+        "infinite": {"type": "infinite"},
+        "constant": {"type": "constant", "matrix": encode_matrix(const)},
+        "rational": {
+            "type": "rational",
+            "tau0": encode_matrix(const),
+            "poles": [
+                {"p": 1.5, "W": encode_matrix(0.5 * np.eye(q))},
+                {"p": 3.1, "W": encode_matrix(0.2 * (G.conj().T @ G) / q)},
+            ],
+        },
+    }
+    if q >= 2:
+        ideal = rng.standard_normal((2, q)) + 1j * rng.standard_normal((2, q))
+        docs["mixed"] = {
+            "type": "mixed",
+            "ideal_subspace": [encode_matrix(v)[0] for v in ideal],
+            "tau0": encode_matrix(-np.eye(q - 2)),
+            "poles": [{"p": 0.8, "W": encode_matrix(np.eye(q - 2))}],
+        }
+    return {name: make_tau(doc, hdim=q) for name, doc in docs.items()}
+
+
+def _points(atoms):
+    """``-1``, conjugate pairs, ``x + 0.01i`` across the atoms, large ``|z|``."""
+    pairs = [1j, -0.3 + 0.2j, 0.7 + 0.5j, 2.5 + 1e-3j, -4.0 + 3.0j]
+    scan = np.linspace(0.0, max(atoms) + 0.5, 41) + 0.01j
+    return [-1.0, -2.0, *pairs, *np.conj(pairs), *scan, 1e6j, -1e8, 1e5 + 1e5j]
+
+
+def _rel(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def _problems(two_atom, n8):
+    a, meas = n8
+    return [("two_atom", two_atom, (1.0, 2.0)), ("n8_m9", a, meas.positions)]
+
+
+def test_formula_matches_the_reference(two_atom, n8):
+    for name, a, atoms in _problems(two_atom, n8):
+        gw = a.gamma_weyl
+        assert a.rep.vectors is gw.vectors  # the stored coordinates serve
+        for kind, tau in _taus(gw.q).items():
+            for z in _points(atoms):
+                pairs = (
+                    (krein_resolvent(gw, tau, z), ref.krein_resolvent(gw, tau, z)),
+                    (
+                        solution_transform(gw, tau, a.rep, a.N, z),
+                        ref.solution_transform(gw, tau, a.rep, a.N, z),
+                    ),
+                )
+                for got, want in pairs:
+                    err = _rel(got, want)
+                    assert err <= PARITY_TOL, (name, kind, z, err)
+
+
+def test_foreign_representation_matches_the_reference(n8):
+    # a copied array, a shorter N and unrelated vectors take the general path
+    a, meas = n8
+    gw = a.gamma_weyl
+    rng = np.random.default_rng(5)
+    other = rng.standard_normal(a.rep.vectors.shape) + 1j * rng.standard_normal(
+        a.rep.vectors.shape
+    )
+    reps = [
+        (replace(a.rep, vectors=a.rep.vectors.copy()), a.N),
+        (a.rep, 3),
+        (replace(a.rep, vectors=other), a.N),
+        (replace(a.rep, vectors=other), 5),
+    ]
+    for kind, tau in _taus(gw.q).items():
+        for rep, N in reps:
+            for z in (1j, -0.5, 1.3 + 0.01j, 1e6j):
+                got = solution_transform(gw, tau, rep, N, z)
+                assert got.shape == (N, N)
+                err = _rel(got, ref.solution_transform(gw, tau, rep, N, z))
+                assert err <= PARITY_TOL, (kind, N, z, err)
+
+
+def test_mixed_parameter_matches_the_reference_along_a_scan(n8):
+    # the inclusion is formed once per parameter and then serves every point
+    a, meas = n8
+    gw = a.gamma_weyl
+    tau = _taus(gw.q)["mixed"]
+    assert tau.inclusion(gw.q) is tau.inclusion(gw.q)
+    inc, want = tau.inclusion(gw.q), ref.inclusion(tau, gw.q)
+    assert np.abs(inc.conj().T @ inc - np.eye(gw.q - 2)).max() <= 1e-14
+    assert np.abs(inc @ inc.conj().T - want @ want.conj().T).max() <= 1e-14
+    for z in np.linspace(-1.0, 4.5, 256) + 0.01j:
+        got = solution_transform(gw, tau, a.rep, a.N, z)
+        err = _rel(got, ref.solution_transform(gw, tau, a.rep, a.N, z))
+        assert err <= PARITY_TOL, (z, err)
+
+
+@pytest.mark.parametrize("z", [0.0, -0.0, 1e-300, 0.5, 2.0, 1e3])
+def test_points_on_the_positive_axis_refused_like_the_reference(two_atom, n8, z):
+    for _, a, _ in _problems(two_atom, n8):
+        gw = a.gamma_weyl
+        for tau in _taus(gw.q).values():
+            for lib, reference in (
+                (krein_resolvent, ref.krein_resolvent),
+                (
+                    lambda g, t, x: solution_transform(g, t, a.rep, a.N, x),
+                    lambda g, t, x: ref.solution_transform(g, t, a.rep, a.N, x),
+                ),
+            ):
+                for call in (lib, reference):
+                    with pytest.raises(BadPoint):
+                        call(gw, tau, z)
+
+
+def _constant(matrix):
+    return make_tau({"type": "constant", "matrix": encode_matrix(matrix)})
+
+
+def test_zero_parameter_block_refused_like_the_reference(two_atom, n8):
+    # tau = M(0) at z = -1 makes the block exactly zero, where a bare
+    # ``s_max <= LIMIT * s_min`` test would pass
+    for _, a, _ in _problems(two_atom, n8):
+        gw = a.gamma_weyl
+        tau = _constant(gw.M0)
+        zero = tau.value(-1.0) + (gw.M(-1.0) - gw.M0)
+        assert not zero.any()
+        for call in (
+            lambda z: krein_resolvent(gw, tau, z),
+            lambda z: ref.krein_resolvent(gw, tau, z),
+            lambda z: solution_transform(gw, tau, a.rep, a.N, z),
+            lambda z: ref.solution_transform(gw, tau, a.rep, a.N, z),
+        ):
+            with pytest.raises(ParameterDegenerate):
+                call(-1.0)
+
+
+@pytest.mark.parametrize("z", [-0.5, -3.0])
+def test_ill_conditioned_parameter_block_refused_like_the_reference(n8, z):
+    # K(z) = tau0 + M(z) - M(0) of rank one, plus roundoff, off the base point
+    a, _ = n8
+    gw = a.gamma_weyl
+    u = np.zeros(gw.q)
+    u[2] = 1.0
+    M = gw.M(z)
+    assert np.abs(M - M.conj().T).max() <= 1e-12 * np.abs(M).max()
+    tau = _constant(-(M - gw.M0) + np.outer(u, u))
+    for call in (
+        lambda: krein_resolvent(gw, tau, z),
+        lambda: ref.krein_resolvent(gw, tau, z),
+        lambda: solution_transform(gw, tau, a.rep, a.N, z),
+        lambda: ref.solution_transform(gw, tau, a.rep, a.N, z),
+    ):
+        with pytest.raises(ParameterDegenerate):
+            call()
+    # a well-conditioned neighbour passes on both sides, with equal values
+    ok = _constant(-(M - gw.M0) - np.eye(gw.q))
+    got = solution_transform(gw, ok, a.rep, a.N, z)
+    assert _rel(got, ref.solution_transform(gw, ok, a.rep, a.N, z)) <= PARITY_TOL
+
+
+def test_eigenvalue_just_below_minus_one_is_clipped(two_atom):
+    # roundoff may put an eigenvalue of t_mu a hair below -1 (mass at
+    # infinity); its square-root scaling is then 0, not NaN
+    gw = two_atom.gamma_weyl
+    assert (gw.w == -1.0).any()
+    low = replace(gw, w=np.where(gw.w == -1.0, np.nextafter(-1.0, -2.0), gw.w))
+    for tau in _taus(gw.q).values():
+        for z in (1j, -0.5, 1.5 + 0.01j):
+            got = krein_resolvent(low, tau, z)
+            assert np.isfinite(got).all()
+            assert _rel(got, ref.krein_resolvent(low, tau, z)) <= PARITY_TOL
+
+
+def test_degenerate_block_without_a_constructor(two_atom):
+    # a 1 x 1 block that is exactly zero, built without make_tau
+    gw = two_atom.gamma_weyl
+    tau = TauParameter(kind="constant", hdim=1, ideal_basis=None,
+                       tau0=np.array(gw.M0), poles=())
+    with pytest.raises(ParameterDegenerate):
+        krein_resolvent(gw, tau, -1.0)
+    with pytest.raises(ParameterDegenerate):
+        ref.krein_resolvent(gw, tau, -1.0)
+
+
+def _probes():
+    taus = _taus(3)
+    fun = lambda z: np.array([[z / (1.5 * (1.5 - z)), 0.1], [0.1, -1.0 / z]])
+    pts = (*DEFAULT_CLASS_POINTS, 3.0 + 0.01j, -2.0 + 1e-3j)
+    return [
+        (taus["constant"].value, DEFAULT_CLASS_POINTS, 3),
+        (lambda z: taus["rational"].value(z) / z, DEFAULT_CLASS_POINTS, 3),
+        (taus["rational"].value, pts, 3),
+        (taus["mixed"].value, pts, 1),
+        (fun, pts, 2),
+    ]
+
+
+def test_class_kernel_is_bit_equal_to_the_block_loop(monkeypatch):
+    # the one-broadcast kernel, captured where it is handed to eigvalsh
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda K: seen.append(K.copy()) or eigvalsh(K)
+    )
+    from stieltjesmp.krein import _kernel_min_eig
+
+    for fun, pts, dim in _probes():
+        pts = [complex(z) for z in pts]
+        _kernel_min_eig(fun, pts, dim)
+        want = ref.kernel(fun, pts, dim)
+        assert seen[-1].shape == want.shape
+        assert seen[-1].tobytes() == want.tobytes()
