@@ -96,8 +96,8 @@ def _read_moments(path):
 
 
 def _parse_list(text, conv, what):
-    """Comma-separated values through ``conv``; a bad or empty list is a
-    schema error."""
+    """Comma-separated values through ``conv``; a bad, non-finite or empty
+    list is a schema error."""
     vals = []
     for part in text.split(","):
         part = part.strip()
@@ -107,6 +107,7 @@ def _parse_list(text, conv, what):
             vals.append(conv(part))
         except ValueError as exc:
             raise SchemaError(f"cannot parse {what} value {part!r}") from exc
+        _check(np.isfinite(vals[-1]), f"{what} value {part!r} is not finite")
     if not vals:
         raise SchemaError(f"empty {what} list")
     return tuple(vals)
@@ -314,6 +315,7 @@ def _parse_atoms_spec(text):
             pos, weight = (float(v) for v in part.split(":"))
         except ValueError as exc:
             raise SchemaError(f"cannot parse atom {part!r} (want pos:weight)") from exc
+        _check(np.isfinite([pos, weight]).all(), f"atom {part!r} is not finite")
         _check(pos >= 0.0 and weight >= 0.0, f"atom {part!r} is negative")
         atoms.append((pos, np.array([[weight]], dtype=complex)))
     if not atoms:

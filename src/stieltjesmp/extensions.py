@@ -48,7 +48,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from ._linalg import PINV_RCOND, herm, random_unitary
-from .errors import BadPoint, CompletionInfeasible
+from .errors import CompletionInfeasible
 from .shiftop import _off_positive_axis
 from .solutions import SolutionMeasure
 
@@ -258,9 +258,7 @@ def resolvent_from_contraction(t, z):
     ``R_z = (E + t) ((1-z) E - (1+z) t)^{-1}``; the eigenspace of ``t`` at
     ``-1`` (mass at infinity) is annihilated, never inverted.
     """
-    z = complex(z)
-    if not _off_positive_axis(z):
-        raise BadPoint(f"z = {z} lies on [0, inf)")
+    z = _off_positive_axis(z)
     t = np.asarray(t, dtype=complex)
     d = t.shape[0]
     I = np.eye(d, dtype=complex)

@@ -29,8 +29,12 @@ coordinates, ``-1`` on the last ``q``): for ``c = 1 - w - z (1 + w)``,
 ``V* R_z V = diag((1 + w)/c)`` and ``V* gamma(z) = diag(2/c) V* J``.  An
 eigenvalue ``w = -1`` (mass at infinity) needs no special case: there
 ``c = 2``, so it adds 0 to ``R_z``, 1 to gamma.  The coordinates of the data
-vectors are formed once per analysis, so one point of the formula costs one
-product (every block at once), one SVD (the condition guard) and one solve.
+vectors are formed once per analysis, on its first transform, so one point of
+the formula costs one product (every block at once) and one solve.  The solve
+also returns ``K(z)^{-1}``, and ``||K||_F ||K^{-1}||_F``, an upper bound on
+``cond_2 K``, certifies the point when it is within half of
+``CONDITION_LIMIT``; only a point it cannot certify pays for an SVD, the
+condition test itself, which then decides.
 
 Admissibility is the sampled kernel test: both ``tau(z)`` and ``tau(z)/z``
 must have positive semi-definite Nevanlinna kernels on upper-half-plane
@@ -50,7 +54,6 @@ import numpy as np
 
 from ._linalg import PINV_RCOND, asymmetry, complement, herm, min_eigh, orth_cols
 from .errors import (
-    BadPoint,
     NotIndeterminate,
     NotStieltjesClass,
     ParameterDegenerate,
@@ -108,17 +111,29 @@ class GammaWeyl:
     V: np.ndarray  # (d, d) eigenvectors of t_mu
     ov: np.ndarray  # (d, q) overlaps V* J
     vectors: np.ndarray  # the data vectors' source, ``rep.vectors``
-    Y: np.ndarray  # (d, 2N + q) their coordinates, ``_stacked(w, ov, V* Xi0)``
+    N: int  # the number of data vectors
 
     @property
     def dim(self):
         return self.t_mu.shape[0]
 
+    @cached_property
+    def _one_pm_w(self):
+        """``(1 - w, 1 + w)``, so that ``c = (1 - w) - z (1 + w)``."""
+        return 1.0 - self.w, 1.0 + self.w
+
+    @cached_property
+    def coordinates(self):
+        """``(Y, Y*)`` for ``Y = _stacked(w, ov, V* Xi0)``, formed on first use;
+        the factor is upper trapezoidal, so ``Xi0`` is zero below row ``N``."""
+        N = self.N
+        return _stacked(self.w, self.ov, self.V[:N].conj().T @ self.vectors[:N, :N])
+
     def _diagonal(self, z):
         """``g = 2/c``, so that ``V* gamma(z) = diag(g) V* J``."""
-        if not _off_positive_axis(z):
-            raise BadPoint(f"z = {complex(z)} lies on [0, inf)")
-        return 2.0 / (1.0 - self.w - z * (1.0 + self.w))
+        z = _off_positive_axis(z)
+        a, b = self._one_pm_w
+        return 2.0 / (a - z * b)
 
     def gamma(self, z):
         return self.V @ (self._diagonal(z)[:, None] * self.ov)
@@ -129,16 +144,20 @@ class GammaWeyl:
 
 
 def _stacked(w, ov, X):
-    """``[s X, X, V* J]`` for eigen-coordinates ``X = V* P``, ``s = sqrt((1+w)/2)``
-    (``1 + w`` clipped at 0): the blocks of ``Y* diag(g) Y`` are then
-    ``P* R_z P``, ``P* gamma(z)``, ``gamma(conj(z))* P`` and ``M(z)/(z + 1)``."""
+    """``(Y, Y*)`` for ``Y = [s X, X, V* J]``, eigen-coordinates ``X = V* P``
+    and ``s = sqrt((1+w)/2)`` (``1 + w`` clipped at 0): the blocks of
+    ``Y* diag(g) Y`` are then ``P* R_z P``, ``P* gamma(z)``,
+    ``gamma(conj(z))* P`` and ``M(z)/(z + 1)``.  ``Y*`` is made contiguous
+    once, so no point conjugates a copy."""
     s = np.sqrt(np.clip(1.0 + w, 0.0, None) / 2.0)
-    return np.hstack([s[:, None] * X, X, ov])
+    Y = np.hstack([s[:, None] * X, X, ov])
+    return Y, np.ascontiguousarray(Y.conj().T)
 
 
 def build_gamma_weyl(pic, rep):
     """Gamma field / Weyl function of a completely indeterminate picture,
-    with the coordinates of the data vectors ``xi_0 .. xi_{N-1}`` of ``rep``.
+    with the data vectors ``xi_0 .. xi_{N-1}`` of ``rep`` (their coordinates
+    are formed on the first :func:`solution_transform`).
 
     ``pic`` carries extremal extensions whose gap has a trivial kernel (apply
     :func:`extensions.extend_ext` first otherwise); a trivial defect, a
@@ -166,11 +185,8 @@ def build_gamma_weyl(pic, rep):
         )
     kept = ov[~at_zero]
     M0 = kept.conj().T @ ((2.0 / (1.0 - w[~at_zero]))[:, None] * kept)
-    # the factor is upper trapezoidal, so Xi0 is zero below row N
-    N = rep.gram.N
-    X = V[:N].conj().T @ rep.vectors[:N, :N]
     return GammaWeyl(J=J, t_mu=pic.t_mu, M0=herm(M0), q=q, w=w, V=V, ov=ov,
-                     vectors=rep.vectors, Y=_stacked(w, ov, X))
+                     vectors=rep.vectors, N=rep.gram.N)
 
 
 # ---------------------------------------------------------------------------
@@ -401,25 +417,62 @@ def check_stieltjes_class(tau, sample_points=DEFAULT_CLASS_POINTS):
 # the resolvent formula
 
 
-def _compressed_resolvent(gw, tau, z, Y):
-    """``P* (V* R(tau, z) V) P`` for ``Y = _stacked(gw.w, gw.ov, P)``: one
-    product ``Y* diag(g) Y`` gives every block of the formula, then one SVD
-    guards the parameter block and one solve applies it."""
-    z = complex(z)
-    g = gw._diagonal(z)
-    n = (Y.shape[1] - gw.q) // 2
-    H = Y.conj().T @ (g[:, None] * Y)
-    if tau.is_ideal:
-        return H[:n, :n]
-    inc = tau.inclusion(gw.q)
-    K1 = tau.value(z) + inc.conj().T @ ((z + 1.0) * H[2 * n :, 2 * n :] - gw.M0) @ inc
-    s = np.linalg.svd(K1, compute_uv=False)
+def _certified_solve(K, B, z):
+    """``K^{-1} B`` for the parameter block ``K = K(z)``, refused when its
+    condition number exceeds ``CONDITION_LIMIT``.
+
+    One LU gives ``K^{-1} B`` and ``K^{-1}``.  ``cond_2(K)`` is at most
+    ``||K||_F ||K^{-1}||_F``, so a bound within half the limit accepts (the
+    margin absorbs the roundoff of the computed inverse).  Any other case (a
+    larger bound, a NaN, an exactly singular pivot) takes the SVD test, where
+    an all-zero block counts as infinitely ill-conditioned.
+    """
+    k, n = K.shape[0], B.shape[1]
+    try:
+        S = np.linalg.solve(K, np.concatenate((B, np.eye(k)), axis=1))
+        Ki = S[:, n:]
+        # the squares as Python floats: their true product is at least k, so
+        # a square that underflows comes with one that overflows, and inf or
+        # 0 * inf = NaN fails the test, without a warning
+        if float(np.vdot(K, K).real) * float(np.vdot(Ki, Ki).real) <= (
+            CONDITION_LIMIT / 2
+        ) ** 2:
+            return S[:, :n]
+    except np.linalg.LinAlgError:
+        S = None
+    s = np.linalg.svd(K, compute_uv=False)
     if s[-1] == 0.0 or s[0] / s[-1] > CONDITION_LIMIT:
         raise ParameterDegenerate(
             f"parameter block at z = {z} has condition above {CONDITION_LIMIT:.0e}"
         )
-    X = np.linalg.solve(K1, inc.conj().T @ H[2 * n :, n : 2 * n])
-    return H[:n, :n] - (H[n : 2 * n, 2 * n :] @ inc) @ X
+    return np.linalg.solve(K, B) if S is None else S[:, :n]
+
+
+def _parameter_term(tau, z, q, Mz, B, C):
+    """``C P K^{-1} P* B`` for ``K = tau(z) + P* (M(z) - M(0)) P`` with
+    ``Mz = M(z) - M(0)`` and ``P`` the finite-part inclusion of ``tau``,
+    whose identity products are skipped when it has no ideal part."""
+    inc = tau.inclusion(q)
+    if tau.ideal_basis is not None:
+        inch = inc.conj().T
+        Mz, B, C = inch @ Mz @ inc, inch @ B, C @ inc
+    return C @ _certified_solve(tau.value(z) + Mz, B, z)
+
+
+def _compressed_resolvent(gw, tau, z, Y, Yh):
+    """``P* (V* R(tau, z) V) P`` for ``(Y, Yh) = _stacked(gw.w, gw.ov, P)``:
+    one product ``Y* diag(g) Y`` gives every block of the formula, then one
+    certified solve applies the parameter block."""
+    z = complex(z)
+    g = gw._diagonal(z)
+    n = (Y.shape[1] - gw.q) // 2
+    if tau.is_ideal:
+        return Yh[:n] @ (g[:, None] * Y[:, :n])
+    H = Yh @ (g[:, None] * Y)
+    Mz = (z + 1.0) * H[2 * n :, 2 * n :] - gw.M0
+    return H[:n, :n] - _parameter_term(
+        tau, z, gw.q, Mz, H[2 * n :, n : 2 * n], H[n : 2 * n, 2 * n :]
+    )
 
 
 def krein_resolvent(gw, tau, z):
@@ -427,17 +480,28 @@ def krein_resolvent(gw, tau, z):
 
     ``K(z)`` is the finite-part compression of ``tau(z) + M(z) - M(0)``; its
     inverse is embedded by zero on the relation part, so the pure ideal
-    parameter returns the Friedrichs-corner resolvent unchanged.
+    parameter returns the Friedrichs-corner resolvent unchanged.  In the
+    eigenbasis of ``t_mu`` this is ``diag(r) - diag(g) ov P K(z)^{-1} P* ov*
+    diag(g)`` with ``r = (1 + w)/c``, then one sandwich with ``V``.
     """
-    return _compressed_resolvent(gw, tau, z, _stacked(gw.w, gw.ov, gw.V.conj().T))
+    z = complex(z)
+    g = gw._diagonal(z)
+    inner = np.diag(0.5 * gw._one_pm_w[1] * g)
+    if not tau.is_ideal:
+        ovh = gw.ov.conj().T
+        G, B = g[:, None] * gw.ov, ovh * g  # V* gamma(z), gamma(conj(z))* V
+        inner -= _parameter_term(tau, z, gw.q, (z + 1.0) * (ovh @ G) - gw.M0, B, G)
+    return gw.V @ inner @ gw.V.conj().T
 
 
 def solution_transform(gw, tau, rep, N, z):
     """Matrix Stieltjes transform of the solution attached to ``tau``; the
     coordinates stored on ``gw`` serve when ``rep`` and ``N`` are its own."""
-    own = rep.vectors is gw.vectors and 2 * N + gw.q == gw.Y.shape[1]
-    Y = gw.Y if own else _stacked(gw.w, gw.ov, gw.V.conj().T @ rep.vectors[:, :N])
-    return _compressed_resolvent(gw, tau, z, Y)
+    if rep.vectors is gw.vectors and N == gw.N:
+        Y, Yh = gw.coordinates
+    else:
+        Y, Yh = _stacked(gw.w, gw.ov, gw.V.conj().T @ rep.vectors[:, :N])
+    return _compressed_resolvent(gw, tau, z, Y, Yh)
 
 
 # ---------------------------------------------------------------------------

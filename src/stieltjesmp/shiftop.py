@@ -16,6 +16,7 @@ vectors onto that complement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +70,14 @@ class DefectData:
 
 
 def _off_positive_axis(z):
+    """``complex(z)``; :class:`BadPoint` when it is not finite or lies on
+    ``[0, inf)``, where no resolvent is defined."""
     z = complex(z)
-    return not (z.imag == 0.0 and z.real >= 0.0)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise BadPoint(f"z = {z} is not finite")
+    if z.imag == 0.0 and z.real >= 0.0:
+        raise BadPoint(f"z = {z} lies on [0, inf)")
+    return z
 
 
 def build_shift(rep, tol=DEFAULT_CONSISTENCY_TOL):
@@ -168,9 +175,7 @@ def defect_subspace(op, z):
     ``index`` is the dimension of the orthogonal complement of the range,
     spanned by the complement-projections of ``xi_0 .. xi_{N-1}``.
     """
-    z = complex(z)
-    if not _off_positive_axis(z):
-        raise BadPoint(f"z = {z} lies on [0, inf)")
+    z = _off_positive_axis(z)
     d = op.dim
     B = op.domain_basis
     rng_basis = orth_cols((op.matrix - z * np.eye(d)) @ B)

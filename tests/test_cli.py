@@ -324,6 +324,13 @@ def test_transform_bad_z_exit_usage(two_atom_file, tmp_path):
     assert run("transform", two_atom_file, "--tau", tau, "--z", "abc") == 64
 
 
+@pytest.mark.parametrize("z", ["nan", "nan+1j", "1e400j", "1+infj", "inf", "-1,inf"])
+def test_transform_non_finite_z_exit_usage(two_atom_file, tmp_path, capsys, z):
+    tau = write(tmp_path / "tau.json", {"type": "constant", "matrix": [[-1.0]]})
+    assert run("transform", two_atom_file, "--tau", tau, f"--z={z}") == 64
+    assert "is not finite" in capsys.readouterr().err
+
+
 def test_transform_empty_z_exit_usage(two_atom_file, tmp_path, capsys):
     tau = write(tmp_path / "tau.json", {"type": "constant", "matrix": [[-1.0]]})
     csv = tmp_path / "scan.csv"
@@ -378,7 +385,7 @@ def test_invert_from_moments_determinate(tmp_path, capsys):
     assert abs(W[0, 0] - 1.0) <= 1e-3
 
 
-@pytest.mark.parametrize("eps", ["abc", "1e-2,x", "", ","])
+@pytest.mark.parametrize("eps", ["abc", "1e-2,x", "", ",", "1e-2,inf", "1e400,1e-2"])
 def test_invert_bad_eps_exit_usage(tmp_path, eps):
     f = write(tmp_path / "d.json", {"N": 1, "moments": [[[1, 0]], [[1, 0]], [[1, 0]]]})
     assert run("invert", "--moments", f, "--eps", eps) == 64
@@ -520,6 +527,14 @@ def test_gen_impossible_random_measure_exit_usage(tmp_path, capsys, extra):
 def test_gen_negative_weight_exit_usage(tmp_path, capsys):
     m, g = tmp_path / "m.json", tmp_path / "g.json"
     assert_usage_error(capsys, "gen", "--atoms", "1:-1", "--out-moments", m, "--out-measure", g)
+    assert not m.exists()
+
+
+@pytest.mark.parametrize("atoms", ["1e400:1", "1:inf"])
+def test_gen_non_finite_atom_exit_usage(tmp_path, capsys, atoms):
+    m, g = tmp_path / "m.json", tmp_path / "g.json"
+    assert run("gen", "--atoms", atoms, "--out-moments", m, "--out-measure", g) == 64
+    assert "is not finite" in capsys.readouterr().err
     assert not m.exists()
 
 

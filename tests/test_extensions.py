@@ -393,6 +393,12 @@ def test_resolvent_bad_point():
         resolvent_from_contraction(np.zeros((2, 2)), 2.0)
 
 
+@pytest.mark.parametrize("z", ["nan", "-inf", "1+infj", "nan-1j"])
+def test_resolvent_point_not_finite(z):
+    with pytest.raises(BadPoint, match="not finite"):
+        resolvent_from_contraction(np.zeros((2, 2)), complex(z))
+
+
 def test_resolvent_identity_and_symmetry(two_atom):
     t = two_atom.picture.t_M
     z, w = 1j, -1 + 2j

@@ -466,8 +466,11 @@ def test_exit_space_run_time_checks(two_atom):
         exit_space_extension(gw, sing)
 
 
-@pytest.mark.parametrize("z", [0.0, 2.0])
+@pytest.mark.parametrize(
+    "z", [0.0, 2.0, *map(complex, ["nan", "inf", "-inf", "nan+1j", "1+infj", "-1-infj"])]
+)
 def test_points_on_positive_axis_refused(two_atom, z):
+    # a point that is not finite is refused the same way
     gw = two_atom.gamma_weyl
     tau = make_tau({"type": "constant", "matrix": [[-1.0]]})
     for call in (

@@ -2,6 +2,7 @@
 ``krein_reference``: every parameter shape, points on and off the real axis,
 representations that are and are not the analysis's own, and the guards."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from stieltjesmp import (
     solution_transform,
 )
 from stieltjesmp.io import encode_matrix
-from stieltjesmp.krein import DEFAULT_CLASS_POINTS, TauParameter
+from stieltjesmp.krein import CONDITION_LIMIT, DEFAULT_CLASS_POINTS, TauParameter
 from stieltjesmp.solutions import random_discrete_measure
 
 PARITY_TOL = 1e-13
@@ -249,3 +250,95 @@ def test_class_kernel_is_bit_equal_to_the_block_loop(monkeypatch):
         want = ref.kernel(fun, pts, dim)
         assert seen[-1].shape == want.shape
         assert seen[-1].tobytes() == want.tobytes()
+
+
+def _near_singular(gw, z, c, big=4):
+    """Constant parameter whose block at the real point ``z`` is, up to
+    roundoff, ``diag(1, .., 1, 1/c, .., 1/c)`` with ``big`` ones: condition
+    number ``c``, Frobenius bound ``sqrt(big (q - big)) c``."""
+    M = gw.M(z)
+    assert np.abs(M - M.conj().T).max() <= 1e-12 * np.abs(M).max()
+    D = np.diag([1.0] * big + [1.0 / c] * (gw.q - big))
+    return _constant(-(ref.herm(M) - gw.M0) + D)
+
+
+def _counting_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(
+        np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k)
+    )
+    return calls
+
+
+def test_bound_above_half_the_limit_falls_back_to_the_svd(n8, monkeypatch):
+    # cond_2 = 0.3 LIMIT passes, but ||K||_F ||K^{-1}||_F = 4 cond_2 does not
+    # certify it: the SVD test decides, and accepts
+    a, _ = n8
+    gw = a.gamma_weyl
+    z = -0.5
+    tau = _near_singular(gw, z, 0.3 * CONDITION_LIMIT)
+    K = tau.value(z) + (gw.M(z) - gw.M0)
+    bound = np.linalg.norm(K) * np.linalg.norm(np.linalg.inv(K))
+    assert bound > CONDITION_LIMIT / 2 and np.linalg.cond(K) < CONDITION_LIMIT
+    calls = _counting_svd(monkeypatch)
+    got = solution_transform(gw, tau, a.rep, a.N, z)
+    assert len(calls) == 1
+    want = ref.solution_transform(gw, tau, a.rep, a.N, z)
+    assert _rel(got, want) <= PARITY_TOL
+    assert _rel(krein_resolvent(gw, tau, z), ref.krein_resolvent(gw, tau, z)) <= PARITY_TOL
+
+
+@pytest.mark.parametrize("big", [1, 4, 7])
+@pytest.mark.parametrize("z", [-0.5, -3.0])
+def test_near_degenerate_sweep_refused_like_the_reference(n8, z, big):
+    # blocks on both sides of the limit, and at it: the same refusals
+    a, _ = n8
+    gw = a.gamma_weyl
+    refused = set()
+    for ratio in (0.01, 0.1, 0.3, 0.9, 0.999, 1.0, 1.001, 1.1, 3.0, 1e3):
+        tau = _near_singular(gw, z, ratio * CONDITION_LIMIT, big)
+        for lib, reference in (
+            (
+                lambda: solution_transform(gw, tau, a.rep, a.N, z),
+                lambda: ref.solution_transform(gw, tau, a.rep, a.N, z),
+            ),
+            (lambda: krein_resolvent(gw, tau, z), lambda: ref.krein_resolvent(gw, tau, z)),
+        ):
+            try:
+                want = reference()
+            except ParameterDegenerate:
+                with pytest.raises(ParameterDegenerate):
+                    lib()
+                refused.add(ratio)
+                continue
+            assert _rel(lib(), want) <= PARITY_TOL, (ratio, big)
+    assert refused - {1.0} == {1.001, 1.1, 3.0, 1e3}
+
+
+def test_transform_scan_runs_no_svd(n8, monkeypatch):
+    # every point of a scan across the atoms is certified by its solve
+    a, meas = n8
+    gw = a.gamma_weyl
+    zs = np.linspace(min(meas.positions) - 0.1, max(meas.positions) + 0.1, 256) + 0.01j
+    taus = _taus(gw.q)
+    for tau in taus.values():
+        tau.inclusion(gw.q)  # a mixed parameter's complement is one SVD, once
+    calls = _counting_svd(monkeypatch)
+    for tau in taus.values():
+        for z in zs:
+            solution_transform(gw, tau, a.rep, a.N, z)
+    assert not calls
+
+
+@pytest.mark.parametrize("z", [1e300j, -1e300 + 1j, 1e200 + 1e200j])
+def test_extreme_point_certified_without_warnings(two_atom, z):
+    # here K(z) is tiny: its squared Frobenius norm underflows and that of
+    # its inverse overflows, so the bound is NaN and the SVD test decides
+    gw = two_atom.gamma_weyl
+    tau = _constant(-np.eye(gw.q))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solution_transform(gw, tau, two_atom.rep, two_atom.N, z)
+    want = ref.solution_transform(gw, tau, two_atom.rep, two_atom.N, z)
+    assert np.abs(got - want).max() <= PARITY_TOL * np.abs(want).max()  # no squares

@@ -103,10 +103,10 @@ def test_two_atom_defect_one():
     assert np.abs(dd.defect_basis.conj().T @ dd.range_basis).max() <= 1e-10
 
 
-@pytest.mark.parametrize("z", [0.0, 1.0, 17.3])
+@pytest.mark.parametrize("z", [0.0, 1.0, 17.3, "nan", "-1-infj"])
 def test_bad_point_on_positive_axis(z):
     with pytest.raises(BadPoint):
-        defect_subspace(shift_of([2, 3, 5]), z)
+        defect_subspace(shift_of([2, 3, 5]), complex(z))
 
 
 def test_index_conjugation_symmetric():
