@@ -30,9 +30,9 @@ print("S_3 =\n", seq.moments[3].real)
 
 print("\nplain block Hankel of order 2 (blocks S_{i+j}):")
 G2 = build_gamma(seq, 2)
-print(np.array_str(G2.entries.real, precision=3))
+print(np.array_str(G2.real, precision=3))
 print("shifted block Hankel of order 2 (blocks S_{i+j+1}): min eig =",
-      f"{np.linalg.eigvalsh(build_gamma_tilde(seq, 2).entries).min():.6f}")
+      f"{np.linalg.eigvalsh(build_gamma_tilde(seq, 2)).min():.6f}")
 
 gram = scalarize(seq)
 print("\nscalarized Gram: size", gram.size, "- entry (a, b) = s_{r+t; j, k}")

@@ -33,13 +33,11 @@ from .extensions import (
     extend_ext,
     extremal_extensions,
     resolvent_from_contraction,
-    sample_sc_extensions,
     spectral_solution,
     transform_from_contraction,
 )
 from .gns import HilbertRep, build_space
 from .hankel import (
-    BlockHankel,
     MomentSequence,
     ScalarGram,
     SolvabilityReport,
@@ -63,13 +61,7 @@ from .krein import (
     solution_transform,
 )
 from .pipeline import Analysis, Tolerances, analyze, solve_tau_grid, solve_with_tau
-from .shiftop import (
-    DefectData,
-    ShiftOperator,
-    build_shift,
-    check_nonneg_hermitian,
-    defect_subspace,
-)
+from .shiftop import ShiftOperator, build_shift
 from .solutions import (
     SolutionMeasure,
     measure_distance,

@@ -28,12 +28,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import io
-from .errors import (
-    InconsistentTruncation,
-    MomentProblemError,
-    NotStieltjesClass,
-    SchemaError,
-)
+from .errors import InconsistentTruncation, MomentProblemError, SchemaError
 from .extensions import transform_from_contraction
 from .hankel import check_solvable, load_moments
 from .krein import make_tau, solution_transform
@@ -337,6 +332,7 @@ def cmd_gen(args):
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
     order = args.order if args.order is not None else max(2 * count - 1, 1)
+    _check(order >= 0, "--order must be at least 0")
     seq = moments_of_measure(meas, order)
     io.write_json(args.out_moments, io.moments_to_dict(seq))
     io.write_json(args.out_measure, io.measure_to_dict(meas))
@@ -473,9 +469,6 @@ def main(argv=None):
     except InconsistentTruncation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except NotStieltjesClass as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except MomentProblemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

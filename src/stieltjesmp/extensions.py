@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._linalg import PINV_RCOND, herm, random_unitary
+from ._linalg import PINV_RCOND, herm
 from .errors import CompletionInfeasible
 from .shiftop import _off_positive_axis
 from .solutions import SolutionMeasure
@@ -56,7 +56,6 @@ __all__ = [
     "ContractionPicture",
     "DeterminacyVerdict",
     "extremal_extensions",
-    "sample_sc_extensions",
     "determinacy",
     "extend_ext",
     "resolvent_from_contraction",
@@ -173,34 +172,6 @@ def extremal_extensions(op):
         w=np.concatenate([(1.0 - a) / (1.0 + a), -np.ones(q)]),
         V=V,
     )
-
-
-def sample_sc_extensions(pic, count, seed=0):
-    """Deterministic sample of self-adjoint contractive extensions of T.
-
-    Returns ``count`` Hermitian contraction matrices extending T: the segment
-    ``t_mu + s C`` at evenly spaced ``s`` in ``[0, 1]`` plus random points
-    ``t_mu + J R Y R* J*`` of the interval, with ``R`` the square root of the
-    gap ``G`` and ``0 <= Y <= I``.
-    """
-    w, V, _ = _gap_kernel(pic)
-    root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
-    count = int(count)
-    if count <= 0:
-        return []
-    n_seg = min(count, max(2, (count + 1) // 2))
-    out = [pic.t_mu + s * pic.C for s in np.linspace(0.0, 1.0, n_seg)]
-    rng = np.random.default_rng(seed)
-    q = pic.defect_dim
-    JR = pic.defect_basis @ root
-    while len(out) < count:
-        if q == 0:
-            out.append(pic.t_mu.copy())
-            continue
-        Q = random_unitary(rng, q)
-        Y = (Q * rng.uniform(0.0, 1.0, size=q)) @ Q.conj().T
-        out.append(pic.t_mu + herm(JR @ Y @ JR.conj().T))
-    return out[:count]
 
 
 def _gap_kernel(pic):

@@ -42,12 +42,6 @@ class HilbertRep:
     gram: object  # the source ScalarGram
     rank_tol: float
 
-    def vector(self, a):
-        return self.vectors[:, a]
-
-    def reproduced_gram(self):
-        return self.vectors.conj().T @ self.vectors
-
 
 def build_space(gram, rank_tol=DEFAULT_RANK_TOL):
     """Factor a scalarized Gram into coordinate vectors, in natural order.

@@ -27,7 +27,6 @@ from .io import parse_matrix
 
 __all__ = [
     "MomentSequence",
-    "BlockHankel",
     "ScalarGram",
     "SolvabilityReport",
     "moment_sequence",
@@ -61,15 +60,6 @@ class MomentSequence:
     def n(self):
         """Construction order: largest n with ``S_{2n}`` available."""
         return self.m // 2
-
-
-@dataclass(frozen=True)
-class BlockHankel:
-    """A block Hankel matrix of the plain (``S_{i+j}``) or shifted
-    (``S_{i+j+1}``) family."""
-
-    order: int
-    entries: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -208,7 +198,8 @@ def _pair_array(mom_raw, N):
 
 
 def _block_hankel(seq, n, offset):
-    """Block Hankel of order n whose block ``(i, j)`` is ``S_{i+j+offset}``."""
+    """The ``((n+1)N, (n+1)N)`` block Hankel of order n whose block
+    ``(i, j)`` is ``S_{i+j+offset}``."""
     top = 2 * n + offset
     if top > seq.m:
         raise OrderTooHigh(f"order {n} needs S_{top} but data stop at S_{seq.m}")
@@ -217,7 +208,7 @@ def _block_hankel(seq, n, offset):
     for i in range(n + 1):
         for j in range(n + 1):
             G[i * N : (i + 1) * N, j * N : (j + 1) * N] = seq.moments[i + j + offset]
-    return BlockHankel(order=n, entries=G)
+    return G
 
 
 def build_gamma(seq, n):
@@ -233,45 +224,45 @@ def build_gamma_tilde(seq, n):
 def scalarize(seq):
     """Scalarized Gram of the maximal representable order ``n = floor(m/2)``."""
     n = seq.n
-    G = build_gamma(seq, n).entries
+    G = build_gamma(seq, n)
     return ScalarGram(size=(n + 1) * seq.N, gamma=G, N=seq.N, n=n)
 
 
 def check_solvable(seq, psd_tol=DEFAULT_PSD_TOL):
     """Report minimum eigenvalues of every representable Hankel matrix.
 
-    The verdict is ``"solvable"`` when each minimum eigenvalue clears
-    ``-psd_tol * scale`` with margin ``+psd_tol * scale`` (scale is
-    ``max(1, |entries|)`` of the matrix at hand), ``"marginal"`` when some
-    minimum sits inside the roundoff band around zero, and
-    ``"not solvable"`` when some minimum is decisively negative.
+    The Hankel of order ``k`` is the leading ``(k+1)N`` block of the maximal
+    one of its family, so each family is built once.  The verdict is
+    ``"solvable"`` when each minimum eigenvalue clears ``-psd_tol * scale``
+    with margin ``+psd_tol * scale`` (scale is ``max(1, |entries|)`` of the
+    matrix at hand), ``"marginal"`` when some minimum sits inside the roundoff
+    band around zero, and ``"not solvable"`` when some minimum is decisively
+    negative.
     """
-    plain, p_scales = [], []
-    for k in range(seq.n + 1):
-        G = build_gamma(seq, k).entries
-        plain.append(float(np.linalg.eigvalsh(herm(G)).min()))
-        p_scales.append(max(1.0, float(np.abs(G).max())))
-    shifted, s_scales = [], []
-    for k in range((seq.m - 1) // 2 + 1):
-        G = build_gamma_tilde(seq, k).entries
-        shifted.append(float(np.linalg.eigvalsh(herm(G)).min()))
-        s_scales.append(max(1.0, float(np.abs(G).max())))
+    N = seq.N
+    tops = (seq.n, (seq.m - 1) // 2)  # maximal plain and shifted orders
+    eigs, scales = ([], []), ([], [])
+    for offset, top in enumerate(tops):
+        G = _block_hankel(seq, top, offset)
+        for k in range(top + 1):
+            sub = G[: (k + 1) * N, : (k + 1) * N]
+            eigs[offset].append(float(np.linalg.eigvalsh(herm(sub)).min()))
+            scales[offset].append(max(1.0, float(np.abs(sub).max())))
 
     verdict = "solvable"
-    for eigs, scales in ((plain, p_scales), (shifted, s_scales)):
-        for ev, sc in zip(eigs, scales):
-            if ev < -psd_tol * sc:
-                verdict = "not solvable"
-            elif ev < psd_tol * sc and verdict == "solvable":
-                verdict = "marginal"
+    for ev, sc in zip(chain(*eigs), chain(*scales)):
+        if ev < -psd_tol * sc:
+            verdict = "not solvable"
+        elif ev < psd_tol * sc and verdict == "solvable":
+            verdict = "marginal"
 
     return SolvabilityReport(
-        plain_min_eigs=tuple(plain),
-        shifted_min_eigs=tuple(shifted),
-        plain_scales=tuple(p_scales),
-        shifted_scales=tuple(s_scales),
+        plain_min_eigs=tuple(eigs[0]),
+        shifted_min_eigs=tuple(eigs[1]),
+        plain_scales=tuple(scales[0]),
+        shifted_scales=tuple(scales[1]),
         verdict=verdict,
         psd_tol=psd_tol,
-        max_plain_order=seq.n,
-        max_shifted_order=(seq.m - 1) // 2,
+        max_plain_order=tops[0],
+        max_shifted_order=tops[1],
     )

@@ -202,8 +202,10 @@ def measure_from_dict(doc):
     if not isinstance(doc, dict) or "N" not in doc or "atoms" not in doc:
         raise SchemaError("measure document must have keys 'N' and 'atoms'")
     N = doc["N"]
-    if not isinstance(N, int) or N < 1:
+    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
         raise SchemaError("measure 'N' must be a positive integer")
+    if not isinstance(doc["atoms"], list):
+        raise SchemaError("measure 'atoms' must be an array")
     atoms = []
     for i, a in enumerate(doc["atoms"]):
         if not isinstance(a, dict) or "position" not in a or "weight" not in a:

@@ -52,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import PINV_RCOND, asymmetry, complement, herm, min_eigh, orth_cols
+from ._linalg import PINV_RCOND, asymmetry, herm, min_eigh
 from .errors import (
     NotIndeterminate,
     NotStieltjesClass,
@@ -197,16 +197,17 @@ def build_gamma_weyl(pic, rep):
 class TauParameter:
     """A parameter of the resolvent formula, in one normal form.
 
-    ``ideal_basis`` (orthonormal columns in ``C^hdim``, or ``None``) spans the
-    relation part; the finite part acts on its orthogonal complement, in that
-    complement's own coordinates: ``tau(z) = tau0 + sum_k W_k / (p_k - z)``.
-    The pure ideal parameter has a ``0 x 0`` ``tau0`` and no poles.  ``kind``
+    ``finite_basis`` (orthonormal columns in ``C^hdim``) spans the orthogonal
+    complement of the relation part, the identity when there is none; the
+    finite part acts there, in those coordinates:
+    ``tau(z) = tau0 + sum_k W_k / (p_k - z)``.  The pure ideal parameter has
+    a ``0 x 0`` ``tau0``, no poles and no ``finite_basis``.  ``kind``
     echoes the input ``type``; no method reads it.
     """
 
     kind: str  # "constant" | "rational" | "infinite" | "mixed"
     hdim: int | None
-    ideal_basis: np.ndarray | None
+    finite_basis: np.ndarray | None
     tau0: np.ndarray
     poles: tuple
     class_ok: bool | None = None
@@ -221,20 +222,14 @@ class TauParameter:
         return self.finite_dim == 0
 
     def inclusion(self, q):
-        """Isometry of the finite-part subspace into C^q, formed once."""
+        """Isometry of the finite-part subspace into C^q."""
         if self.hdim is not None and self.hdim != q:
             raise SchemaError(
                 f"parameter lives on C^{self.hdim}, the defect space is C^{q}"
             )
         if self.is_ideal:
             return np.zeros((q, 0), dtype=complex)
-        return self._finite_basis
-
-    @cached_property
-    def _finite_basis(self):
-        if self.ideal_basis is None:
-            return np.eye(self.finite_dim, dtype=complex)
-        return complement(self.ideal_basis, self.ideal_basis.shape[0])
+        return self.finite_basis
 
     def value(self, z):
         """Finite part ``tau(z)`` in its own coordinates."""
@@ -258,7 +253,10 @@ def _parse_hermitian(obj, where, psd=False):
 
 
 def _parse_ideal(vecs):
-    """Orthonormal basis of the span of the ``ideal_subspace`` vectors."""
+    """Orthonormal basis ``U[:, k:]`` of the orthogonal complement of the
+    span of the ``k`` ``ideal_subspace`` vectors, from one complete SVD of
+    their columns.  They must be independent: ``k <= hdim`` and
+    ``s_k > PINV_RCOND s_1``."""
     if not isinstance(vecs, list) or not vecs:
         raise SchemaError("mixed tau needs a non-empty 'ideal_subspace'")
     cols = [
@@ -268,10 +266,11 @@ def _parse_ideal(vecs):
     if len({c.size for c in cols}) != 1:
         raise SchemaError("ideal_subspace vectors have unequal lengths")
     raw = np.column_stack(cols)
-    ideal = orth_cols(raw)
-    if ideal.shape[1] != raw.shape[1]:
+    hdim, k = raw.shape
+    U, s, _ = np.linalg.svd(raw)
+    if k > hdim or not s[k - 1] > PINV_RCOND * s[0]:
         raise SchemaError("ideal_subspace vectors are linearly dependent")
-    return ideal
+    return U[:, k:]
 
 
 def _parse_poles(raw, fin_dim):
@@ -310,10 +309,11 @@ def make_tau(spec, hdim=None, require_class=False):
         {"type": "rational", "tau0": [[...]], "poles": [{"p": x, "W": [[...]]}]}
         {"type": "mixed", "ideal_subspace": [[...], ...], <finite part>}
 
-    All four are sugar for the one normal form ``(ideal_basis, tau0, poles)``:
+    All four are sugar for the one normal form ``(finite_basis, tau0, poles)``:
     ``infinite`` is an empty finite part, ``constant`` a ``tau0`` without
     poles, and ``mixed`` a rational finite part acting on the orthogonal
-    complement of ``ideal_subspace`` in its own coordinates.  Class membership
+    complement of ``ideal_subspace``, in the coordinates of the trailing left
+    singular vectors of the ``ideal_subspace`` columns.  Class membership
     (the sampled kernel test) is always computed and attached; it is enforced
     only when ``require_class`` is set, in which case failing parameters raise
     :class:`NotStieltjesClass`.
@@ -324,18 +324,16 @@ def make_tau(spec, hdim=None, require_class=False):
     if kind not in ("infinite", "constant", "rational", "mixed"):
         raise SchemaError(f"unknown tau type {kind!r}")
 
-    ideal = None
+    basis = None
     if kind == "infinite":
         tau0, poles = np.zeros((0, 0), dtype=complex), ()
     else:
         if kind == "mixed":
-            ideal = _parse_ideal(spec.get("ideal_subspace"))
-            hdim = ideal.shape[0] if hdim is None else hdim
-            if ideal.shape[0] != hdim:
+            basis = _parse_ideal(spec.get("ideal_subspace"))
+            hdim = basis.shape[0] if hdim is None else hdim
+            if basis.shape[0] != hdim:
                 raise SchemaError("ideal_subspace vectors have the wrong length")
-        fin_dim = None
-        if hdim is not None:
-            fin_dim = hdim - (0 if ideal is None else ideal.shape[1])
+        fin_dim = hdim if basis is None else basis.shape[1]
         if kind == "constant":
             tau0, poles = _parse_hermitian(spec.get("matrix"), "constant tau matrix"), ()
             if fin_dim is not None and tau0.shape[0] != fin_dim:
@@ -352,8 +350,10 @@ def make_tau(spec, hdim=None, require_class=False):
                 if fin_dim is not None and tau0.shape[0] != fin_dim:
                     raise SchemaError("tau0 size mismatch")
         hdim = tau0.shape[0] if hdim is None else hdim
+        if basis is None:
+            basis = np.eye(tau0.shape[0], dtype=complex)
 
-    tau = TauParameter(kind=kind, hdim=hdim, ideal_basis=ideal, tau0=tau0, poles=poles)
+    tau = TauParameter(kind=kind, hdim=hdim, finite_basis=basis, tau0=tau0, poles=poles)
     ok, worst = check_stieltjes_class(tau)
     tau = replace(tau, class_ok=ok, class_min_eig=worst)
     if require_class and not ok:
@@ -453,7 +453,7 @@ def _parameter_term(tau, z, q, Mz, B, C):
     ``Mz = M(z) - M(0)`` and ``P`` the finite-part inclusion of ``tau``,
     whose identity products are skipped when it has no ideal part."""
     inc = tau.inclusion(q)
-    if tau.ideal_basis is not None:
+    if tau.finite_dim < q:
         inch = inc.conj().T
         Mz, B, C = inch @ Mz @ inc, inch @ B, C @ inc
     return C @ _certified_solve(tau.value(z) + Mz, B, z)

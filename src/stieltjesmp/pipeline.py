@@ -20,12 +20,7 @@ from .extensions import (
     spectral_solution,
 )
 from .gns import build_space
-from .krein import (
-    build_gamma_weyl,
-    constant_tau_of_extension,
-    exit_space_extension,
-    krein_resolvent,
-)
+from .krein import build_gamma_weyl, constant_tau_of_extension, exit_space_extension
 from .shiftop import build_shift
 from .solutions import verify_moments
 
@@ -167,8 +162,3 @@ def solve_with_tau(analysis, tau, tols=Tolerances()):
     t = exit_space_extension(analysis.require_gamma_weyl(), tau)
     meas = spectral_solution(t, analysis.rep, analysis.N)
     return _gated(analysis, meas, tols.rtol)
-
-
-def resolvent(analysis, tau, z):
-    """Generalized resolvent for a parameter (indeterminate problems)."""
-    return krein_resolvent(analysis.require_gamma_weyl(), tau, z)

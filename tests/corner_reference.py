@@ -18,6 +18,8 @@ with ``G = 2I - (J* W)(J* W)* - (J* Z)(J* Z)*``.
 
 import numpy as np
 
+from oracles import domain_basis
+
 from stieltjesmp.extensions import KER_TOL
 
 
@@ -28,7 +30,7 @@ def herm(M):
 def cayley_reference(shift):
     """``(Q1, TQ, J)``: orthonormal bases of ``D(T)`` and ``N_{-1}`` and the
     images ``T Q1``, from one complete QR."""
-    B = shift.domain_basis
+    B = domain_basis(shift)
     q1 = B.shape[1]
     AB = shift.matrix @ B
     Q, R = np.linalg.qr(AB + B, mode="complete")

@@ -3,7 +3,7 @@
 Every point recomputes what the library forms once: the eigen-coordinates
 ``V* Xi0`` of the data vectors, the diagonals ``r = (1 + w)/c`` and
 ``g = 2/c`` with ``c = 1 - w - z (1 + w)``, the Weyl function ``M(z)``, the
-finite-part inclusion of the parameter (from its ideal basis), and the
+finite-part inclusion of the parameter (from its finite basis), and the
 condition number of the parameter block by ``np.linalg.cond`` before an
 explicit inverse.  The class kernel is assembled block by block.
 """
@@ -24,10 +24,7 @@ def inclusion(tau, q):
         raise SchemaError(f"parameter lives on C^{tau.hdim}, the defect space is C^{q}")
     if tau.is_ideal:
         return np.zeros((q, 0), dtype=complex)
-    if tau.ideal_basis is None:
-        return np.eye(q, dtype=complex)
-    U, _, _ = np.linalg.svd(tau.ideal_basis, full_matrices=True)
-    return U[:, tau.ideal_basis.shape[1] :]
+    return tau.finite_basis
 
 
 def compressed_resolvent(gw, tau, z, P):

@@ -524,6 +524,16 @@ def test_gen_impossible_random_measure_exit_usage(tmp_path, capsys, extra):
     assert not m.exists()
 
 
+def test_gen_negative_order_exit_usage(tmp_path, capsys):
+    # --order -1 used to die in moments_of_measure (exit 1); 0 is S_0 alone
+    m, g = tmp_path / "m.json", tmp_path / "g.json"
+    args = ("--count", 2, "--out-moments", m, "--out-measure", g)
+    assert_usage_error(capsys, "gen", "--order", -1, *args)
+    assert not m.exists()
+    assert run("gen", "--order", 0, *args) == 0
+    assert len(read_json(m)["moments"]) == 1
+
+
 def test_gen_negative_weight_exit_usage(tmp_path, capsys):
     m, g = tmp_path / "m.json", tmp_path / "g.json"
     assert_usage_error(capsys, "gen", "--atoms", "1:-1", "--out-moments", m, "--out-measure", g)
@@ -601,6 +611,19 @@ def test_invert_from_measure_negative_position_exit_usage(tmp_path, capsys):
 def test_verify_negative_position_exit_usage(two_atom_file, tmp_path, capsys):
     g = write(tmp_path / "g.json", NEGATIVE_ATOM)
     assert_usage_error(capsys, "verify", g, two_atom_file)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"N": 1, "atoms": 5}, {"N": 1, "atoms": None}, {"N": True, "atoms": []}],
+    ids=["atoms-number", "atoms-null", "N-bool"],
+)
+@pytest.mark.parametrize("command", ["verify", "invert"])
+def test_malformed_measure_exit_usage(two_atom_file, tmp_path, capsys, doc, command):
+    # each used to die with a TypeError traceback (exit 1)
+    g = write(tmp_path / "g.json", doc)
+    args = (g, two_atom_file) if command == "verify" else ("--from-measure", g)
+    assert_usage_error(capsys, command, *args)
 
 
 def test_verify_block_size_mismatch_exit_usage(gen_two_atom, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -198,18 +199,18 @@ def test_small_asymmetry_is_symmetrized_with_warning():
 
 
 def test_gamma_two_atoms():
-    G = build_gamma(seq1(2, 3, 5), 1).entries
+    G = build_gamma(seq1(2, 3, 5), 1)
     assert np.allclose(G, [[2, 3], [3, 5]])
 
 
 def test_gamma_dirac_zero():
-    G = build_gamma(seq1(1, 0, 0), 1).entries
+    G = build_gamma(seq1(1, 0, 0), 1)
     assert np.allclose(G, [[1, 0], [0, 0]])
 
 
 def test_gamma_block_structure_n2():
     mats = [np.diag([1.0, 2.0**j]) for j in range(3)]
-    G = build_gamma(moment_sequence(mats, N=2), 1).entries
+    G = build_gamma(moment_sequence(mats, N=2), 1)
     assert G.shape == (4, 4)
     assert np.allclose(G[:2, 2:], np.diag([1.0, 2.0]))
     assert np.allclose(G[2:, 2:], np.diag([1.0, 4.0]))
@@ -222,10 +223,10 @@ def test_gamma_order_too_high():
 
 def test_gamma_tilde_examples():
     assert np.allclose(
-        build_gamma_tilde(seq1(2, 3, 5, 9), 1).entries, [[3, 5], [5, 9]]
+        build_gamma_tilde(seq1(2, 3, 5, 9), 1), [[3, 5], [5, 9]]
     )
-    assert np.allclose(build_gamma_tilde(seq1(1, 0, 0, 0), 1).entries, 0.0)
-    assert np.allclose(build_gamma_tilde(seq1(1, 1, 1, 1), 1).entries, 1.0)
+    assert np.allclose(build_gamma_tilde(seq1(1, 0, 0, 0), 1), 0.0)
+    assert np.allclose(build_gamma_tilde(seq1(1, 1, 1, 1), 1), 1.0)
     with pytest.raises(OrderTooHigh):
         build_gamma_tilde(seq1(2, 3, 5), 1)
 
@@ -267,8 +268,22 @@ def test_gamma_is_principal_submatrix_of_scalarization(seed):
     seq = moments_of_measure(random_discrete_measure(seed, N, 2, min_sep=0.2), 4)
     g = scalarize(seq).gamma
     for k in range(seq.n + 1):
-        sub = build_gamma(seq, k).entries
+        sub = build_gamma(seq, k)
         assert np.array_equal(sub, g[: (k + 1) * N, : (k + 1) * N])
+    # check_solvable reads every order off the maximal Hankel of its family,
+    # and reports bit for bit what a freshly built Hankel of that order gives
+    for N, m in product((1, 4, 32), (3, 9, 13)):
+        seq = moments_of_measure(random_discrete_measure(seed, N, m // 2 + 2), m)
+        rep = check_solvable(seq)
+        for build, top, eigs in (
+            (build_gamma, m // 2, rep.plain_min_eigs),
+            (build_gamma_tilde, (m - 1) // 2, rep.shifted_min_eigs),
+        ):
+            full = build(seq, top)
+            fresh = [build(seq, k) for k in range(top + 1)]
+            for k, G in enumerate(fresh):
+                assert np.array_equal(G, full[: (k + 1) * N, : (k + 1) * N])
+            assert eigs == tuple(float(np.linalg.eigvalsh(G).min()) for G in fresh)
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ def test_gamma_columns_live_in_defect_space(two_atom):
     d = op.dim
     for z in (1j, -2 + 3j, 0.4 + 0.9j):
         # N_z is the orthogonal complement of (A - conj(z)) D(A)
-        rng = (op.matrix - np.conj(z) * np.eye(d)) @ op.domain_basis
+        rng = (op.matrix - np.conj(z) * np.eye(d))[:, : op.domain_dim]
         overlap = np.abs(rng.conj().T @ gw.gamma(z)).max()
         assert overlap <= 1e-8 * max(1.0, np.abs(gw.gamma(z)).max())
 
@@ -235,6 +235,49 @@ def test_mixed_parameter_compression(two_atom):
     inc = tau.inclusion(2)
     assert inc.shape == (2, 1)
     assert np.abs(inc[0, 0]) <= 1e-12  # complement of e_1 is e_2
+
+
+def test_mixed_inclusion_is_isometry_onto_complement():
+    from stieltjesmp.io import encode_matrix
+
+    # the finite part acts in the trailing left singular vectors of the
+    # ideal columns; pinned for a coordinate axis, so a change of basis (which
+    # renames the parameter of a mixed file) fails here
+    tau = make_tau(
+        {"type": "mixed", "ideal_subspace": [[1, 0, 0]], "tau0": [[-1.0, 0.0], [0.0, -2.0]]}
+    )
+    assert np.array_equal(tau.inclusion(3), np.eye(3)[:, 1:])
+    rng = np.random.default_rng(11)
+    ideal = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+    tau = make_tau(
+        {
+            "type": "mixed",
+            "ideal_subspace": [encode_matrix(v)[0] for v in ideal],
+            "tau0": encode_matrix(-np.eye(3)),
+        }
+    )
+    inc = tau.inclusion(5)
+    assert np.abs(inc.conj().T @ inc - np.eye(3)).max() <= 1e-14
+    assert np.abs(ideal.conj() @ inc).max() <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "ideal, accepted",
+    [
+        ([[1, 0], [0, 1], [1, 1]], False),  # more vectors than dimensions
+        ([[1, 0, 0], [0, 1e-13, 0]], False),  # s_2 / s_1 = 1e-13
+        ([[0, 0, 0]], False),
+        ([[1, 0, 0], [0, 1e-11, 0]], True),  # s_2 / s_1 = 1e-11
+    ],
+    ids=["too-many", "near-dependent", "all-zero", "independent"],
+)
+def test_mixed_ideal_rank_rule(ideal, accepted):
+    doc = {"type": "mixed", "ideal_subspace": ideal, "tau0": [[-1.0]]}
+    if accepted:
+        assert make_tau(doc).finite_dim == 1
+    else:
+        with pytest.raises(SchemaError, match="ideal_subspace vectors are linearly dependent"):
+            make_tau(doc)
 
 
 def test_class_kernel_vacuous_for_ideal():
@@ -394,7 +437,7 @@ def test_rational_solutions_round_trip(indeterminate_battery):
 
     for name, a in indeterminate_battery.items():
         for tau in _pole_taus(a.gamma_weyl.q, seed=1):
-            if tau.ideal_basis is not None:
+            if tau.finite_dim < tau.hdim:
                 continue  # an ideal part puts mass at infinity
             entry = solve_with_tau(a, tau)
             assert entry["exact"] and entry["measure"].mass_at_infinity is None
@@ -743,10 +786,9 @@ def test_default_class_points_in_upper_half_plane():
 
 def test_pipeline_resolvent_helper(two_atom, delta1):
     from stieltjesmp.errors import WeylLimitDivergent
-    from stieltjesmp.pipeline import resolvent
 
     tau = make_tau({"type": "infinite"})
-    R = resolvent(two_atom, tau, 1j)
+    R = krein_resolvent(two_atom.require_gamma_weyl(), tau, 1j)
     assert np.abs(R - resolvent_from_contraction(two_atom.picture.t_mu, 1j)).max() <= 1e-12
     with pytest.raises(WeylLimitDivergent):
-        resolvent(delta1, tau, 1j)  # determinate: no boundary data
+        delta1.require_gamma_weyl()  # determinate: no boundary data

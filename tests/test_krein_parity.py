@@ -214,7 +214,7 @@ def test_eigenvalue_just_below_minus_one_is_clipped(two_atom):
 def test_degenerate_block_without_a_constructor(two_atom):
     # a 1 x 1 block that is exactly zero, built without make_tau
     gw = two_atom.gamma_weyl
-    tau = TauParameter(kind="constant", hdim=1, ideal_basis=None,
+    tau = TauParameter(kind="constant", hdim=1, finite_basis=np.eye(1),
                        tau0=np.array(gw.M0), poles=())
     with pytest.raises(ParameterDegenerate):
         krein_resolvent(gw, tau, -1.0)
@@ -321,9 +321,7 @@ def test_transform_scan_runs_no_svd(n8, monkeypatch):
     a, meas = n8
     gw = a.gamma_weyl
     zs = np.linspace(min(meas.positions) - 0.1, max(meas.positions) + 0.1, 256) + 0.01j
-    taus = _taus(gw.q)
-    for tau in taus.values():
-        tau.inclusion(gw.q)  # a mixed parameter's complement is one SVD, once
+    taus = _taus(gw.q)  # a mixed parameter's complement is one SVD, in make_tau
     calls = _counting_svd(monkeypatch)
     for tau in taus.values():
         for z in zs:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import check_nonneg_hermitian, defect_subspace
 
 from stieltjesmp import (
     BadPoint,
@@ -8,8 +9,6 @@ from stieltjesmp import (
     PropertyViolated,
     build_shift,
     build_space,
-    check_nonneg_hermitian,
-    defect_subspace,
     moment_sequence,
     scalarize,
 )
@@ -34,7 +33,7 @@ def test_two_atom_shift():
     op = shift_of([2, 3, 5])
     assert op.dim == 2 and op.domain_dim == 1
     assert op.consistency_residual <= 1e-12
-    xi0 = op.rep.vector(0)
+    xi0 = op.rep.vectors[:, 0]
     assert np.isclose(np.vdot(xi0, op.matrix @ xi0), 3.0)
 
 
@@ -78,7 +77,7 @@ def test_negative_operator_flagged():
     base = shift_of([1, 1, 1])
     bad = ShiftOperator(
         rep=base.rep,
-        domain_basis=np.array([[1.0 + 0j]]),
+        domain_dim=1,
         matrix=np.array([[-1.0 + 0j]]),
         consistency_residual=0.0,
         N=1,
@@ -136,7 +135,7 @@ def test_defect_invariants_on_generated_instances(seed):
             assert np.abs(dd.defect_basis.conj().T @ dd.range_basis).max() <= 1e-10
         # every coordinate vector splits across range + defect
         for k in range(rep.vectors.shape[1]):
-            xi = rep.vector(k)
+            xi = rep.vectors[:, k]
             pr = dd.range_basis @ (dd.range_basis.conj().T @ xi)
             pd_ = dd.defect_basis @ (dd.defect_basis.conj().T @ xi)
             assert np.linalg.norm(xi - pr - pd_) <= 1e-9 * max(
