@@ -36,7 +36,9 @@ def n8():
 
 
 def _taus(q):
-    """Infinite, constant, rational and (for ``q >= 2``) mixed parameters."""
+    """Infinite, constant, rational and (for ``q >= 2``) mixed parameters, and
+    the mixed one's raw ideal vectors (rows), from which the reference builds
+    its complement."""
     rng = np.random.default_rng(q)
     G = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
     const = -np.eye(q) - 0.1 * (G.conj().T @ G) / q
@@ -52,6 +54,7 @@ def _taus(q):
             ],
         },
     }
+    ideal = None
     if q >= 2:
         ideal = rng.standard_normal((2, q)) + 1j * rng.standard_normal((2, q))
         docs["mixed"] = {
@@ -60,7 +63,7 @@ def _taus(q):
             "tau0": encode_matrix(-np.eye(q - 2)),
             "poles": [{"p": 0.8, "W": encode_matrix(np.eye(q - 2))}],
         }
-    return {name: make_tau(doc, hdim=q) for name, doc in docs.items()}
+    return {name: make_tau(doc, hdim=q) for name, doc in docs.items()}, ideal
 
 
 def _points(atoms):
@@ -83,13 +86,14 @@ def test_formula_matches_the_reference(two_atom, n8):
     for name, a, atoms in _problems(two_atom, n8):
         gw = a.gamma_weyl
         assert a.rep.vectors is gw.vectors  # the stored coordinates serve
-        for kind, tau in _taus(gw.q).items():
+        taus, ideal = _taus(gw.q)
+        for kind, tau in taus.items():
             for z in _points(atoms):
                 pairs = (
-                    (krein_resolvent(gw, tau, z), ref.krein_resolvent(gw, tau, z)),
+                    (krein_resolvent(gw, tau, z), ref.krein_resolvent(gw, tau, z, ideal)),
                     (
                         solution_transform(gw, tau, a.rep, a.N, z),
-                        ref.solution_transform(gw, tau, a.rep, a.N, z),
+                        ref.solution_transform(gw, tau, a.rep, a.N, z, ideal),
                     ),
                 )
                 for got, want in pairs:
@@ -111,27 +115,32 @@ def test_foreign_representation_matches_the_reference(n8):
         (replace(a.rep, vectors=other), a.N),
         (replace(a.rep, vectors=other), 5),
     ]
-    for kind, tau in _taus(gw.q).items():
+    taus, ideal = _taus(gw.q)
+    for kind, tau in taus.items():
         for rep, N in reps:
             for z in (1j, -0.5, 1.3 + 0.01j, 1e6j):
                 got = solution_transform(gw, tau, rep, N, z)
                 assert got.shape == (N, N)
-                err = _rel(got, ref.solution_transform(gw, tau, rep, N, z))
+                err = _rel(got, ref.solution_transform(gw, tau, rep, N, z, ideal))
                 assert err <= PARITY_TOL, (kind, N, z, err)
 
 
 def test_mixed_parameter_matches_the_reference_along_a_scan(n8):
-    # the inclusion is formed once per parameter and then serves every point
+    # the inclusion is formed once per parameter and then serves every point;
+    # it is an isometry onto the complement of the raw ideal vectors, whose
+    # projector the reference forms by its own QR
     a, meas = n8
     gw = a.gamma_weyl
-    tau = _taus(gw.q)["mixed"]
+    taus, ideal = _taus(gw.q)
+    tau = taus["mixed"]
     assert tau.inclusion(gw.q) is tau.inclusion(gw.q)
-    inc, want = tau.inclusion(gw.q), ref.inclusion(tau, gw.q)
+    inc, want = tau.inclusion(gw.q), ref.inclusion(tau, gw.q, ideal)
     assert np.abs(inc.conj().T @ inc - np.eye(gw.q - 2)).max() <= 1e-14
+    assert np.abs(ideal.conj() @ inc).max() <= 1e-14
     assert np.abs(inc @ inc.conj().T - want @ want.conj().T).max() <= 1e-14
     for z in np.linspace(-1.0, 4.5, 256) + 0.01j:
         got = solution_transform(gw, tau, a.rep, a.N, z)
-        err = _rel(got, ref.solution_transform(gw, tau, a.rep, a.N, z))
+        err = _rel(got, ref.solution_transform(gw, tau, a.rep, a.N, z, ideal))
         assert err <= PARITY_TOL, (z, err)
 
 
@@ -139,12 +148,13 @@ def test_mixed_parameter_matches_the_reference_along_a_scan(n8):
 def test_points_on_the_positive_axis_refused_like_the_reference(two_atom, n8, z):
     for _, a, _ in _problems(two_atom, n8):
         gw = a.gamma_weyl
-        for tau in _taus(gw.q).values():
+        taus, ideal = _taus(gw.q)
+        for tau in taus.values():
             for lib, reference in (
-                (krein_resolvent, ref.krein_resolvent),
+                (krein_resolvent, lambda g, t, x: ref.krein_resolvent(g, t, x, ideal)),
                 (
                     lambda g, t, x: solution_transform(g, t, a.rep, a.N, x),
-                    lambda g, t, x: ref.solution_transform(g, t, a.rep, a.N, x),
+                    lambda g, t, x: ref.solution_transform(g, t, a.rep, a.N, x, ideal),
                 ),
             ):
                 for call in (lib, reference):
@@ -204,11 +214,12 @@ def test_eigenvalue_just_below_minus_one_is_clipped(two_atom):
     gw = two_atom.gamma_weyl
     assert (gw.w == -1.0).any()
     low = replace(gw, w=np.where(gw.w == -1.0, np.nextafter(-1.0, -2.0), gw.w))
-    for tau in _taus(gw.q).values():
+    taus, ideal = _taus(gw.q)
+    for tau in taus.values():
         for z in (1j, -0.5, 1.5 + 0.01j):
             got = krein_resolvent(low, tau, z)
             assert np.isfinite(got).all()
-            assert _rel(got, ref.krein_resolvent(low, tau, z)) <= PARITY_TOL
+            assert _rel(got, ref.krein_resolvent(low, tau, z, ideal)) <= PARITY_TOL
 
 
 def test_degenerate_block_without_a_constructor(two_atom):
@@ -223,7 +234,7 @@ def test_degenerate_block_without_a_constructor(two_atom):
 
 
 def _probes():
-    taus = _taus(3)
+    taus, _ = _taus(3)
     fun = lambda z: np.array([[z / (1.5 * (1.5 - z)), 0.1], [0.1, -1.0 / z]])
     pts = (*DEFAULT_CLASS_POINTS, 3.0 + 0.01j, -2.0 + 1e-3j)
     return [
@@ -321,7 +332,7 @@ def test_transform_scan_runs_no_svd(n8, monkeypatch):
     a, meas = n8
     gw = a.gamma_weyl
     zs = np.linspace(min(meas.positions) - 0.1, max(meas.positions) + 0.1, 256) + 0.01j
-    taus = _taus(gw.q)  # a mixed parameter's complement is one SVD, in make_tau
+    taus, _ = _taus(gw.q)  # a mixed parameter's complement is one SVD, in make_tau
     calls = _counting_svd(monkeypatch)
     for tau in taus.values():
         for z in zs:
