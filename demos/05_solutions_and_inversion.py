@@ -1,18 +1,27 @@
-"""End to end: every solution verified, transforms inverted, files written.
+"""End to end: every solution an exact, verified spectral measure; files written.
 
 The solve pipeline emits only measures that survive the moment round-trip
 gate.  Generalized solutions (rational parameters) are the exact spectral
-measures of exit-space extensions, Hermitian contractions on C^d + C^r.
-Stieltjes-Perron inversion with Richardson extrapolation is the ``invert``
-command: it recovers a measure from any sampled transform.
+measures of exit-space extensions, Hermitian contractions on C^d + C^r, so
+no transform needs inverting: the measure's own transform matches the
+resolvent formula of its parameter to roundoff.
 """
 
 import os
 import tempfile
 
-from stieltjesmp import analyze, make_tau, moment_sequence, solve_tau_grid, solve_with_tau
+import numpy as np
+
+from stieltjesmp import (
+    analyze,
+    make_tau,
+    moment_sequence,
+    solution_transform,
+    solve_tau_grid,
+    solve_with_tau,
+    transform_of_measure,
+)
 from stieltjesmp.cli import main
-from stieltjesmp.solutions import perron_invert, transform_of_measure
 
 a = analyze(moment_sequence([[[2.0]], [[3.0]], [[5.0]]]))
 
@@ -32,16 +41,13 @@ print("  spectral measure of a 3 x 3 exit-space contraction (exact:",
       f"{entry['exact']}); moment errors:",
       [f"{e:.2e}" for e in entry["verification"]["errors"]])
 
-print("\nStieltjes-Perron inversion (the invert command) of a two-pole transform:")
-from stieltjesmp.solutions import solution_measure
-
-target = solution_measure(1, [(1.0, [[1.0]]), (2.0, [[1.0]])])
-recovered = perron_invert(
-    lambda z: transform_of_measure(target, z), grid=(-0.5, 4.0)
+print("\nits transform against the resolvent formula of the parameter:")
+zs = (1j, 2j, -1 + 1j, 0.5 + 0.5j)
+gap = max(
+    np.abs(solution_transform(a.gamma_weyl, tau, a.rep, 1, z) - transform_of_measure(m, z)).max()
+    for z in zs
 )
-for (lam, W), (lam0, W0) in zip(recovered.atoms, target.atoms):
-    print(f"  atom {lam0:.1f}: position error {abs(lam - lam0):.2e}, "
-          f"weight error {abs(W[0, 0] - W0[0, 0]):.2e}")
+print(f"  max |solution_transform - transform_of_measure| over {len(zs)} z: {gap:.2e}")
 
 print("\nthe batch interface ties it together (JSON in, JSON/CSV out):")
 with tempfile.TemporaryDirectory() as tmp:

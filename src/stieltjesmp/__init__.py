@@ -13,7 +13,6 @@ from .errors import (
     CompletionInfeasible,
     InconsistentTruncation,
     MomentProblemError,
-    NoConvergence,
     NotHermitian,
     NotIndeterminate,
     NotPSD,
@@ -66,7 +65,6 @@ from .solutions import (
     SolutionMeasure,
     measure_distance,
     moments_of_measure,
-    perron_invert,
     random_discrete_measure,
     solution_measure,
     transform_of_measure,

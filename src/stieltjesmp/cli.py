@@ -6,7 +6,6 @@ Subcommands::
     determinacy  full pipeline through the determinacy decision
     solve        solution measures (unique, parameter grid, or given tau)
     transform    sampled matrix Stieltjes transform for a parameter
-    invert       Stieltjes-Perron inversion of a transform
     gen          deterministic test data (moments + ground-truth measure)
     verify       moment round-trip check of a measure against moments
 
@@ -35,10 +34,8 @@ from .krein import make_tau, solution_transform
 from .pipeline import Tolerances, analyze, solve_tau_grid, solve_with_tau, unique_solution
 from .solutions import (
     moments_of_measure,
-    perron_invert,
     random_discrete_measure,
     solution_measure,
-    transform_of_measure,
     verify_moments,
 )
 
@@ -50,25 +47,8 @@ EXIT_USAGE = 64
 EXIT_NUMERIC = 70
 
 
-def _jsonable(obj):
-    """Recursively convert domain values into wire-encodable structures."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return io.encode_matrix(obj)
-    if isinstance(obj, complex):
-        return io.encode_complex(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
 def _output(doc, out_path):
-    text = io.dumps_canonical(_jsonable(doc))
+    text = io.dumps_canonical(doc)
     if out_path:
         io.write_text(out_path, text)
     else:
@@ -79,11 +59,6 @@ def _check(ok, message):
     """Refuse a bad command-line argument as a usage error."""
     if not ok:
         raise SchemaError(message)
-
-
-def _check_tol(flag, value):
-    """Refuse a tolerance flag that is not finite or is negative."""
-    _check(np.isfinite(value) and value >= 0.0, f"{flag} must be finite and non-negative")
 
 
 def _read_moments(path):
@@ -114,7 +89,8 @@ def _tols_from_args(args):
     given = {f.name: getattr(args, f.name, None) for f in fields(Tolerances)}
     given = {k: v for k, v in given.items() if v is not None}
     for name, value in given.items():
-        _check_tol("--" + name.replace("_", "-"), value)
+        flag = "--" + name.replace("_", "-")
+        _check(np.isfinite(value) and value >= 0.0, f"{flag} must be finite and non-negative")
     return Tolerances(**given)
 
 
@@ -129,26 +105,6 @@ def _gen_seed(args):
         raise SchemaError(
             f"STIELTJES_MP_SEED must be an integer, got {env_seed!r}"
         ) from exc
-
-
-def _moments_sampler(args):
-    """``(N, sampler, tau_doc)`` for the transform of the moments' solution.
-
-    The solution is the unique one when the problem is determinate and the
-    one attached to the ``--tau`` parameter otherwise.
-    """
-    seq = _read_moments(args.moments)
-    analysis = analyze(seq, args.tols)
-    N, rep = seq.N, analysis.rep
-    if analysis.verdict.determinate:
-        t_mu = analysis.picture.t_mu
-        return N, lambda z: transform_from_contraction(t_mu, rep, N, z), {"type": "unique"}
-    if args.tau is None:
-        raise SchemaError("indeterminate problem: provide --tau")
-    tau_doc = io.read_json(args.tau)
-    tau = make_tau(tau_doc, require_class=True)
-    gw = analysis.require_gamma_weyl()
-    return N, lambda z: solution_transform(gw, tau, rep, N, z), tau_doc
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +145,7 @@ def cmd_determinacy(args):
 def _result(entry, tau_doc, allow_unverified):
     """Result document of one measure; one that fails the round-trip gate
     becomes an error entry unless ``allow_unverified`` is set."""
-    rep = _jsonable(entry["verification"])
+    rep = entry["verification"]
     if not (rep["pass"] or allow_unverified):
         inf = " (mass at infinity)" if rep.get("has_mass_at_infinity") else ""
         message = "measure fails the moment round trip" + inf
@@ -252,9 +208,23 @@ def cmd_solve(args):
 
 
 def cmd_transform(args):
+    """Transform of the unique solution of a determinate problem, else of
+    the solution attached to the ``--tau`` parameter."""
     z_points = _parse_list(args.z, complex, "z")
-    N, sampler, tau_doc = _moments_sampler(args)
-    samples = [(z, sampler(z)) for z in z_points]
+    seq = _read_moments(args.moments)
+    analysis = analyze(seq, args.tols)
+    N, rep = seq.N, analysis.rep
+    if analysis.verdict.determinate:
+        t_mu = analysis.picture.t_mu
+        samples = [(z, transform_from_contraction(t_mu, rep, N, z)) for z in z_points]
+        tau_doc = {"type": "unique"}
+    else:
+        if args.tau is None:
+            raise SchemaError("indeterminate problem: provide --tau")
+        tau_doc = io.read_json(args.tau)
+        tau = make_tau(tau_doc, require_class=True)
+        gw = analysis.require_gamma_weyl()
+        samples = [(z, solution_transform(gw, tau, rep, N, z)) for z in z_points]
     doc = io.transform_samples_to_dict(N, samples)
     doc["tau"] = tau_doc
     _output(doc, args.out)
@@ -263,40 +233,6 @@ def cmd_transform(args):
         io.write_scan_csv(
             args.csv, xs, float(np.mean([z.imag for z, _ in samples])), [F for _, F in samples]
         )
-    return EXIT_OK
-
-
-def cmd_invert(args):
-    eps = _parse_list(args.eps, float, "eps")
-    _check(
-        len(set(eps)) >= 2 and all(e > 0.0 for e in eps),
-        "--eps needs at least two distinct positive values",
-    )
-    _check(args.grid_points >= 2, "--grid-points must be at least 2")
-    _check(np.isfinite([args.lo, args.hi]).all(), "--lo and --hi must be finite")
-    _check_tol("--atom-tol", args.atom_tol)
-    if args.from_measure:
-        meas = io.measure_from_dict(io.read_json(args.from_measure))
-
-        def sampler(z):
-            return transform_of_measure(meas, z)
-
-    else:
-        _, sampler, _ = _moments_sampler(args)
-    meas_out = perron_invert(
-        sampler,
-        grid=(args.lo, args.hi),
-        eps_schedule=eps,
-        atom_tol=args.atom_tol,
-        n_grid=args.grid_points,
-    )
-    doc = io.measure_to_dict(meas_out)
-    doc["approximate"] = True
-    _output(doc, args.out)
-    if args.scan_csv:
-        xs = np.linspace(args.lo, args.hi, args.grid_points)
-        vals = [sampler(x + 1j * eps[-1]) for x in xs]
-        io.write_scan_csv(args.scan_csv, xs, eps[-1], vals)
     return EXIT_OK
 
 
@@ -355,7 +291,6 @@ COMMANDS = {
     "determinacy": cmd_determinacy,
     "solve": cmd_solve,
     "transform": cmd_transform,
-    "invert": cmd_invert,
     "gen": cmd_gen,
     "verify": cmd_verify,
 }
@@ -417,19 +352,6 @@ def _build_parser():
     sp.add_argument("--tau", default=None)
     sp.add_argument("--z", required=True, help="comma-separated complex points")
     sp.add_argument("--csv", default=None, help="also write a CSV of the samples")
-    add_tols(sp, *analyze_tols)
-
-    sp = sub.add_parser("invert", help="Stieltjes-Perron inversion")
-    src = sp.add_mutually_exclusive_group(required=True)
-    src.add_argument("--from-measure", default=None, help="measure JSON file")
-    src.add_argument("--moments", default=None)
-    sp.add_argument("--tau", default=None)
-    sp.add_argument("--lo", type=float, default=-0.5)
-    sp.add_argument("--hi", type=float, default=10.5)
-    sp.add_argument("--grid-points", type=int, default=2001)
-    sp.add_argument("--eps", default="1e-2,1e-3,1e-4")
-    sp.add_argument("--atom-tol", type=float, default=1e-3)
-    sp.add_argument("--scan-csv", default=None)
     add_tols(sp, *analyze_tols)
 
     sp = sub.add_parser("gen", help="deterministic test data")

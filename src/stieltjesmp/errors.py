@@ -78,6 +78,3 @@ class ParameterDegenerate(MomentProblemError):
 class PoleHit(MomentProblemError):
     """A transform was evaluated at (or too close to) an atom of the measure."""
 
-
-class NoConvergence(MomentProblemError):
-    """Richardson extrapolation across the inversion schedule did not settle."""

@@ -16,11 +16,13 @@ import math
 
 import numpy as np
 
+from ._linalg import asymmetry, herm, min_eigh
 from .errors import SchemaError
 
 __all__ = [
     "parse_complex",
     "parse_matrix",
+    "parse_hermitian",
     "encode_complex",
     "encode_matrix",
     "dumps_canonical",
@@ -96,6 +98,22 @@ def parse_matrix(obj, shape=None, where="matrix"):
     return M
 
 
+def parse_hermitian(obj, where, psd=False, shape=None):
+    """Parse a square matrix that must be Hermitian, and with ``psd`` also
+    positive semi-definite, both within ``1e-12`` of its largest entry (at
+    least 1); returns its Hermitian part."""
+    M = parse_matrix(obj, shape=shape, where=where)
+    if M.shape[0] != M.shape[1]:
+        raise SchemaError(f"{where}: must be square")
+    scale = max(1.0, float(np.abs(M).max()))
+    if asymmetry(M) > 1e-12 * scale:
+        raise SchemaError(f"{where}: not Hermitian within tolerance")
+    M = herm(M)
+    if psd and min_eigh(M) < -1e-12 * scale:
+        raise SchemaError(f"{where}: not positive semi-definite within tolerance")
+    return M
+
+
 def encode_complex(z):
     z = complex(z)
     return [z.real, z.imag]
@@ -142,6 +160,10 @@ def _emit(obj, out):
                 out.append(",")
             _emit(v, out)
         out.append("]")
+    elif isinstance(obj, complex):
+        _emit(encode_complex(obj), out)
+    elif isinstance(obj, np.ndarray):
+        _emit(encode_matrix(obj), out)
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -213,11 +235,13 @@ def measure_from_dict(doc):
         lam = a["position"]
         if not _is_real(lam) or parse_complex(lam, f"atom {i} position").real < 0:
             raise SchemaError(f"atom {i}: position must be a non-negative real number")
-        W = parse_matrix(a["weight"], shape=(N, N), where=f"atom {i} weight")
+        W = parse_hermitian(a["weight"], f"atom {i} weight", psd=True, shape=(N, N))
         atoms.append((float(lam), W))
     inf = None
     if doc.get("mass_at_infinity") is not None:
-        inf = parse_matrix(doc["mass_at_infinity"], shape=(N, N), where="mass_at_infinity")
+        inf = parse_hermitian(
+            doc["mass_at_infinity"], "mass_at_infinity", psd=True, shape=(N, N)
+        )
     return SolutionMeasure(N=N, atoms=tuple(atoms), mass_at_infinity=inf)
 
 

@@ -52,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import PINV_RCOND, asymmetry, herm, min_eigh
+from ._linalg import PINV_RCOND, asymmetry, herm
 from .errors import (
     NotIndeterminate,
     NotStieltjesClass,
@@ -62,7 +62,7 @@ from .errors import (
     WeylLimitDivergent,
 )
 from .extensions import DET_TOL, _gap_kernel, resolvent_from_contraction
-from .io import parse_complex, parse_matrix
+from .io import parse_complex, parse_hermitian, parse_matrix
 from .shiftop import _off_positive_axis
 
 __all__ = [
@@ -239,19 +239,6 @@ class TauParameter:
         return V
 
 
-def _parse_hermitian(obj, where, psd=False):
-    M = parse_matrix(obj, where=where)
-    if M.shape[0] != M.shape[1]:
-        raise SchemaError(f"{where}: must be square")
-    scale = max(1.0, float(np.abs(M).max()))
-    if asymmetry(M) > 1e-12 * scale:
-        raise SchemaError(f"{where}: not Hermitian within tolerance")
-    M = herm(M)
-    if psd and min_eigh(M) < -1e-12 * scale:
-        raise SchemaError(f"{where}: not positive semi-definite within tolerance")
-    return M
-
-
 def _parse_ideal(vecs):
     """Orthonormal basis ``U[:, k:]`` of the orthogonal complement of the
     span of the ``k`` ``ideal_subspace`` vectors, from one complete SVD of
@@ -291,7 +278,7 @@ def _parse_poles(raw, fin_dim):
         pos = parse_complex(pos, where=f"pole {i}: 'p'").real
         if pos == 0.0:
             raise SchemaError(f"pole {i}: a pole at 0 is not admissible")
-        W = _parse_hermitian(p["W"], f"pole {i} residue", psd=True)
+        W = parse_hermitian(p["W"], f"pole {i} residue", psd=True)
         fin_dim = W.shape[0] if fin_dim is None else fin_dim
         if W.shape[0] != fin_dim:
             raise SchemaError(f"pole {i}: residue size mismatch")
@@ -335,7 +322,7 @@ def make_tau(spec, hdim=None, require_class=False):
                 raise SchemaError("ideal_subspace vectors have the wrong length")
         fin_dim = hdim if basis is None else basis.shape[1]
         if kind == "constant":
-            tau0, poles = _parse_hermitian(spec.get("matrix"), "constant tau matrix"), ()
+            tau0, poles = parse_hermitian(spec.get("matrix"), "constant tau matrix"), ()
             if fin_dim is not None and tau0.shape[0] != fin_dim:
                 raise SchemaError("constant tau matrix has the wrong size")
         else:
@@ -346,7 +333,7 @@ def make_tau(spec, hdim=None, require_class=False):
             if tau0_raw is None:
                 tau0 = np.zeros((fin_dim, fin_dim), dtype=complex)
             else:
-                tau0 = _parse_hermitian(tau0_raw, "tau0")
+                tau0 = parse_hermitian(tau0_raw, "tau0")
                 if fin_dim is not None and tau0.shape[0] != fin_dim:
                     raise SchemaError("tau0 size mismatch")
         hdim = tau0.shape[0] if hdim is None else hdim

@@ -9,6 +9,7 @@ inspectable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from . import hankel
 from .errors import MomentProblemError, NotIndeterminate, WeylLimitDivergent
@@ -34,8 +35,8 @@ class Tolerances:
     consistency_tol: float = 1e-8
     det_tol: float = DET_TOL
     rtol: float = 1e-8
-    # read by no library code; kept only for the benchmark harness's import
-    invert_rtol: float = 1e-3
+    # not a setting: no library code reads it, only the benchmark harness
+    invert_rtol: ClassVar[float] = 1e-3
 
 
 @dataclass(frozen=True)
@@ -156,8 +157,9 @@ def solve_with_tau(analysis, tau, tols=Tolerances()):
     space; a rational one ``tau0 + sum W_k / (p_k - z)`` defines an
     exit-space extension, a contraction on ``C^d + C^r``
     (:func:`krein.exit_space_extension`), whose atoms and weights are read
-    off its eigenpairs like any other.  Stieltjes-Perron inversion of a
-    transform is the ``invert`` command's business, not the solver's.
+    off its eigenpairs like any other.  Every parameter :func:`krein.make_tau`
+    accepts is one of these, so the measure is always exact; no transform is
+    inverted.
     """
     t = exit_space_extension(analysis.require_gamma_weyl(), tau)
     meas = spectral_solution(t, analysis.rep, analysis.N)

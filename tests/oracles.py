@@ -7,7 +7,9 @@ symmetry and non-negativity of the shift on its domain, and
 finite-dimensional geometry dictates: the orthogonal complement of
 ``(A - z) D(A)``, spanned by the projections of the first ``N`` coordinate
 vectors onto that complement.  Points are validated by the library's own
-``_off_positive_axis``.
+``_off_positive_axis``.  ``perron_invert`` recovers a discrete measure from
+samples of its transform by a Stieltjes-Perron scan, an approximate
+cross-check of the exact spectral measures the library emits.
 """
 
 from dataclasses import dataclass
@@ -15,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from stieltjesmp._linalg import PINV_RCOND, herm
-from stieltjesmp.errors import PropertyViolated
+from stieltjesmp.errors import MomentProblemError, PropertyViolated
 from stieltjesmp.extensions import _gap_kernel
 from stieltjesmp.shiftop import _off_positive_axis
+from stieltjesmp.solutions import solution_measure
 
 
 def orth_cols(A, rtol=PINV_RCOND):
@@ -158,3 +161,129 @@ def defect_subspace(op, z):
         defect_basis=defect,
         index=defect.shape[1],
     )
+
+
+# ---------------------------------------------------------------------------
+# Stieltjes-Perron inversion
+
+#: a scan value is a peak candidate above this multiple of the scan's median
+PEAK_FACTOR = 10.0
+
+
+class NoConvergence(MomentProblemError):
+    """Richardson extrapolation across the inversion schedule did not settle."""
+
+
+def _imag_part(F):
+    return (F - F.conj().T) / 2j
+
+
+def _refine_peak(sampler, x0, half_width, eps, steps=3, pts=25):
+    """Zoom on a local maximum of trace Im F(x + i eps)."""
+    lo, hi = x0 - half_width, x0 + half_width
+    for _ in range(steps):
+        xs = np.linspace(lo, hi, pts)
+        vals = [float(np.trace(_imag_part(sampler(x + 1j * eps))).real) for x in xs]
+        i = int(np.argmax(vals))
+        if 0 < i < pts - 1:
+            # parabolic vertex through the three top samples
+            y0, y1, y2 = vals[i - 1], vals[i], vals[i + 1]
+            denom = y0 - 2 * y1 + y2
+            shift = 0.5 * (y0 - y2) / denom if denom != 0.0 else 0.0
+            shift = float(np.clip(shift, -1.0, 1.0))
+            x_best = xs[i] + shift * (xs[1] - xs[0])
+        else:
+            x_best = xs[i]
+        width = (hi - lo) / (pts - 1) * 2.0
+        lo, hi = x_best - width, x_best + width
+    return x_best
+
+
+def perron_invert(
+    sampler,
+    grid=(-0.5, 10.5),
+    eps_schedule=(1e-2, 1e-3, 1e-4),
+    atom_tol=1e-3,
+    n_grid=2001,
+):
+    """Recover a discrete measure from its Stieltjes transform.
+
+    Scans ``trace Im F(x + i eps)`` on the grid at the coarsest ``eps`` to
+    locate peaks (threshold: ``PEAK_FACTOR`` times the median of the scan),
+    refines each atom position down the ``eps`` schedule, and estimates
+    weights by ``W ~ eps * Im F(lambda + i eps)`` with Richardson
+    extrapolation in ``eps^2`` across the schedule.  Detections closer than
+    the scan can resolve are merged into one atom.
+
+    Raises :class:`NoConvergence` when the two Richardson extrapolants
+    disagree by more than ``atom_tol``, and ``ValueError`` for a schedule
+    without two distinct positive values or a grid of fewer than two points.
+    """
+    eps_schedule = sorted({float(e) for e in eps_schedule}, reverse=True)
+    if len(eps_schedule) < 2 or not all(e > 0.0 for e in eps_schedule):
+        raise ValueError(
+            "need at least two distinct positive epsilon values for extrapolation"
+        )
+    if int(n_grid) < 2:
+        raise ValueError("the scan grid needs at least two points")
+    lo, hi = float(grid[0]), float(grid[1])
+    xs = np.linspace(lo, hi, int(n_grid))
+    eps0 = eps_schedule[0]
+    probe = sampler(xs[0] + 1j * eps0)
+    N = probe.shape[0]
+    scan = np.empty(len(xs))
+    scan[0] = float(np.trace(_imag_part(probe)).real)
+    for i in range(1, len(xs)):
+        scan[i] = float(np.trace(_imag_part(sampler(xs[i] + 1j * eps0))).real)
+    threshold = max(PEAK_FACTOR * float(np.median(scan)), 1e-12)
+    if float(scan.max()) <= threshold:
+        return solution_measure(N, [])
+
+    # local maxima above threshold
+    candidates = []
+    for i in range(len(xs)):
+        v = scan[i]
+        if v <= threshold:
+            continue
+        if (i == 0 or v >= scan[i - 1]) and (i == len(xs) - 1 or v > scan[i + 1]):
+            candidates.append(xs[i])
+
+    spacing = xs[1] - xs[0]
+    atoms = []
+    for x0 in candidates:
+        pos = x0
+        half = max(3.0 * eps0, 2.0 * spacing)
+        for eps in eps_schedule:
+            pos = _refine_peak(sampler, pos, half, eps)
+            half = 4.0 * eps
+        # tiny negative positions from refining an atom at the origin
+        if -10.0 * eps_schedule[-1] <= pos < 0.0:
+            pos = 0.0
+        weights = [
+            eps * _imag_part(sampler(pos + 1j * eps)) for eps in eps_schedule
+        ]
+        # Richardson in eps^2 over consecutive pairs; compare the two finest
+        extrap = []
+        for (ea, Wa), (eb, Wb) in zip(
+            zip(eps_schedule, weights), zip(eps_schedule[1:], weights[1:])
+        ):
+            extrap.append(Wb + (Wb - Wa) * eb**2 / (ea**2 - eb**2))
+        disagreement = float(np.linalg.norm(extrap[-1] - extrap[-2])) if len(
+            extrap
+        ) > 1 else 0.0
+        if disagreement > atom_tol:
+            raise NoConvergence(
+                f"weight extrapolation at position {pos:.6g} moved by "
+                f"{disagreement:.3e} (> {atom_tol:.1e}) across the schedule"
+            )
+        atoms.append((pos, herm(extrap[-1])))
+
+    # merge duplicate detections of one atom
+    min_sep = max(10.0 * eps_schedule[-1], 2.0 * spacing)
+    merged = []
+    for lam, W in sorted(atoms, key=lambda a: a[0]):
+        if merged and lam - merged[-1][0] <= min_sep:
+            merged[-1] = (merged[-1][0], merged[-1][1] + W)
+        else:
+            merged.append((lam, W))
+    return solution_measure(N, merged)

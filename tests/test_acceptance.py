@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 from corner_reference import assemble_completion, cayley_reference
-from oracles import defect_subspace, sample_sc_extensions
+from oracles import defect_subspace, perron_invert, sample_sc_extensions
 
 from stieltjesmp import (
     check_stieltjes_class,
@@ -21,7 +21,6 @@ from stieltjesmp import (
     krein_resolvent,
     make_tau,
     moments_of_measure,
-    perron_invert,
     resolvent_from_contraction,
     solution_measure,
     solution_transform,

@@ -85,14 +85,13 @@ def test_check_malformed_exit_usage(tmp_path):
 
 @pytest.mark.parametrize("position", ["NaN", "1e400", "1" + "0" * 400])
 def test_non_finite_atom_position_exit_usage(tmp_path, two_atom_file, position):
-    # a measure document read by verify and invert
+    # a measure document read by verify
     f = tmp_path / "g.json"
     atom = '{"position": %s, "weight": [[[1, 0]]]}'
     f.write_text('{"N": 1, "atoms": [%s, %s]}' % (atom % 1, atom % position))
     with pytest.raises(SchemaError, match="atom 1 position"):
         measure_from_dict(read_json(f))
     assert run("verify", f, two_atom_file) == 64
-    assert run("invert", "--from-measure", f) == 64
 
 
 @pytest.mark.parametrize(
@@ -303,7 +302,7 @@ def test_solve_deterministic_output(two_atom_file, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# transform / invert / verify
+# transform / verify
 
 
 def test_transform_determinate_direct(tmp_path, capsys):
@@ -353,62 +352,6 @@ def test_transform_with_tau_and_csv(two_atom_file, tmp_path, capsys):
     assert len(doc["samples"]) == 3
     header = csv.read_text().splitlines()[0]
     assert header.startswith("x,eps")
-
-
-def test_invert_from_measure_round_trip(tmp_path, capsys):
-    meas_doc = {
-        "N": 1,
-        "atoms": [
-            {"position": 1.0, "weight": [[[1.0, 0.0]]]},
-            {"position": 2.0, "weight": [[[1.0, 0.0]]]},
-        ],
-    }
-    f = write(tmp_path / "meas.json", meas_doc)
-    scan = tmp_path / "scan.csv"
-    assert run(
-        "invert", "--from-measure", f, "--lo", -0.5, "--hi", 4.0, "--scan-csv", scan
-    ) == 0
-    doc = json.loads(capsys.readouterr().out)
-    got = measure_from_dict(doc)
-    assert len(got.atoms) == 2
-    assert abs(got.atoms[0][0] - 1.0) <= 1e-4
-    assert scan.exists() and scan.read_text().startswith("x,eps")
-
-
-def test_invert_from_moments_determinate(tmp_path, capsys):
-    # delta at 1: the unique solution's transform needs no --tau
-    f = write(tmp_path / "d.json", {"N": 1, "moments": [[[1, 0]], [[1, 0]], [[1, 0]]]})
-    assert run("invert", "--moments", f, "--lo", -0.5, "--hi", 4.0) == 0
-    got = measure_from_dict(json.loads(capsys.readouterr().out))
-    ((lam, W),) = got.atoms
-    assert abs(lam - 1.0) <= 1e-4
-    assert abs(W[0, 0] - 1.0) <= 1e-3
-
-
-@pytest.mark.parametrize("eps", ["abc", "1e-2,x", "", ",", "1e-2,inf", "1e400,1e-2"])
-def test_invert_bad_eps_exit_usage(tmp_path, eps):
-    f = write(tmp_path / "d.json", {"N": 1, "moments": [[[1, 0]], [[1, 0]], [[1, 0]]]})
-    assert run("invert", "--moments", f, "--eps", eps) == 64
-
-
-def test_invert_from_moments_and_tau(two_atom_file, tmp_path, capsys):
-    tau = write(
-        tmp_path / "tau.json",
-        {"type": "rational", "tau0": [[-1.0]], "poles": [{"p": 1.5, "W": [[0.5]]}]},
-    )
-    assert run(
-        "invert", "--moments", two_atom_file, "--tau", tau, "--lo", -0.5, "--hi", 6.0
-    ) == 0
-    doc = json.loads(capsys.readouterr().out)
-    got = measure_from_dict(doc)
-    # the generalized solution for this parameter has three atoms, and its
-    # inverted approximation still reproduces the data well
-    assert len(got.atoms) == 3
-    moments = [
-        sum(w[0, 0].real * lam**p for lam, w in got.atoms) for p in range(3)
-    ]
-    for val, ref in zip(moments, (2.0, 3.0, 5.0)):
-        assert abs(val - ref) <= 1e-6 * max(1.0, ref)
 
 
 def test_verify_pass_and_fail(two_atom_file, tmp_path, capsys):
@@ -502,19 +445,6 @@ def test_verify_upto_past_the_data_exit_usage(gen_two_atom, capsys):
     assert_usage_error(capsys, "verify", g, m, "--upto", 9)
 
 
-def test_invert_grid_points_zero_exit_usage(gen_two_atom, capsys):
-    _, g = gen_two_atom
-    assert_usage_error(capsys, "invert", "--from-measure", g, "--grid-points", 0)
-
-
-@pytest.mark.parametrize("eps", ["1e-2", "1e-2,1e-2", "0,1e-3", "-1e-2,1e-3"])
-def test_invert_eps_schedule_without_two_distinct_positive_values(
-    gen_two_atom, capsys, eps
-):
-    _, g = gen_two_atom
-    assert_usage_error(capsys, "invert", "--from-measure", g, f"--eps={eps}")
-
-
 @pytest.mark.parametrize(
     "extra", [("--N", 0, "--count", 2), ("--count", 3, "--min-sep", 100), ("--count", -1)]
 )
@@ -585,15 +515,6 @@ def test_non_finite_or_negative_tolerance_exit_usage(gen_two_atom, capsys, args)
     assert_usage_error(capsys, args[0], m, *args[1:])
 
 
-@pytest.mark.parametrize(
-    "flag, value", [("--lo", "nan"), ("--hi", "inf"), ("--atom-tol", "nan"), ("--atom-tol", -1)]
-)
-def test_invert_non_finite_window_or_atom_tol_exit_usage(gen_two_atom, capsys, flag, value):
-    # --lo nan used to exit 0 with an empty measure
-    _, g = gen_two_atom
-    assert_usage_error(capsys, "invert", "--from-measure", g, flag, value)
-
-
 NEGATIVE_ATOM = {
     "N": 1,
     "atoms": [
@@ -603,11 +524,6 @@ NEGATIVE_ATOM = {
 }
 
 
-def test_invert_from_measure_negative_position_exit_usage(tmp_path, capsys):
-    g = write(tmp_path / "g.json", NEGATIVE_ATOM)
-    assert_usage_error(capsys, "invert", "--from-measure", g, "--lo", -2, "--hi", 4)
-
-
 def test_verify_negative_position_exit_usage(two_atom_file, tmp_path, capsys):
     g = write(tmp_path / "g.json", NEGATIVE_ATOM)
     assert_usage_error(capsys, "verify", g, two_atom_file)
@@ -615,15 +531,51 @@ def test_verify_negative_position_exit_usage(two_atom_file, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "doc",
-    [{"N": 1, "atoms": 5}, {"N": 1, "atoms": None}, {"N": True, "atoms": []}],
-    ids=["atoms-number", "atoms-null", "N-bool"],
+    [
+        {"N": 1, "atoms": 5},
+        {"N": 1, "atoms": None},
+        {"N": True, "atoms": []},
+        {"N": 1, "atoms": [{"position": 1, "weight": [[-1]]}]},
+        {"N": 2, "atoms": [{"position": 1, "weight": [[[1, 1], 0], [0, 1]]}]},
+    ],
+    ids=[
+        "verify-atoms-number",
+        "verify-atoms-null",
+        "verify-N-bool",
+        "verify-weight-not-psd",
+        "verify-weight-not-hermitian",
+    ],
 )
-@pytest.mark.parametrize("command", ["verify", "invert"])
-def test_malformed_measure_exit_usage(two_atom_file, tmp_path, capsys, doc, command):
-    # each used to die with a TypeError traceback (exit 1)
+def test_malformed_measure_exit_usage(two_atom_file, tmp_path, capsys, doc):
+    # the first three used to die with a TypeError traceback (exit 1); a
+    # negative weight was an ordinary round-trip failure (exit 2), and the
+    # non-Hermitian one (diagonal 1 + 1j) passed as its Hermitian part (exit 0)
     g = write(tmp_path / "g.json", doc)
-    args = (g, two_atom_file) if command == "verify" else ("--from-measure", g)
-    assert_usage_error(capsys, command, *args)
+    m = two_atom_file
+    if doc["N"] == 2:
+        m = write(tmp_path / "m2.json", {"N": 2, "moments": [np.eye(2).tolist()] * 3})
+    assert_usage_error(capsys, "verify", g, m)
+
+
+def test_emitted_measures_pass_verify(two_atom_file, tmp_path, capsys):
+    # every measure solve emits is read back by the strict measure parser
+    tau = write(
+        tmp_path / "tau.json",
+        {"type": "rational", "tau0": [[-1.0]], "poles": [{"p": 1.5, "W": [[0.5]]}]},
+    )
+    for args in (("--tau-grid", 3), ("--tau", tau)):
+        capsys.readouterr()
+        assert run("solve", two_atom_file, *args) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert [r["status"] for r in results] == ["ok"] * len(results)
+        for res in results:
+            g = write(tmp_path / "g.json", res["measure"])
+            assert run("verify", g, two_atom_file) == 0
+
+
+def test_retired_invert_command_exit_usage(gen_two_atom):
+    _, g = gen_two_atom
+    assert run("invert", "--from-measure", g) == 64
 
 
 def test_verify_block_size_mismatch_exit_usage(gen_two_atom, tmp_path, capsys):

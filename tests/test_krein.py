@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import perron_invert
 
 from stieltjesmp import (
     BadPoint,
@@ -20,11 +21,7 @@ from stieltjesmp import (
     transform_from_contraction,
 )
 from stieltjesmp.krein import DEFAULT_CLASS_POINTS
-from stieltjesmp.solutions import (
-    measure_distance,
-    perron_invert,
-    transform_of_measure,
-)
+from stieltjesmp.solutions import measure_distance, transform_of_measure
 from stieltjesmp.extensions import spectral_solution
 
 UPPER = (1j, 2j, 1 + 1j, -1 + 1j, 0.5 + 1.5j)

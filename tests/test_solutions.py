@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import NoConvergence, perron_invert
+
 from stieltjesmp import (
-    NoConvergence,
     PoleHit,
     moment_sequence,
     moments_of_measure,
-    perron_invert,
     solution_measure,
     transform_of_measure,
     verify_moments,
@@ -123,7 +123,7 @@ def test_transform_conjugation_symmetry():
 
 
 # ---------------------------------------------------------------------------
-# inversion
+# inversion (the Perron oracle in tests/oracles.py)
 
 
 def test_invert_single_atom():
