@@ -9,7 +9,6 @@ import numpy as np
 
 from stieltjesmp import (
     build_gamma,
-    build_gamma_tilde,
     check_solvable,
     moment_sequence,
     moments_of_measure,
@@ -31,8 +30,6 @@ print("S_3 =\n", seq.moments[3].real)
 print("\nplain block Hankel of order 2 (blocks S_{i+j}):")
 G2 = build_gamma(seq, 2)
 print(np.array_str(G2.real, precision=3))
-print("shifted block Hankel of order 2 (blocks S_{i+j+1}): min eig =",
-      f"{np.linalg.eigvalsh(build_gamma_tilde(seq, 2)).min():.6f}")
 
 gram = scalarize(seq)
 print("\nscalarized Gram: size", gram.size, "- entry (a, b) = s_{r+t; j, k}")
@@ -43,18 +40,21 @@ print("shift identity gamma[a+N, b] == gamma[a, b+N] holds bit-for-bit:",
           for b in range(gram.size - 2)
       ))
 
+# one natural-order factor per Hankel family decides every order: entry k is
+# the smallest relative pivot, pivot / max(G_jj, 1), of the order-k Hankel
 report = check_solvable(seq)
 print("\nsolvability verdict:", report.verdict)
-print("min eigenvalues (plain):  ", np.round(report.plain_min_eigs, 8))
-print("min eigenvalues (shifted):", np.round(report.shifted_min_eigs, 8))
+print("min relative pivots (plain):  ", np.round(report.plain_min_pivots, 8))
+print("min relative pivots (shifted):", np.round(report.shifted_min_pivots, 8))
 
 # rank-deficient data are solvable but sit on the feasibility boundary: the
-# verdict is "marginal" because a Hankel eigenvalue is an exact zero
+# verdict is "marginal" because the factor drops a column (a zero pivot)
 thin = moments_of_measure(
     solution_measure(2, [(1.0, np.diag([1.0, 0.0]))]), p_max=2
 )
-print("\nrank-one weight at a single atom:", check_solvable(thin).verdict,
-      "(a Hankel eigenvalue is exactly zero)")
+thin_report = check_solvable(thin)
+print("\nrank-one weight at a single atom:", thin_report.verdict,
+      "- min relative pivots (plain):", np.round(thin_report.plain_min_pivots, 8))
 
 # now break the data: drag S_4 down until the order-2 Hankel dips negative
 mats = [S.copy() for S in seq.moments]

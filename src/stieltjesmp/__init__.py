@@ -41,7 +41,6 @@ from .hankel import (
     ScalarGram,
     SolvabilityReport,
     build_gamma,
-    build_gamma_tilde,
     check_solvable,
     load_moments,
     moment_sequence,

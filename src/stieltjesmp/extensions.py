@@ -254,16 +254,16 @@ def spectral_solution(t, rep, N):
     ``Y = V[:d]* Xi0`` of every eigenvector with the data vectors, so a
     simple eigenvalue weighs ``conj(y) y^T`` over its row ``y`` of ``Y``
     (Golub-Welsch 1969: the weights are the first components of the
-    eigenvectors).  An exit-space extension acts on ``C^d + C^r``; the data
-    vectors live in the first ``d`` coordinates, which the ``[:d]`` slice
-    covers.
+    eigenvectors), all formed by one ``einsum``, Hermitian as computed, and
+    copied out per atom.  An exit-space extension acts on ``C^d + C^r``; the
+    data vectors live in the first ``d`` coordinates, which ``[:d]`` covers.
 
     Eigenvalues within ``CLUSTER_TOL`` of a cluster's first one are merged
-    into one atom of weight ``Y_c* Y_c`` over the cluster's rows.  Weights
-    are formed from eigenvector overlaps, never by sandwiching the assembled
-    projector: a far atom can carry a weight many orders below the matrix
-    scale, and the projector would cancel it into roundoff.  No atom is
-    dropped for being small: a weight far below the total can still carry
+    into one atom of weight ``herm(Y_c* Y_c)`` over the cluster's rows.
+    Weights are formed from eigenvector overlaps, never by sandwiching the
+    assembled projector: a far atom can carry a weight many orders below the
+    matrix scale, and the projector would cancel it into roundoff.  No atom
+    is dropped for being small: a weight far below the total can still carry
     the share of some moment that the round trip needs.  The atoms come out
     in decreasing eigenvalue order, which is increasing position.
     """
@@ -271,18 +271,18 @@ def spectral_solution(t, rep, N):
     w = np.clip(w, -1.0, 1.0)
     Xi0 = rep.vectors[:, :N]
     Y = V[: Xi0.shape[0]].conj().T @ Xi0
+    outer = np.einsum("ki,kj->kij", Y.conj(), Y)
     ends = np.searchsorted(w, w + CLUSTER_TOL, side="right").tolist()
-    bounds = []
-    start = 0
-    while start < len(w):
-        bounds.append((start, ends[start]))
-        start = ends[start]
-    atoms = []
-    inf_weight = None
-    for start, stop in reversed(bounds):
-        G = Y[start:stop]
-        W = herm(G.conj().T @ G)
-        ti = float(w[start]) if stop == start + 1 else float(np.mean(w[start:stop]))
+    starts = [0]
+    while starts[-1] < len(w):
+        starts.append(ends[starts[-1]])
+    atoms, inf_weight = [], None
+    for start, stop in reversed(list(zip(starts, starts[1:]))):
+        if stop == start + 1:
+            W, ti = outer[start].copy(), float(w[start])
+        else:
+            G = Y[start:stop]
+            W, ti = herm(G.conj().T @ G), float(np.mean(w[start:stop]))
         if 1.0 + ti <= INFINITY_TOL:
             # only the lowest cluster: it holds every eigenvalue within
             # CLUSTER_TOL of the lowest one

@@ -12,6 +12,8 @@ leading coordinates (the block-Jacobi basis of matrix orthogonal polynomials).
 
 Rank-deficient Grams are a first-class case: linearly dependent ``xi_a`` are
 expected and everything downstream is tested only through inner products.
+The rule is :func:`natural_factor`; :func:`hankel.check_solvable` runs it
+too, at ``psd_tol`` and on its own factors of both maximal Hankels.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from ._linalg import herm
 from .errors import NotPSD
 
-__all__ = ["HilbertRep", "build_space"]
+__all__ = ["HilbertRep", "build_space", "natural_factor"]
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -43,33 +45,47 @@ class HilbertRep:
     rank_tol: float
 
 
-def build_space(gram, rank_tol=DEFAULT_RANK_TOL):
-    """Factor a scalarized Gram into coordinate vectors, in natural order.
+def natural_factor(G, tol):
+    """Natural-order factor of the Hermitian ``G`` at relative tolerance
+    ``tol``: ``(R, rel, fault)``, with ``R`` the kept rows and ``rel[k]``
+    pivot ``k`` over ``c_k = max(G[k, k], 1)``.
 
-    With ``c_k = max(gamma[k, k], 1)``, a pivot below ``-rank_tol * c_k``, or
-    a dropped column's Schur-complement row with ``|s_kj|^2 > rank_tol c_k c_j``
-    (the Cauchy-Schwarz bound its pivot allows), means the Gram is not positive
-    semi-definite (unsolvable input reached the construction): :class:`NotPSD`.
+    Column ``k`` is kept when its pivot exceeds ``tol * |G[k, k]|``.  ``fault``
+    names the first column that shows ``G`` is not positive semi-definite, or
+    is ``None``: a pivot below ``-tol * c_k``, or a dropped column's
+    Schur-complement row with ``|s_kj|^2 > tol c_k c_j`` (the Cauchy-Schwarz
+    bound its pivot allows).  Pivot ``k`` depends only on the leading
+    ``(k+1) x (k+1)`` block of ``G``.
     """
-    G = herm(np.asarray(gram.gamma, dtype=complex))
-    size = G.shape[0]
-    scale = np.maximum(G.diagonal().real, 1.0)
+    size, diag = G.shape[0], G.diagonal().real
+    scale = np.maximum(diag, 1.0)
+    c, keep = scale.tolist(), (tol * np.abs(diag)).tolist()  # floats for the loop
     R = np.zeros((size, size), dtype=complex)
-    d = 0
+    rel, fault, d = np.empty(size), None, 0
     for k in range(size):
         row = G[k, k:] - R[:d, k].conj() @ R[:d, k:]
         pivot = row[0].real
-        if pivot < -rank_tol * scale[k]:
-            raise NotPSD(
-                f"Gram pivot {k} is {pivot:.3e}, below "
-                f"-{rank_tol:.1e} * {scale[k]:.3e}"
+        rel[k] = pivot / c[k]
+        if pivot < -tol * c[k]:
+            fault = fault or (
+                f"Gram pivot {k} is {pivot:.3e}, below -{tol:.1e} * {c[k]:.3e}"
             )
-        if pivot > rank_tol * G[k, k].real:
-            R[d, k:] = row / np.sqrt(pivot)
+        elif pivot > keep[k]:
+            np.divide(row, np.sqrt(pivot), out=R[d, k:])
             d += 1
-        elif (np.abs(row[1:]) ** 2 > rank_tol * scale[k] * scale[k + 1 :]).any():
-            raise NotPSD(
+        elif (np.abs(row[1:]) ** 2 > tol * c[k] * scale[k + 1 :]).any():
+            fault = fault or (
                 f"Gram column {k} is dropped (pivot {pivot:.3e}) but its "
                 "Schur-complement row is not negligible"
             )
-    return HilbertRep(dim=d, vectors=R[:d], gram=gram, rank_tol=rank_tol)
+    return R[:d], rel, fault
+
+
+def build_space(gram, rank_tol=DEFAULT_RANK_TOL):
+    """Coordinate vectors of a scalarized Gram by :func:`natural_factor` at
+    ``rank_tol``; a fault means the Gram is not positive semi-definite
+    (unsolvable input reached the construction): :class:`NotPSD`."""
+    R, _, fault = natural_factor(herm(np.asarray(gram.gamma, dtype=complex)), rank_tol)
+    if fault:
+        raise NotPSD(fault)
+    return HilbertRep(dim=R.shape[0], vectors=R, gram=gram, rank_tol=rank_tol)

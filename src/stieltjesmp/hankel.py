@@ -6,7 +6,8 @@ power moments of a sought non-decreasing matrix function on ``[0, inf)``.
 Solvability is governed by two families of block Hankel matrices: the plain
 one with block ``(i, j)`` equal to ``S_{i+j}`` and the shifted one with block
 ``S_{i+j+1}``; the problem admits a solution exactly when every representable
-matrix of both families is positive semi-definite.
+matrix of both families is positive semi-definite.  One natural-order factor
+of each family's maximal matrix decides every order (:func:`check_solvable`).
 
 Everything downstream works with the scalarized Gram: the plain block Hankel
 of maximal representable order ``n = floor(m/2)`` viewed entrywise, so that
@@ -23,6 +24,7 @@ import numpy as np
 
 from ._linalg import asymmetry, herm
 from .errors import NotHermitian, OrderTooHigh, SchemaError
+from .gns import natural_factor
 from .io import parse_matrix
 
 __all__ = [
@@ -32,7 +34,6 @@ __all__ = [
     "moment_sequence",
     "load_moments",
     "build_gamma",
-    "build_gamma_tilde",
     "scalarize",
     "check_solvable",
 ]
@@ -79,13 +80,12 @@ class ScalarGram:
 
 @dataclass(frozen=True)
 class SolvabilityReport:
-    """Minimum eigenvalues of every representable Hankel matrix and the
-    resulting verdict."""
+    """Per order ``k``, the smallest relative pivot ``pivot / max(G_jj, 1)``
+    over the leading ``(k+1)N`` columns of each family's factor, and the
+    verdict."""
 
-    plain_min_eigs: tuple
-    shifted_min_eigs: tuple
-    plain_scales: tuple
-    shifted_scales: tuple
+    plain_min_pivots: tuple
+    shifted_min_pivots: tuple
     verdict: str  # "solvable" | "not solvable" | "marginal"
     psd_tol: float
     max_plain_order: int
@@ -216,11 +216,6 @@ def build_gamma(seq, n):
     return _block_hankel(seq, n, 0)
 
 
-def build_gamma_tilde(seq, n):
-    """Shifted block Hankel of order n: block ``(i, j)`` is ``S_{i+j+1}``."""
-    return _block_hankel(seq, n, 1)
-
-
 def scalarize(seq):
     """Scalarized Gram of the maximal representable order ``n = floor(m/2)``."""
     n = seq.n
@@ -229,38 +224,23 @@ def scalarize(seq):
 
 
 def check_solvable(seq, psd_tol=DEFAULT_PSD_TOL):
-    """Report minimum eigenvalues of every representable Hankel matrix.
-
-    The Hankel of order ``k`` is the leading ``(k+1)N`` block of the maximal
-    one of its family, so each family is built once.  The verdict is
-    ``"solvable"`` when each minimum eigenvalue clears ``-psd_tol * scale``
-    with margin ``+psd_tol * scale`` (scale is ``max(1, |entries|)`` of the
-    matrix at hand), ``"marginal"`` when some minimum sits inside the roundoff
-    band around zero, and ``"not solvable"`` when some minimum is decisively
-    negative.
-    """
-    N = seq.N
+    """Decide every representable Hankel matrix from one
+    :func:`gns.natural_factor` at ``psd_tol`` of each family's maximal one,
+    whose leading ``(k+1)N`` block is the Hankel of order ``k``: ``"not
+    solvable"`` when a factor has a fault, ``"marginal"`` when one drops a
+    column, ``"solvable"`` otherwise."""
     tops = (seq.n, (seq.m - 1) // 2)  # maximal plain and shifted orders
-    eigs, scales = ([], []), ([], [])
+    verdict, pivots = "solvable", []
     for offset, top in enumerate(tops):
-        G = _block_hankel(seq, top, offset)
-        for k in range(top + 1):
-            sub = G[: (k + 1) * N, : (k + 1) * N]
-            eigs[offset].append(float(np.linalg.eigvalsh(herm(sub)).min()))
-            scales[offset].append(max(1.0, float(np.abs(sub).max())))
-
-    verdict = "solvable"
-    for ev, sc in zip(chain(*eigs), chain(*scales)):
-        if ev < -psd_tol * sc:
+        R, rel, fault = natural_factor(_block_hankel(seq, top, offset), psd_tol)
+        pivots.append(tuple(np.minimum.accumulate(rel)[seq.N - 1 :: seq.N].tolist()))
+        if fault:
             verdict = "not solvable"
-        elif ev < psd_tol * sc and verdict == "solvable":
+        elif R.shape[0] < rel.size and verdict == "solvable":
             verdict = "marginal"
-
     return SolvabilityReport(
-        plain_min_eigs=tuple(eigs[0]),
-        shifted_min_eigs=tuple(eigs[1]),
-        plain_scales=tuple(scales[0]),
-        shifted_scales=tuple(scales[1]),
+        plain_min_pivots=pivots[0],
+        shifted_min_pivots=pivots[1],
         verdict=verdict,
         psd_tol=psd_tol,
         max_plain_order=tops[0],

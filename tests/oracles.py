@@ -10,17 +10,85 @@ vectors onto that complement.  Points are validated by the library's own
 ``_off_positive_axis``.  ``perron_invert`` recovers a discrete measure from
 samples of its transform by a Stieltjes-Perron scan, an approximate
 cross-check of the exact spectral measures the library emits.
+
+``build_gamma_tilde`` builds the shifted block Hankel of one order.
+``eigen_solvability`` is the eigenvalue form of the solvability test, one
+``eigvalsh`` per leading block; ``mp_relative_pivots`` is the natural-order
+Cholesky of a rounded Hankel in ``mpmath``, the exact-input reference for the
+relative pivots that ``check_solvable`` reports.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from stieltjesmp._linalg import PINV_RCOND, herm
 from stieltjesmp.errors import MomentProblemError, PropertyViolated
 from stieltjesmp.extensions import _gap_kernel
+from stieltjesmp.hankel import DEFAULT_PSD_TOL, _block_hankel
 from stieltjesmp.shiftop import _off_positive_axis
 from stieltjesmp.solutions import solution_measure
+
+
+def build_gamma_tilde(seq, n):
+    """Shifted block Hankel of order n: block ``(i, j)`` is ``S_{i+j+1}``."""
+    return _block_hankel(seq, n, 1)
+
+
+def eigen_solvability(seq, psd_tol=DEFAULT_PSD_TOL):
+    """Solvability by one ``eigvalsh`` per leading block of both maximal
+    Hankels: ``(plain_min_eigs, shifted_min_eigs, verdict)``.
+
+    A block whose minimum eigenvalue is below ``-psd_tol * scale`` (scale is
+    ``max(1, |entries|)`` of the block) makes the data ``"not solvable"``; one
+    below ``+psd_tol * scale`` makes them ``"marginal"``.
+    """
+    N = seq.N
+    tops = (seq.n, (seq.m - 1) // 2)
+    eigs, scales = ([], []), ([], [])
+    for offset, top in enumerate(tops):
+        G = _block_hankel(seq, top, offset)
+        for k in range(top + 1):
+            sub = G[: (k + 1) * N, : (k + 1) * N]
+            eigs[offset].append(float(np.linalg.eigvalsh(herm(sub)).min()))
+            scales[offset].append(max(1.0, float(np.abs(sub).max())))
+    verdict = "solvable"
+    for ev, sc in zip(chain(*eigs), chain(*scales)):
+        if ev < -psd_tol * sc:
+            verdict = "not solvable"
+        elif ev < psd_tol * sc and verdict == "solvable":
+            verdict = "marginal"
+    return tuple(eigs[0]), tuple(eigs[1]), verdict
+
+
+def mp_relative_pivots(G, dps=60):
+    """Relative pivots ``pivot_k / max(G_kk, 1)`` of the natural-order
+    Cholesky of the Hermitian ``G``, computed in ``mpmath`` at ``dps``
+    digits from its double entries taken exactly.
+
+    A column with a positive pivot opens a new row of the factor; any other
+    is dropped, as exact arithmetic on the rounded matrix decides.  Returns a
+    float array, one entry per column.
+    """
+    import mpmath
+
+    size = G.shape[0]
+    with mpmath.workdps(dps):
+        A = [[mpmath.mpc(complex(G[i, j])) for j in range(size)] for i in range(size)]
+        rows = []
+        rel = []
+        for k in range(size):
+            row = [
+                A[k][j] - mpmath.fsum(mpmath.conj(r[k]) * r[j] for r in rows)
+                for j in range(k, size)
+            ]
+            pivot = row[0].real
+            rel.append(float(pivot / max(A[k][k].real, 1)))
+            if pivot > 0:
+                root = mpmath.sqrt(pivot)
+                rows.append([0] * k + [x / root for x in row])
+    return np.array(rel)
 
 
 def orth_cols(A, rtol=PINV_RCOND):

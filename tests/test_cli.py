@@ -57,7 +57,7 @@ def test_check_solvable_exit_zero(two_atom_file, tmp_path, capsys):
     assert run("check", two_atom_file, "--out", out) == 0
     rep = read_json(out)
     assert rep["verdict"] == "solvable"
-    assert len(rep["plain_min_eigs"]) == 2
+    assert len(rep["plain_min_pivots"]) == 2
 
 
 def test_check_not_solvable_exit_two(tmp_path):

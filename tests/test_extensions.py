@@ -497,6 +497,32 @@ def test_spectral_weights_chained_cluster(battery):
     assert np.isclose(meas.atoms[0][0], (1 - 1.2e-9) / (1 + 1.2e-9), rtol=0, atol=1e-15)
 
 
+def test_spectral_solution_herms_clusters_only(
+    battery, indeterminate_battery, monkeypatch
+):
+    # singleton weights come out of one einsum, Hermitian as computed; herm
+    # runs once on the input and once per cluster of two or more eigenvalues
+    from stieltjesmp import extensions
+
+    calls = []
+
+    def counted(M):
+        calls.append(M.shape)
+        return herm(M)
+
+    monkeypatch.setattr(extensions, "herm", counted)
+    a = battery["n1_three_m5"]
+    U = np.linalg.qr(np.arange(1.0, 10.0).reshape(3, 3) ** 1.5 + 1j * np.eye(3))[0]
+    t = herm(U @ np.diag([0.0, 0.5e-9, 0.7]) @ U.conj().T)
+    meas = spectral_solution(t, a.rep, 1)
+    assert len(meas.atoms) == 2 and len(calls) == 2
+    for a in indeterminate_battery.values():
+        t = a.picture.t_mu + 0.5 * a.picture.C
+        calls.clear()
+        meas = spectral_solution(t, a.rep, a.N)
+        assert len(meas.atoms) == a.rep.dim and calls == [t.shape]
+
+
 @pytest.mark.parametrize("name", ["two_atom", "n1_three_m5", "n2_rand", "n3_rand"])
 def test_spectral_weights_mass_at_infinity(indeterminate_battery, name):
     # the Friedrichs corner: -1 on the last q coordinates

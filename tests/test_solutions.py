@@ -5,6 +5,7 @@ from oracles import NoConvergence, perron_invert
 
 from stieltjesmp import (
     PoleHit,
+    SchemaError,
     moment_sequence,
     moments_of_measure,
     solution_measure,
@@ -79,6 +80,26 @@ def test_verify_detects_perturbed_weight():
     rep = verify_moments(meas, seq, upto=2, rtol=1e-8)
     assert not rep["pass"]
     assert rep["errors"][rep["worst_order"]] > 1e-4
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 32])
+def test_verify_errors_are_the_per_order_norms(N):
+    # every order at once, but each error is the same bits as one
+    # np.linalg.norm per order; the CLI prints them with 17 digits
+    for seed in range(4):
+        meas = random_discrete_measure(seed, N, 6, lam_range=(0.0, 4.0))
+        seq = moments_of_measure(random_discrete_measure(seed + 9, N, 6), 9)
+        got = moments_of_measure(meas, 9).moments
+        ref = [
+            np.linalg.norm(g - S) / max(1.0, np.linalg.norm(S))
+            for g, S in zip(got, seq.moments)
+        ]
+        assert verify_moments(meas, seq)["errors"] == ref
+
+
+def test_moments_of_a_negative_order_are_refused():
+    with pytest.raises(SchemaError):
+        moments_of_measure(scalar_measure((1.0, 1.0)), -1)
 
 
 def test_verify_rejects_upto_past_data():
