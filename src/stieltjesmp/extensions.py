@@ -33,7 +33,8 @@ interval is validated against a brute-force feasibility oracle and an
 independent Gram-factor construction in the test suite.
 
 Determinacy, the gap norm and the gap kernel are read off one ``eigh`` of
-``G`` (:func:`_gap_kernel`), never of a ``d x d`` matrix.
+``G`` (:attr:`ContractionPicture.gap`), never of a ``d x d`` matrix; the
+Krein corner's solution reuses the ``eigh`` of its contractivity check.
 
 The dense reference resolvent is computed from the contraction itself:
 ``R_z = (E + t) ((1 - z) E - (1 + z) t)^{-1}``.  An eigenvalue ``-1`` of ``t``
@@ -44,6 +45,7 @@ of a truncated problem) then contributes nothing, with no singular inversion.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -85,7 +87,8 @@ class ContractionPicture:
     """The extremal extensions ``t_mu <= t_M`` of the contraction ``T``.
 
     Their gap ``C = t_M - t_mu`` is supported on the defect space.
-    ``t_mu = V diag(w) V*`` with the eigenpairs read off ``eigh(A11)``.
+    ``t_mu = V diag(w) V*`` with the eigenpairs read off ``eigh(A11)``, and
+    ``t_M = V_M diag(w_M) V_M*`` from the one ``eigh`` of ``t_M``.
     """
 
     dim: int
@@ -95,10 +98,21 @@ class ContractionPicture:
     C: np.ndarray
     w: np.ndarray  # (d,) eigenvalues of t_mu
     V: np.ndarray  # (d, d) eigenvectors of t_mu
+    w_M: np.ndarray  # (d,) eigenvalues of t_M, ascending
+    V_M: np.ndarray  # (d, d) eigenvectors of t_M
 
     @property
     def defect_dim(self):
         return self.defect_basis.shape[1]
+
+    @cached_property
+    def gap(self):
+        """``(w, V, in_ker)``: the eigenpairs of the ``q x q`` gap ``G = J* C J``
+        and the mask of its kernel, the eigenvalues up to ``KER_TOL`` times the
+        largest; :func:`determinacy` counts it, :func:`extend_ext` drops it."""
+        J = self.defect_basis
+        w, V = np.linalg.eigh(herm(J.conj().T @ self.C @ J))
+        return w, V, w <= KER_TOL * max(float(w.max()) if w.size else 0.0, 1e-300)
 
 
 @dataclass(frozen=True)
@@ -152,8 +166,8 @@ def extremal_extensions(op):
     G = herm(2.0 * L.conj().T @ np.linalg.solve(S, L))
     C = herm(J @ G @ J.conj().T)
     t_M = t_mu + C
-    ev = np.linalg.eigvalsh(t_M) if d else np.zeros(1)
-    lo = min(1.0 + float(ev[0]), 1.0 - float(ev[-1]))
+    w_M, V_M = np.linalg.eigh(t_M)
+    lo = min(1.0 + float(w_M[0]), 1.0 - float(w_M[-1])) if d else 1.0
     if lo < -FEAS_TOL:
         off = float(np.linalg.norm(A21 @ U[:, ~keep]))
         raise CompletionInfeasible(
@@ -171,20 +185,9 @@ def extremal_extensions(op):
         C=C,
         w=np.concatenate([(1.0 - a) / (1.0 + a), -np.ones(q)]),
         V=V,
+        w_M=w_M,
+        V_M=V_M,
     )
-
-
-def _gap_kernel(pic):
-    """``(w, V, in_ker)``: the eigenpairs of the ``q x q`` gap ``G = J* C J``
-    and the mask of its kernel.
-
-    The kernel holds the eigenvectors whose eigenvalue is at most ``KER_TOL``
-    times the largest one; :func:`determinacy` counts them and
-    :func:`extend_ext` drops them, by this one rule.
-    """
-    J = pic.defect_basis
-    w, V = np.linalg.eigh(herm(J.conj().T @ pic.C @ J))
-    return w, V, w <= KER_TOL * max(float(w.max()) if w.size else 0.0, 1e-300)
 
 
 def determinacy(pic, det_tol=DET_TOL):
@@ -194,7 +197,7 @@ def determinacy(pic, det_tol=DET_TOL):
     problem is determinate when the defect is trivial or that norm is at most
     ``det_tol``.
     """
-    w, _, in_ker = _gap_kernel(pic)
+    w, _, in_ker = pic.gap
     q = pic.defect_dim
     gap = float(np.abs(w).max()) if q else 0.0
     determinate = q == 0 or gap <= det_tol
@@ -214,10 +217,10 @@ def extend_ext(pic):
 
     On the kernel of the gap all self-adjoint contractive extensions agree
     with both extremal ones, so T extends canonically there; the regularized
-    picture keeps the extremal pair ``t_mu``, ``t_M``, ``C`` and has a trivial
-    gap kernel.  Returns ``pic`` itself when there is nothing to drop.
+    picture keeps the extremal pair ``t_mu``, ``t_M``, ``C`` and has its own,
+    trivial, gap kernel.  Returns ``pic`` itself when there is nothing to drop.
     """
-    _, V, in_ker = _gap_kernel(pic)
+    _, V, in_ker = pic.gap
     if not in_ker.any():
         return pic
     return replace(pic, defect_basis=pic.defect_basis @ V[:, ~in_ker])
@@ -251,12 +254,13 @@ def spectral_solution(t, rep, N):
     contributes a flagged mass-at-infinity weight excluded from the measure.
 
     All weights come from one product after the one ``eigh``: the overlaps
-    ``Y = V[:d]* Xi0`` of every eigenvector with the data vectors, so a
+    ``Y = V[:n]* Xi0`` of every eigenvector with the data vectors, so a
     simple eigenvalue weighs ``conj(y) y^T`` over its row ``y`` of ``Y``
     (Golub-Welsch 1969: the weights are the first components of the
     eigenvectors), all formed by one ``einsum``, Hermitian as computed, and
-    copied out per atom.  An exit-space extension acts on ``C^d + C^r``; the
-    data vectors live in the first ``d`` coordinates, which ``[:d]`` covers.
+    copied out per atom.  The factor is upper trapezoidal, so the data
+    vectors ``Xi0`` are the first ``n = min(N, d)`` rows of ``N`` columns;
+    the extra coordinates of an exit-space ``t`` on ``C^d + C^r`` follow.
 
     Eigenvalues within ``CLUSTER_TOL`` of a cluster's first one are merged
     into one atom of weight ``herm(Y_c* Y_c)`` over the cluster's rows.
@@ -268,9 +272,14 @@ def spectral_solution(t, rep, N):
     in decreasing eigenvalue order, which is increasing position.
     """
     w, V = np.linalg.eigh(herm(np.asarray(t, dtype=complex)))
+    return _spectral_measure(w, V, rep, N)
+
+
+def _spectral_measure(w, V, rep, N):
+    """:func:`spectral_solution` from the eigenpairs ``(w, V)`` of ``t``."""
     w = np.clip(w, -1.0, 1.0)
-    Xi0 = rep.vectors[:, :N]
-    Y = V[: Xi0.shape[0]].conj().T @ Xi0
+    Xi0 = rep.vectors[:N, :N]
+    Y = V[: len(Xi0)].conj().T @ Xi0
     outer = np.einsum("ki,kj->kij", Y.conj(), Y)
     ends = np.searchsorted(w, w + CLUSTER_TOL, side="right").tolist()
     starts = [0]

@@ -61,7 +61,7 @@ from .errors import (
     SchemaError,
     WeylLimitDivergent,
 )
-from .extensions import DET_TOL, _gap_kernel, resolvent_from_contraction
+from .extensions import DET_TOL, resolvent_from_contraction
 from .io import parse_complex, parse_hermitian, parse_matrix
 from .shiftop import _off_positive_axis
 
@@ -168,7 +168,7 @@ def build_gamma_weyl(pic, rep):
     q = pic.defect_dim
     if q == 0:
         raise NotIndeterminate("trivial defect space: the problem is determinate")
-    gap, _, in_ker = _gap_kernel(pic)
+    gap, _, in_ker = pic.gap
     if in_ker.any() or float(np.abs(gap).max()) <= DET_TOL:
         raise NotIndeterminate(
             "gap kernel is non-trivial; regularize with extend_ext first"

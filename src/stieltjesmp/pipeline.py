@@ -12,16 +12,18 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from . import hankel
+from ._linalg import herm
 from .errors import MomentProblemError, NotIndeterminate, WeylLimitDivergent
 from .extensions import (
     DET_TOL,
+    _spectral_measure,
     determinacy,
     extend_ext,
     extremal_extensions,
     spectral_solution,
 )
 from .gns import build_space
-from .krein import build_gamma_weyl, constant_tau_of_extension, exit_space_extension
+from .krein import build_gamma_weyl, exit_space_extension
 from .shiftop import build_shift
 from .solutions import verify_moments
 
@@ -125,26 +127,30 @@ def solve_tau_grid(analysis, count, tols=Tolerances()):
 
     Emits ``count`` measures from the contractive extensions
     ``t_mu + s C`` at ``s = (j+1)/count``; the Krein corner
-    (``s = 1``) is included, and the Friedrichs corner is approached but
-    excluded because its measure carries mass at infinity and cannot
-    reproduce the top moment.  Each entry reports the Hermitian-constant
-    parameter its extension corresponds to.
+    (``s = 1``) is included, from the eigenpairs its picture stores, and the
+    Friedrichs corner is approached but excluded because its measure carries
+    mass at infinity and cannot reproduce the top moment.  Each entry reports
+    the Hermitian-constant parameter of its extension, in closed form at the
+    base point: ``tau_s = M(0) - (2/s) G^{-1}`` with ``G^{-1}`` from the gap's
+    stored eigenpairs.  It needs no condition guard, since
+    :func:`krein.build_gamma_weyl` keeps only gap eigenvalues above
+    ``KER_TOL`` times the largest.
     """
-    pic = analysis.picture
+    pic, gw = analysis.picture, analysis.gamma_weyl
+    if gw is not None:
+        g, U, _ = analysis.extended.gap
+        G_inv = (U / g) @ U.conj().T
     out = []
     for j in range(int(count)):
         s = (j + 1) / count
-        t = pic.t_mu + s * pic.C
-        meas = spectral_solution(t, analysis.rep, analysis.N)
+        if j + 1 == count:
+            meas = _spectral_measure(pic.w_M, pic.V_M, analysis.rep, analysis.N)
+        else:
+            meas = spectral_solution(pic.t_mu + s * pic.C, analysis.rep, analysis.N)
         entry = _gated(analysis, meas, tols.rtol)
         entry["s"] = s
-        if analysis.gamma_weyl is not None:
-            try:
-                entry["tau_constant"] = constant_tau_of_extension(
-                    analysis.gamma_weyl, t
-                )
-            except MomentProblemError:
-                entry["tau_constant"] = None
+        if gw is not None:
+            entry["tau_constant"] = herm(gw.M0 - (2.0 / s) * G_inv)
         out.append(entry)
     return out
 

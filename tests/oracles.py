@@ -25,7 +25,6 @@ import numpy as np
 
 from stieltjesmp._linalg import PINV_RCOND, herm
 from stieltjesmp.errors import MomentProblemError, PropertyViolated
-from stieltjesmp.extensions import _gap_kernel
 from stieltjesmp.hankel import DEFAULT_PSD_TOL, _block_hankel
 from stieltjesmp.shiftop import _off_positive_axis
 from stieltjesmp.solutions import solution_measure
@@ -127,7 +126,7 @@ def sample_sc_extensions(pic, count, seed=0):
     ``t_mu + J R Y R* J*`` of the interval, with ``R`` the square root of the
     gap ``G`` and ``0 <= Y <= I``.
     """
-    w, V, _ = _gap_kernel(pic)
+    w, V, _ = pic.gap
     root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
     count = int(count)
     if count <= 0:

@@ -523,6 +523,66 @@ def test_spectral_solution_herms_clusters_only(
         assert len(meas.atoms) == a.rep.dim and calls == [t.shape]
 
 
+def test_grid_factors_each_matrix_once(monkeypatch):
+    # analyze and a 3-point grid on a completely indeterminate problem: eigh
+    # of A11, of t_M (read by the contractivity check and the s = 1 entry)
+    # and of the q x q gap (shared by determinacy, extend_ext and
+    # build_gamma_weyl), then one per interior grid point; no eigvalsh
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(M, *args, _name=name, _real=real, **kwargs):
+            calls.append((_name, M.copy()))
+            return _real(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    a = analyze(_ladder_n4_m9_problem())
+    entries = solve_tau_grid(a, 3)
+    pic, d, q = a.picture, a.picture.dim, a.picture.defect_dim
+    assert a.verdict.completely_indeterminate and a.extended is pic
+    assert [(n, M.shape) for n, M in calls] == [
+        ("eigh", (d - q, d - q)),
+        ("eigh", (d, d)),
+        ("eigh", (q, q)),
+        ("eigh", (d, d)),
+        ("eigh", (d, d)),
+    ]
+    assert np.array_equal(calls[1][1], pic.t_M)
+    monkeypatch.undo()
+    krein = spectral_solution(pic.t_M, a.rep, a.N)
+    got = entries[-1]["measure"]
+    assert entries[-1]["s"] == 1.0 and len(got.atoms) == len(krein.atoms)
+    for (lam, W), (lam0, W0) in zip(got.atoms, krein.atoms):
+        assert lam == lam0 and np.array_equal(W, W0)
+
+
+@pytest.mark.parametrize("case", ["rank_deficient", "exit_space"])
+def test_overlaps_read_the_first_N_rows(indeterminate_battery, case):
+    # the data vectors are zero below row N, so the weights from the first
+    # min(N, d) rows equal those of the full-row reference: with fewer
+    # vectors than N (two atoms of rank-one weight at N = 3, d = 2), and on
+    # C^(d+r) for an exit-space extension
+    from stieltjesmp.io import encode_matrix
+
+    if case == "rank_deficient":
+        u, v = np.array([1.0, 2.0, 1j]), np.array([0.5, -1j, 1.0])
+        atoms = [(1.5, np.outer(u.conj(), u)), (0.5, np.outer(v.conj(), v))]
+        a = analyze(moments_of_measure(solution_measure(3, atoms), 4))
+        assert a.rep.dim == 2 < a.N
+        ts = [a.picture.t_mu, herm(np.array([[0.2, 0.3j], [-0.3j, -0.4]]))]
+    else:
+        a = indeterminate_battery["n2_rand"]
+        E = np.eye(a.gamma_weyl.q)
+        poles = [{"p": 1.5, "W": encode_matrix(E)}]
+        spec = {"type": "rational", "tau0": encode_matrix(-E), "poles": poles}
+        ts = [exit_space_extension(a.gamma_weyl, make_tau(spec))]
+        assert ts[0].shape[0] > a.rep.dim > a.N
+    assert not a.rep.vectors[a.N :, : a.N].any()
+    for t in ts:
+        _assert_weights_match_reference(spectral_solution(t, a.rep, a.N), t, a.rep, a.N)
+
+
 @pytest.mark.parametrize("name", ["two_atom", "n1_three_m5", "n2_rand", "n3_rand"])
 def test_spectral_weights_mass_at_infinity(indeterminate_battery, name):
     # the Friedrichs corner: -1 on the last q coordinates

@@ -18,6 +18,7 @@ from stieltjesmp import (
     make_tau,
     resolvent_from_contraction,
     solution_transform,
+    solve_tau_grid,
     transform_from_contraction,
 )
 from stieltjesmp.krein import DEFAULT_CLASS_POINTS
@@ -620,6 +621,78 @@ def test_constant_parameter_round_trip_n4_m9():
             ).max()
             assert err <= 1e-8, (s, z, err)
         assert np.abs(extension_of_constant_tau(gw, tau) - t).max() <= 1e-8
+
+
+@pytest.fixture(scope="module")
+def grid_analyses(indeterminate_battery):
+    """Analyses with boundary data: the indeterminate battery, seeded
+    rank-deficient stress problems (an atom at 0 in 30% of them) and a
+    regularized picture, where extend_ext drops the kernel of a
+    near-determinate summand."""
+    from test_extensions import _direct_sum
+    from test_hankel import _stress_measure
+
+    from stieltjesmp import MomentProblemError, analyze, moment_sequence
+    from stieltjesmp.solutions import moments_of_measure
+
+    out = dict(indeterminate_battery)
+    rng = np.random.default_rng([18, 1])
+    for i in range(120):
+        meas, m = _stress_measure(rng)
+        try:
+            a = analyze(moments_of_measure(meas, m))
+        except MomentProblemError:
+            continue
+        if a.gamma_weyl is not None:
+            out[f"stress{i}"] = a
+    near = moment_sequence([[[1.0]], [[1e-12]], [[1.0]]])
+    a = _direct_sum(near, indeterminate_battery["two_atom"].seq)
+    assert a.extended.defect_dim < a.picture.defect_dim
+    out["regularized"] = a
+    return out
+
+
+def _weyl_identity_bound(gw):
+    """Bound on ``||M(0) - 2 G^{-1}||``: ``M(0)`` sums ``2/(1 - w)`` over the
+    eigenvalues ``w`` of ``t_mu`` not at 1, so its roundoff grows as
+    ``1/(1 - w)`` when the Friedrichs corner has an atom near 0 (the worst of
+    574 stress and full-rank problems needs 1.3e-15 in place of 1e-13)."""
+    from stieltjesmp.krein import ZERO_TOL
+
+    w = gw.w[1.0 - gw.w > ZERO_TOL * (1.0 + gw.w)]
+    return 1e-13 * max(1.0, np.linalg.norm(gw.M0)) / (1.0 - w.max())
+
+
+def test_weyl_limit_is_twice_the_inverse_gap(grid_analyses):
+    # the Krein corner is tau = 0: t_M = t_mu + 2 J M(0)^{-1} J*, so
+    # M(0) = 2 G^{-1} on the regularized defect space
+    for name, a in grid_analyses.items():
+        gw = a.gamma_weyl
+        g, U, _ = a.extended.gap
+        err = np.linalg.norm(gw.M0 - 2.0 * (U / g) @ U.conj().T)
+        assert err <= _weyl_identity_bound(gw), (name, err)
+
+
+def test_grid_parameters_match_the_oracle(grid_analyses):
+    # the grid's closed form against constant_tau_of_extension on the same
+    # extension: never None (the oracle refuses none of these extensions),
+    # the same matrix to roundoff, and the extension given back by the formula
+    from stieltjesmp.io import encode_matrix
+
+    assert len(grid_analyses) >= 30
+    for name, a in grid_analyses.items():
+        gw, pic = a.gamma_weyl, a.picture
+        for e in solve_tau_grid(a, 4):
+            t = pic.t_mu + e["s"] * pic.C
+            ref = constant_tau_of_extension(gw, t)
+            tau = e["tau_constant"]
+            scale = max(1.0, np.linalg.norm(tau))
+            assert np.linalg.norm(tau - ref) <= 1e-12 * scale, (name, e["s"])
+            spec = {"type": "constant", "matrix": encode_matrix(tau)}
+            back = extension_of_constant_tau(gw, make_tau(spec))
+            assert np.abs(back - t).max() <= 1e-10, (name, e["s"])
+        # the Krein corner's parameter is 0 up to the identity's roundoff
+        assert np.linalg.norm(e["tau_constant"]) <= _weyl_identity_bound(gw), name
 
 
 def test_resolvent_symmetry_any_parameter(two_atom):
