@@ -33,7 +33,6 @@ from .extensions import (
     extremal_extensions,
     resolvent_from_contraction,
     spectral_solution,
-    transform_from_contraction,
 )
 from .gns import HilbertRep, build_space
 from .hankel import (
@@ -62,7 +61,6 @@ from .pipeline import Analysis, Tolerances, analyze, solve_tau_grid, solve_with_
 from .shiftop import ShiftOperator, build_shift
 from .solutions import (
     SolutionMeasure,
-    measure_distance,
     moments_of_measure,
     random_discrete_measure,
     solution_measure,

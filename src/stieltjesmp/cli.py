@@ -28,7 +28,7 @@ import numpy as np
 
 from . import io
 from .errors import InconsistentTruncation, MomentProblemError, SchemaError
-from .extensions import transform_from_contraction
+from .extensions import resolvent_from_contraction
 from .hankel import check_solvable, load_moments
 from .krein import make_tau, solution_transform
 from .pipeline import Tolerances, analyze, solve_tau_grid, solve_with_tau, unique_solution
@@ -175,32 +175,31 @@ def cmd_solve(args):
     seq = _read_moments(args.moments)
     analysis = analyze(seq, args.tols)
     allow = args.allow_unverified
+    error = None
     if analysis.verdict.determinate:
-        entry = unique_solution(analysis, args.tols)
-        results = [_result(entry, {"type": "unique"}, allow)]
+        entries, tau_doc = [unique_solution(analysis, args.tols)], {"type": "unique"}
     elif tau_grid is not None:
         entries = solve_tau_grid(analysis, tau_grid, args.tols)
-        results = [_result(e, {"type": "constant-grid"}, allow) for e in entries]
+        tau_doc = {"type": "constant-grid"}
     else:
         tau_doc = io.read_json(args.tau)
         try:
             tau = make_tau(tau_doc, require_class=not allow)
-            entry = solve_with_tau(analysis, tau, args.tols)
-            results = [_result(entry, tau_doc, allow)]
+            entries = [solve_with_tau(analysis, tau, args.tols)]
         except SchemaError:
             raise
         except MomentProblemError as exc:
-            results = [_error(tau_doc, type(exc).__name__, str(exc))]
+            entries, error = [], _error(tau_doc, type(exc).__name__, str(exc))
+    results = [_result(e, tau_doc, allow) for e in entries] if error is None else [error]
     doc = {
         "N": seq.N,
         "determinate": analysis.verdict.determinate,
         "results": results,
     }
     _output(doc, args.out)
-    ok = [r for r in results if r["status"] == "ok"]
+    ok = [e["measure"] for e, r in zip(entries, results) if r["status"] == "ok"]
     if args.cumulative_csv:
-        for idx, rdoc in enumerate(ok):
-            meas = io.measure_from_dict(rdoc["measure"])
+        for idx, meas in enumerate(ok):
             top = float(meas.positions.max()) if meas.atoms else 1.0
             grid = np.linspace(-0.25, top + 1.0, 201)
             io.write_cumulative_csv(f"{args.cumulative_csv}{idx}.csv", meas, grid)
@@ -215,8 +214,10 @@ def cmd_transform(args):
     analysis = analyze(seq, args.tols)
     N, rep = seq.N, analysis.rep
     if analysis.verdict.determinate:
-        t_mu = analysis.picture.t_mu
-        samples = [(z, transform_from_contraction(t_mu, rep, N, z)) for z in z_points]
+        t_mu, Xi0 = analysis.picture.t_mu, rep.vectors[:, :N]
+        samples = [
+            (z, Xi0.conj().T @ resolvent_from_contraction(t_mu, z) @ Xi0) for z in z_points
+        ]
         tau_doc = {"type": "unique"}
     else:
         if args.tau is None:
@@ -229,10 +230,7 @@ def cmd_transform(args):
     doc["tau"] = tau_doc
     _output(doc, args.out)
     if args.csv:
-        xs = [z.real for z, _ in samples]
-        io.write_scan_csv(
-            args.csv, xs, float(np.mean([z.imag for z, _ in samples])), [F for _, F in samples]
-        )
+        io.write_scan_csv(args.csv, samples)
     return EXIT_OK
 
 

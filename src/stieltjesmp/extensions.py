@@ -61,7 +61,6 @@ __all__ = [
     "determinacy",
     "extend_ext",
     "resolvent_from_contraction",
-    "transform_from_contraction",
     "spectral_solution",
 ]
 
@@ -237,12 +236,6 @@ def resolvent_from_contraction(t, z):
     d = t.shape[0]
     I = np.eye(d, dtype=complex)
     return (I + t) @ np.linalg.solve((1.0 - z) * I - (1.0 + z) * t, I)
-
-
-def transform_from_contraction(t, rep, N, z):
-    """Matrix transform ``F[k, j](z) = <xi_k, R_z xi_j>`` of the extension."""
-    Xi0 = rep.vectors[:, :N]
-    return Xi0.conj().T @ resolvent_from_contraction(t, z) @ Xi0
 
 
 def spectral_solution(t, rep, N):

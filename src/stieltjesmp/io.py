@@ -279,16 +279,17 @@ def write_cumulative_csv(path, meas, grid):
     write_text(path, "\n".join(lines) + "\n")
 
 
-def write_scan_csv(path, xs, eps, values):
-    """(x, Im F(x + i*eps)) scan rows; values is a list of NxN matrices."""
-    N = values[0].shape[0] if values else 0
+def write_scan_csv(path, samples):
+    """``(x, eps, Im F(x + i eps))`` rows, one per ``(z, F(z))`` pair, each
+    with its own ``x = Re z`` and ``eps = Im z``."""
+    N = samples[0][1].shape[0] if samples else 0
     header = ["x", "eps"]
     for k in range(N):
         for j in range(N):
             header.append(f"im_F[{k}][{j}]")
     lines = [",".join(header)]
-    for x, V in zip(xs, values):
-        row = [_fmt_float(float(x)), _fmt_float(float(eps))]
+    for z, V in samples:
+        row = [_fmt_float(z.real), _fmt_float(z.imag)]
         for k in range(N):
             for j in range(N):
                 row.append(_fmt_float(V[k, j].imag))

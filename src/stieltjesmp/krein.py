@@ -21,7 +21,11 @@ the ideal parameter (``tau = infinity``) recovers ``t_mu`` itself.  A rational
 parameter ``tau0 + sum W_k / (p_k - z)`` corresponds to an exit-space
 extension: a Hermitian contraction on ``C^d + C^r`` (``r = sum rank W_k``),
 written in closed form at the base point by :func:`exit_space_extension`, so
-its solution is the exact spectral measure of a finite matrix.
+its solution is the exact spectral measure of a finite matrix.  That one
+construction serves every parameter: without poles it is the in-space
+extension, and the ideal parameter gives ``t_mu``.  One ``eigh`` of the
+extension serves its run-time checks (contractivity, and its resolvent
+against the formula at two check points) and then its measure.
 
 All of it comes from the eigenpairs of ``t_mu = V diag(w) V*``, which the
 extension picture reads off ``eigh(A11)`` (``w = cay(a)`` on the first ``q1``
@@ -34,7 +38,8 @@ the formula costs one product (every block at once) and one solve.  The solve
 also returns ``K(z)^{-1}``, and ``||K||_F ||K^{-1}||_F``, an upper bound on
 ``cond_2 K``, certifies the point when it is within half of
 ``CONDITION_LIMIT``; only a point it cannot certify pays for an SVD, the
-condition test itself, which then decides.
+condition test itself, which then decides.  The parameter block at the base
+point, ``tau0 - P* M(0) P``, takes the same certified solve.
 
 Admissibility is the sampled kernel test: both ``tau(z)`` and ``tau(z)/z``
 must have positive semi-definite Nevanlinna kernels on upper-half-plane
@@ -61,7 +66,7 @@ from .errors import (
     SchemaError,
     WeylLimitDivergent,
 )
-from .extensions import DET_TOL, resolvent_from_contraction
+from .extensions import DET_TOL
 from .io import parse_complex, parse_hermitian, parse_matrix
 from .shiftop import _off_positive_axis
 
@@ -211,7 +216,6 @@ class TauParameter:
     tau0: np.ndarray
     poles: tuple
     class_ok: bool | None = None
-    class_min_eig: float | None = None
 
     @property
     def finite_dim(self):
@@ -342,7 +346,7 @@ def make_tau(spec, hdim=None, require_class=False):
 
     tau = TauParameter(kind=kind, hdim=hdim, finite_basis=basis, tau0=tau0, poles=poles)
     ok, worst = check_stieltjes_class(tau)
-    tau = replace(tau, class_ok=ok, class_min_eig=worst)
+    tau = replace(tau, class_ok=ok)
     if require_class and not ok:
         raise NotStieltjesClass(
             f"parameter fails the sampled kernel test (worst eigenvalue "
@@ -435,21 +439,12 @@ def _certified_solve(K, B, z):
     return np.linalg.solve(K, B) if S is None else S[:, :n]
 
 
-def _parameter_term(tau, z, q, Mz, B, C):
-    """``C P K^{-1} P* B`` for ``K = tau(z) + P* (M(z) - M(0)) P`` with
-    ``Mz = M(z) - M(0)`` and ``P`` the finite-part inclusion of ``tau``,
-    whose identity products are skipped when it has no ideal part."""
-    inc = tau.inclusion(q)
-    if tau.finite_dim < q:
-        inch = inc.conj().T
-        Mz, B, C = inch @ Mz @ inc, inch @ B, C @ inc
-    return C @ _certified_solve(tau.value(z) + Mz, B, z)
-
-
 def _compressed_resolvent(gw, tau, z, Y, Yh):
     """``P* (V* R(tau, z) V) P`` for ``(Y, Yh) = _stacked(gw.w, gw.ov, P)``:
     one product ``Y* diag(g) Y`` gives every block of the formula, then one
-    certified solve applies the parameter block."""
+    certified solve applies the parameter block
+    ``K = tau(z) + I* (M(z) - M(0)) I``, ``I`` the finite-part inclusion of
+    ``tau``, whose identity products are skipped when it has no ideal part."""
     z = complex(z)
     g = gw._diagonal(z)
     n = (Y.shape[1] - gw.q) // 2
@@ -457,28 +452,23 @@ def _compressed_resolvent(gw, tau, z, Y, Yh):
         return Yh[:n] @ (g[:, None] * Y[:, :n])
     H = Yh @ (g[:, None] * Y)
     Mz = (z + 1.0) * H[2 * n :, 2 * n :] - gw.M0
-    return H[:n, :n] - _parameter_term(
-        tau, z, gw.q, Mz, H[2 * n :, n : 2 * n], H[n : 2 * n, 2 * n :]
-    )
+    B, C = H[2 * n :, n : 2 * n], H[n : 2 * n, 2 * n :]
+    inc = tau.inclusion(gw.q)
+    if tau.finite_dim < gw.q:
+        inch = inc.conj().T
+        Mz, B, C = inch @ Mz @ inc, inch @ B, C @ inc
+    return H[:n, :n] - C @ _certified_solve(tau.value(z) + Mz, B, z)
 
 
 def krein_resolvent(gw, tau, z):
-    """Generalized resolvent ``R_z - gamma(z) K(z)^{-1} gamma(conj(z))*``.
+    """Generalized resolvent ``R_z - gamma(z) K(z)^{-1} gamma(conj(z))*`` on
+    all of ``C^d``: the compressed formula at the coordinates ``P = V*``.
 
     ``K(z)`` is the finite-part compression of ``tau(z) + M(z) - M(0)``; its
     inverse is embedded by zero on the relation part, so the pure ideal
-    parameter returns the Friedrichs-corner resolvent unchanged.  In the
-    eigenbasis of ``t_mu`` this is ``diag(r) - diag(g) ov P K(z)^{-1} P* ov*
-    diag(g)`` with ``r = (1 + w)/c``, then one sandwich with ``V``.
+    parameter returns the Friedrichs-corner resolvent unchanged.
     """
-    z = complex(z)
-    g = gw._diagonal(z)
-    inner = np.diag(0.5 * gw._one_pm_w[1] * g)
-    if not tau.is_ideal:
-        ovh = gw.ov.conj().T
-        G, B = g[:, None] * gw.ov, ovh * g  # V* gamma(z), gamma(conj(z))* V
-        inner -= _parameter_term(tau, z, gw.q, (z + 1.0) * (ovh @ G) - gw.M0, B, G)
-    return gw.V @ inner @ gw.V.conj().T
+    return _compressed_resolvent(gw, tau, z, *_stacked(gw.w, gw.ov, gw.V.conj().T))
 
 
 def solution_transform(gw, tau, rep, N, z):
@@ -532,55 +522,41 @@ def constant_tau_of_extension(gw, t):
 
 
 def _verified(gw, tau, t):
-    """``t`` after the run-time checks: Hermitian, contractive, and with the
-    resolvent the formula returns for ``tau`` on ``C^d`` at the check points
-    (an exit-space ``t`` is compared by its leading ``d x d`` block)."""
+    """``(herm(t), w, V)`` after the run-time checks, all read off one
+    ``eigh(herm(t)) = (w, V)``: ``t`` is Hermitian, contractive
+    (``max |w| <= 1 + CHECK_TOL``), and at the check points its resolvent
+    ``V_d diag((1 + w)/((1 - z) - (1 + z) w)) V_d*`` over the leading ``d``
+    rows of ``V`` (the leading block, for an exit-space ``t``) is the one the
+    formula returns for ``tau``."""
     if asymmetry(t) > CHECK_TOL * max(1.0, float(np.abs(t).max())):
         raise PropertyViolated("recovered extension is not Hermitian", witness=t)
     t = herm(t)
-    if float(np.linalg.norm(t, 2)) > 1.0 + CHECK_TOL:
+    w, V = np.linalg.eigh(t)
+    if float(np.abs(w).max()) > 1.0 + CHECK_TOL:
         raise PropertyViolated("recovered extension is not a contraction", witness=t)
-    d = gw.dim
+    Vd = V[: gw.dim]
     for zc in CHECK_POINTS:
-        err = np.abs(
-            krein_resolvent(gw, tau, zc) - resolvent_from_contraction(t, zc)[:d, :d]
-        ).max()
+        R = (Vd * ((1.0 + w) / ((1.0 - zc) - (1.0 + zc) * w))) @ Vd.conj().T
+        err = np.abs(krein_resolvent(gw, tau, zc) - R).max()
         if err > CHECK_TOL:
             raise PropertyViolated(
                 f"recovered extension mismatches the formula at z = {zc} "
                 f"({err:.3e})",
                 witness=t,
             )
-    return t
-
-
-def _base_point_solve(gw, tau, B):
-    """``(JP, Q^{-1} [P* J*, B*])`` with ``P`` the inclusion of ``tau`` and
-    ``Q = tau0 - P* M(0) P`` its block at ``z = -1``, from one factorization."""
-    P = tau.inclusion(gw.q)
-    Q = tau.tau0 - P.conj().T @ gw.M0 @ P
-    if np.linalg.cond(Q) > CONDITION_LIMIT:
-        raise ParameterDegenerate(
-            f"parameter block at z = -1 has condition above {CONDITION_LIMIT:.0e}"
-        )
-    JP = gw.J @ P
-    return JP, np.linalg.solve(Q, np.hstack([JP.conj().T, B.conj().T]))
+    return t, w, V
 
 
 def extension_of_constant_tau(gw, tau):
     """Contractive extension whose resolvent the formula returns for ``tau``.
 
     Valid for parameters without z-dependence (constant, ideal, or mixed with
-    constant finite part): these correspond to extensions inside the space.
-    The extension is verified Hermitian, contractive, and consistent with the
-    formula at the check points.
+    constant finite part): these correspond to extensions inside the space,
+    :func:`exit_space_extension` without its pole block.
     """
     if tau.poles:
         raise ValueError("only constant/ideal parameters define an in-space extension")
-    if tau.is_ideal:
-        return gw.t_mu.copy()
-    JP, QiJP = _base_point_solve(gw, tau, np.zeros((0, tau.finite_dim)))
-    return _verified(gw, tau, gw.t_mu - 2.0 * JP @ QiJP)
+    return exit_space_extension(gw, tau)
 
 
 def _pole_factors(tau):
@@ -610,27 +586,35 @@ def exit_space_extension(gw, tau):
     Woodbury makes ``t_mu - 2 J P (tau(z) - P* M(0) P)^{-1} P* J*`` equal to
     ``t_c + 2 Y* (D' - z)^{-1} Y``, the Schur complement of ``T`` that its
     compressed resolvent sees.  Admissible parameters give ``D' >= 0``.
-    Without poles (``r = 0``) this is :func:`extension_of_constant_tau`.
-    Otherwise ``T`` is verified like that one, once, on its ``d x d``
-    resolvent block (which covers ``t_c``, its leading block).
+    Without poles (``r = 0``) ``T = t_c``, an extension inside the space; the
+    ideal parameter (``P`` with no columns) gives ``t_mu``.  ``Q`` takes the
+    certified solve of every point of the formula, at ``z = -1``, and ``T``
+    is verified once, by :func:`_verified`.
     """
+    return _extension(gw, tau)[0]
+
+
+def _extension(gw, tau):
+    """``(T, w, V)``: :func:`exit_space_extension` and the eigenpairs of
+    ``herm(T)``, from the one ``eigh`` that verifies it."""
     B, p = _pole_factors(tau)
-    r = len(p)
-    if r == 0:
-        return extension_of_constant_tau(gw, replace(tau, poles=()))
-    d = gw.dim
-    JP, X = _base_point_solve(gw, tau, B)
+    d, r = gw.dim, len(p)
+    P = tau.inclusion(gw.q)
+    JP = gw.J @ P
+    Q = tau.tau0 - P.conj().T @ gw.M0 @ P
+    X = _certified_solve(Q, np.hstack([JP.conj().T, B.conj().T]), -1)
     QiJP, QiB = X[:, :d], X[:, d:]
-    delta, U = np.linalg.eigh(herm(np.diag(p) + B @ QiB))
-    if delta.min() < -CHECK_TOL * max(1.0, float(np.abs(delta).max())):
-        raise PropertyViolated(
-            f"pole block D' has eigenvalue {delta.min():.3e} < 0; the "
-            "exit-space extension is not a contraction"
-        )
-    # T = diag(t_c, -E) + 2 [Y, E]* S [Y, E], with S = U diag(1/(1 + delta)) U*
-    Z = U.conj().T @ np.hstack([B @ QiJP, np.eye(r)])
     t = np.zeros((d + r, d + r), dtype=complex)
     t[:d, :d] = gw.t_mu - 2.0 * JP @ QiJP
-    t[d:, d:] = -np.eye(r)
-    t += 2.0 * Z.conj().T @ (Z / (1.0 + delta)[:, None])
+    if r:
+        delta, U = np.linalg.eigh(herm(np.diag(p) + B @ QiB))
+        if delta.min() < -CHECK_TOL * max(1.0, float(np.abs(delta).max())):
+            raise PropertyViolated(
+                f"pole block D' has eigenvalue {delta.min():.3e} < 0; the "
+                "exit-space extension is not a contraction"
+            )
+        # T = diag(t_c, -E) + 2 [Y, E]* S [Y, E], with S = U diag(1/(1 + delta)) U*
+        Z = U.conj().T @ np.hstack([B @ QiJP, np.eye(r)])
+        t[d:, d:] = -np.eye(r)
+        t += 2.0 * Z.conj().T @ (Z / (1.0 + delta)[:, None])
     return _verified(gw, tau, t)

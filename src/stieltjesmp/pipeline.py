@@ -23,7 +23,7 @@ from .extensions import (
     spectral_solution,
 )
 from .gns import build_space
-from .krein import build_gamma_weyl, exit_space_extension
+from .krein import _extension, build_gamma_weyl
 from .shiftop import build_shift
 from .solutions import verify_moments
 
@@ -163,10 +163,10 @@ def solve_with_tau(analysis, tau, tols=Tolerances()):
     space; a rational one ``tau0 + sum W_k / (p_k - z)`` defines an
     exit-space extension, a contraction on ``C^d + C^r``
     (:func:`krein.exit_space_extension`), whose atoms and weights are read
-    off its eigenpairs like any other.  Every parameter :func:`krein.make_tau`
-    accepts is one of these, so the measure is always exact; no transform is
-    inverted.
+    off the eigenpairs its run-time checks computed.  Every parameter
+    :func:`krein.make_tau` accepts is one of these, so the measure is always
+    exact; no transform is inverted.
     """
-    t = exit_space_extension(analysis.require_gamma_weyl(), tau)
-    meas = spectral_solution(t, analysis.rep, analysis.N)
+    _, w, V = _extension(analysis.require_gamma_weyl(), tau)
+    meas = _spectral_measure(w, V, analysis.rep, analysis.N)
     return _gated(analysis, meas, tols.rtol)

@@ -31,7 +31,6 @@ __all__ = [
     "verify_moments",
     "transform_of_measure",
     "random_discrete_measure",
-    "measure_distance",
 ]
 
 
@@ -175,15 +174,3 @@ def random_discrete_measure(seed, N, count, lam_range=(0.0, 10.0), min_sep=0.0):
         W = herm(G.conj().T @ G) * (1.0 / N)
         atoms.append((lam, W))
     return solution_measure(N, atoms)
-
-
-def measure_distance(a, b, grid=None):
-    """Largest Frobenius gap of the cumulatives over a comparison grid."""
-    if grid is None:
-        pts = np.concatenate([a.positions, b.positions, [0.0, 1.0]])
-        lo, hi = float(pts.min()) - 1.0, float(pts.max()) + 1.0
-        grid = np.linspace(lo, hi, 257)
-    worst = 0.0
-    for lam in grid:
-        worst = max(worst, float(np.linalg.norm(a.cumulative(lam) - b.cumulative(lam))))
-    return worst

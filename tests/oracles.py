@@ -9,7 +9,8 @@ finite-dimensional geometry dictates: the orthogonal complement of
 vectors onto that complement.  Points are validated by the library's own
 ``_off_positive_axis``.  ``perron_invert`` recovers a discrete measure from
 samples of its transform by a Stieltjes-Perron scan, an approximate
-cross-check of the exact spectral measures the library emits.
+cross-check of the exact spectral measures the library emits, and
+``measure_distance`` tells two measures apart by their cumulatives.
 
 ``build_gamma_tilde`` builds the shifted block Hankel of one order.
 ``eigen_solvability`` is the eigenvalue form of the solvability test, one
@@ -354,3 +355,15 @@ def perron_invert(
         else:
             merged.append((lam, W))
     return solution_measure(N, merged)
+
+
+def measure_distance(a, b, grid=None):
+    """Largest Frobenius gap of the cumulatives over a comparison grid."""
+    if grid is None:
+        pts = np.concatenate([a.positions, b.positions, [0.0, 1.0]])
+        lo, hi = float(pts.min()) - 1.0, float(pts.max()) + 1.0
+        grid = np.linspace(lo, hi, 257)
+    worst = 0.0
+    for lam in grid:
+        worst = max(worst, float(np.linalg.norm(a.cumulative(lam) - b.cumulative(lam))))
+    return worst

@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 from corner_reference import assemble_completion, cayley_reference
-from oracles import defect_subspace, perron_invert, sample_sc_extensions
+from oracles import defect_subspace, measure_distance, perron_invert, sample_sc_extensions
 
 from stieltjesmp import (
     check_stieltjes_class,
@@ -29,7 +29,7 @@ from stieltjesmp import (
 from stieltjesmp.cli import main
 from stieltjesmp.extensions import spectral_solution
 from stieltjesmp.io import encode_matrix, moments_to_dict, write_json
-from stieltjesmp.solutions import measure_distance, random_discrete_measure
+from stieltjesmp.solutions import random_discrete_measure
 
 UPPER_10 = (
     1j,

@@ -350,8 +350,13 @@ def test_transform_with_tau_and_csv(two_atom_file, tmp_path, capsys):
     assert run("transform", two_atom_file, "--tau", tau, "--z", "1j,2j,-1+1j", "--csv", csv) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["samples"]) == 3
-    header = csv.read_text().splitlines()[0]
-    assert header.startswith("x,eps")
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "x,eps,im_F[0][0]"
+    # each row names its own point, and the value there
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert [r[0] for r in rows] == [0.0, 0.0, -1.0]
+    assert [r[1] for r in rows] == [1.0, 2.0, 1.0]
+    assert [r[2] for r in rows] == [s["F"][0][0][1] for s in doc["samples"]]
 
 
 def test_verify_pass_and_fail(two_atom_file, tmp_path, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import perron_invert
+from oracles import measure_distance, perron_invert
 
 from stieltjesmp import (
     BadPoint,
@@ -19,10 +19,9 @@ from stieltjesmp import (
     resolvent_from_contraction,
     solution_transform,
     solve_tau_grid,
-    transform_from_contraction,
 )
-from stieltjesmp.krein import DEFAULT_CLASS_POINTS
-from stieltjesmp.solutions import measure_distance, transform_of_measure
+from stieltjesmp.krein import CONDITION_LIMIT, DEFAULT_CLASS_POINTS
+from stieltjesmp.solutions import transform_of_measure
 from stieltjesmp.extensions import spectral_solution
 
 UPPER = (1j, 2j, 1 + 1j, -1 + 1j, 0.5 + 1.5j)
@@ -507,6 +506,64 @@ def test_exit_space_run_time_checks(two_atom):
         exit_space_extension(gw, sing)
 
 
+def test_rational_solve_factors_the_extension_once(indeterminate_battery, monkeypatch):
+    # one eigh of the (d + r) x (d + r) extension serves its checks and its
+    # measure: no svd, 2-norm or solve of it, and no cond at the base point
+    from stieltjesmp import solve_with_tau
+
+    a = indeterminate_battery["n2_rand"]
+    gw = a.gamma_weyl
+    tau = _pole_taus(gw.q, seed=1)[1]
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd", "norm", "solve", "cond", "inv"):
+        real = getattr(np.linalg, name)
+
+        def counted(M, *args, _name=name, _real=real, **kwargs):
+            ord_ = args[0] if args else kwargs.get("ord")
+            calls.append((_name, np.shape(M), ord_ if _name == "norm" else None))
+            return _real(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    entry = solve_with_tau(a, tau)
+    monkeypatch.undo()
+    t = exit_space_extension(gw, tau)
+    n = t.shape[0]
+    assert n > gw.dim
+    on_t = [(name, ord_) for name, shape, ord_ in calls if shape == (n, n)]
+    assert on_t == [("eigh", None)]
+    assert not [c for c in calls if c[0] == "cond" or (c[0], c[2]) == ("norm", 2)]
+    got, ref = entry["measure"], spectral_solution(t, a.rep, a.N)
+    assert len(got.atoms) == len(ref.atoms) > 0
+    for (lam, W), (lam0, W0) in zip(got.atoms, ref.atoms):
+        assert lam == lam0 and np.array_equal(W, W0)
+
+
+@pytest.mark.parametrize(
+    "kappa, refused", [(1e11, False), (8e11, False), (1e13, True)]
+)
+def test_base_point_certificate_near_the_limit(indeterminate_battery, kappa, refused):
+    # tau0 = M(0) + delta makes Q = tau0 - M(0) = delta, of condition kappa
+    # (q = 2; a 1 x 1 block always has condition 1): the Frobenius bound
+    # accepts 1e11, the SVD accepts 8e11 and refuses 1e13, the verdicts of the
+    # np.linalg.cond rule.  An accepted tau > 0 is no contraction; a later
+    # run-time check refuses it.
+    from stieltjesmp.io import encode_matrix
+
+    gw = indeterminate_battery["n2_rand"].gamma_weyl
+    assert gw.q == 2
+    rng = np.random.default_rng(0)
+    U, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    delta = (U * [1.0, 1.0 / kappa]) @ U.conj().T
+    tau = make_tau({"type": "constant", "matrix": encode_matrix(gw.M0 + delta)})
+    assert (np.linalg.cond(tau.tau0 - gw.M0) > CONDITION_LIMIT) == refused
+    if refused:
+        with pytest.raises(ParameterDegenerate, match="z = -1 has condition above 1e"):
+            exit_space_extension(gw, tau)
+    else:
+        with pytest.raises(PropertyViolated):
+            exit_space_extension(gw, tau)
+
+
 @pytest.mark.parametrize(
     "z", [0.0, 2.0, *map(complex, ["nan", "inf", "-inf", "nan+1j", "1+infj", "-1-infj"])]
 )
@@ -731,16 +788,19 @@ def test_parameter_degenerate_guard(two_atom):
 # transforms
 
 
+def _unique_transform(a, z):
+    Xi0 = a.rep.vectors[:, :1]
+    return Xi0.conj().T @ resolvent_from_contraction(a.picture.t_mu, z) @ Xi0
+
+
 def test_transform_delta1_closed_form(delta1):
     for z in UPPER:
-        F = transform_from_contraction(delta1.picture.t_mu, delta1.rep, 1, z)
-        assert np.isclose(F[0, 0], 1.0 / (1.0 - z))
+        assert np.isclose(_unique_transform(delta1, z)[0, 0], 1.0 / (1.0 - z))
 
 
 def test_transform_dirac0_closed_form(dirac0):
     for z in UPPER:
-        F = transform_from_contraction(dirac0.picture.t_mu, dirac0.rep, 1, z)
-        assert np.isclose(F[0, 0], -1.0 / z)
+        assert np.isclose(_unique_transform(dirac0, z)[0, 0], -1.0 / z)
 
 
 def test_transform_herglotz_and_stieltjes_positivity(two_atom):

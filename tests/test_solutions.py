@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import NoConvergence, perron_invert
+from oracles import NoConvergence, measure_distance, perron_invert
 
 from stieltjesmp import (
     PoleHit,
@@ -12,7 +12,7 @@ from stieltjesmp import (
     transform_of_measure,
     verify_moments,
 )
-from stieltjesmp.solutions import measure_distance, random_discrete_measure
+from stieltjesmp.solutions import random_discrete_measure
 
 
 def scalar_measure(*atoms):
