@@ -59,7 +59,7 @@ for c in (-3.0, -1.0, 0.0):
     print(f"  tau = {c:+.1f}: atoms",
           [(round(l, 4), round(float(W[0, 0].real), 4)) for l, W in meas.atoms])
 
-print("\nadmissibility is a sampled kernel test (tau and tau/z Herglotz):")
+print("\nadmissibility is read off the normal form (tau(0) <= 0, no pole below 0):")
 for desc, tau in [
     ("constant -1        ", make_tau({"type": "constant", "matrix": [[-1.0]]})),
     ("constant +1        ", make_tau({"type": "constant", "matrix": [[1.0]]})),
@@ -67,7 +67,9 @@ for desc, tau in [
                                       "poles": [{"p": 1.5, "W": [[0.5]]}]})),
     ("pole at -1.0, PSD W", make_tau({"type": "rational", "tau0": [[0.0]],
                                       "poles": [{"p": -1.0, "W": [[2.0]]}]})),
+    ("pole at -300, small", make_tau({"type": "rational", "tau0": [[-1.0]],
+                                      "poles": [{"p": -300.0, "W": [[1e-3]]}]})),
 ]:
-    ok, worst = check_stieltjes_class(tau)
+    ok, margin = check_stieltjes_class(tau)
     print(f"  {desc}: {'in class    ' if ok else 'out of class'} "
-          f"(kernel min eig {worst:+.3e})")
+          f"(margin {margin:+.3e})")

@@ -28,10 +28,10 @@ import numpy as np
 
 from . import io
 from .errors import InconsistentTruncation, MomentProblemError, SchemaError
-from .extensions import resolvent_from_contraction
 from .hankel import check_solvable, load_moments
 from .krein import make_tau, solution_transform
 from .pipeline import Tolerances, analyze, solve_tau_grid, solve_with_tau, unique_solution
+from .shiftop import _off_positive_axis
 from .solutions import (
     moments_of_measure,
     random_discrete_measure,
@@ -214,9 +214,11 @@ def cmd_transform(args):
     analysis = analyze(seq, args.tols)
     N, rep = seq.N, analysis.rep
     if analysis.verdict.determinate:
-        t_mu, Xi0 = analysis.picture.t_mu, rep.vectors[:, :N]
+        # Xi0* R_z Xi0 off the stored t_mu = V diag(w) V*; Xi0 is zero below row N
+        w, Y = analysis.picture.w, analysis.picture.V[:N].conj().T @ rep.vectors[:N, :N]
         samples = [
-            (z, Xi0.conj().T @ resolvent_from_contraction(t_mu, z) @ Xi0) for z in z_points
+            (z, Y.conj().T @ (((1.0 + w) / ((1.0 - z) - (1.0 + z) * w))[:, None] * Y))
+            for z in map(_off_positive_axis, z_points)
         ]
         tau_doc = {"type": "unique"}
     else:
@@ -374,6 +376,10 @@ def _build_parser():
 
 def main(argv=None):
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):  # argparse reads "-1+1j" as a flag
+        if argv[i] == "--z" and argv[i + 1].startswith("-"):
+            argv[i : i + 2] = [f"--z={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -383,15 +389,11 @@ def main(argv=None):
     try:
         args.tols = _tols_from_args(args)
         return COMMANDS[args.command](args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InconsistentTruncation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
     except MomentProblemError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        if isinstance(exc, SchemaError):
+            return EXIT_USAGE
+        return EXIT_INCONSISTENT if isinstance(exc, InconsistentTruncation) else EXIT_NUMERIC
 
 
 if __name__ == "__main__":

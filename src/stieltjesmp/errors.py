@@ -63,8 +63,8 @@ class WeylLimitDivergent(MomentProblemError):
 
 
 class NotStieltjesClass(MomentProblemError):
-    """A parameter function fails the sampled kernel test for the admissible
-    Stieltjes parameter class."""
+    """A parameter is not Stieltjes class: ``tau(0)`` has a positive eigenvalue
+    or a residue sits on the negative axis (``worst_eig``: the signed margin)."""
 
     def __init__(self, message, worst_eig=None):
         super().__init__(message)

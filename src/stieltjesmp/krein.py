@@ -41,13 +41,12 @@ also returns ``K(z)^{-1}``, and ``||K||_F ||K^{-1}||_F``, an upper bound on
 condition test itself, which then decides.  The parameter block at the base
 point, ``tau0 - P* M(0) P``, takes the same certified solve.
 
-Admissibility is the sampled kernel test: both ``tau(z)`` and ``tau(z)/z``
-must have positive semi-definite Nevanlinna kernels on upper-half-plane
-sample points.  Consequences worth spelling out, because they fix all signs
-downstream: constant members are the Hermitian ``tau <= 0``; rational members
-``tau_0 + sum W_k / (p_k - z)`` need PSD residues ``W_k``, poles ``p_k`` on
-the positive axis, and ``tau(0^-) <= 0``; a non-negative linear slope in z is
-admissible (it encodes relation-type behaviour of the parameter at infinity).
+Admissibility is read off the normal form: ``tau(z)`` and ``tau(z)/z`` must
+both be matrix Nevanlinna functions.  With PSD residues ``tau`` itself is,
+and ``tau(z)/z = tau(0)/z + sum (W_k/p_k)/(p_k - z)``, so the class is
+``tau(0) = tau0 + sum W_k/p_k <= 0`` with no residue on the negative axis
+(Krein-Nudelman 1977, ch. V): constant members are the Hermitian
+``tau <= 0``, rational members have their poles on the positive axis.
 """
 
 from __future__ import annotations
@@ -81,13 +80,9 @@ __all__ = [
     "constant_tau_of_extension",
     "extension_of_constant_tau",
     "exit_space_extension",
-    "DEFAULT_CLASS_POINTS",
 ]
 
-#: default upper-half-plane sample set for the class kernel test
-DEFAULT_CLASS_POINTS = (1j, 2j, 1 + 1j, -1 + 1j, 0.5 + 1.5j)
-
-#: the class kernels may dip this far below zero, relative to their scale
+#: the class conditions may fail by this much, relative to the form's scale
 CLASS_TOL = 1e-9
 
 #: ``t_mu`` has an eigenvalue at 0 where ``1 - w <= ZERO_TOL (1 + w)``; its
@@ -305,9 +300,9 @@ def make_tau(spec, hdim=None, require_class=False):
     poles, and ``mixed`` a rational finite part acting on the orthogonal
     complement of ``ideal_subspace``, in the coordinates of the trailing left
     singular vectors of the ``ideal_subspace`` columns.  Class membership
-    (the sampled kernel test) is always computed and attached; it is enforced
-    only when ``require_class`` is set, in which case failing parameters raise
-    :class:`NotStieltjesClass`.
+    (:func:`check_stieltjes_class`) is always computed and attached; it is
+    enforced only when ``require_class`` is set, in which case a failing
+    parameter raises :class:`NotStieltjesClass` naming the failed condition.
     """
     if not isinstance(spec, dict) or "type" not in spec:
         raise SchemaError("tau description must be an object with a 'type'")
@@ -345,63 +340,41 @@ def make_tau(spec, hdim=None, require_class=False):
             basis = np.eye(tau0.shape[0], dtype=complex)
 
     tau = TauParameter(kind=kind, hdim=hdim, finite_basis=basis, tau0=tau0, poles=poles)
-    ok, worst = check_stieltjes_class(tau)
-    tau = replace(tau, class_ok=ok)
-    if require_class and not ok:
-        raise NotStieltjesClass(
-            f"parameter fails the sampled kernel test (worst eigenvalue "
-            f"{worst:.3e})",
-            worst_eig=worst,
-        )
+    margin, condition = _worst_condition(tau)
+    tau = replace(tau, class_ok=margin >= 0.0)
+    if require_class and margin < 0.0:
+        raise NotStieltjesClass(f"parameter is not Stieltjes class: {condition}", worst_eig=margin)
     return tau
 
 
-def _kernel_min_eig(fun, pts, dim):
-    """Smallest eigenvalue of the sampled Nevanlinna kernel of ``fun``."""
-    vals = np.array([np.atleast_2d(fun(z)) for z in pts])
-    p = np.asarray(pts)
-    # row block j carries the conjugated slot: K[(j,b),(i,a)] =
-    # (G(z_i) - G(z_j)*)[b,a] / (z_i - conj(z_j)), positive semi-definite
-    # exactly when G is a Herglotz function.
-    num = vals[None] - vals.conj().transpose(0, 2, 1)[:, None]
-    blk = num / (p[None, :] - p.conj()[:, None])[:, :, None, None]
-    K = herm(blk.transpose(0, 2, 1, 3).reshape(len(pts) * dim, len(pts) * dim))
-    w = np.linalg.eigvalsh(K)
-    return float(w.min()), float(np.abs(w).max())
+def _worst_condition(tau):
+    """``(margin, condition)`` of the class condition nearest to failing."""
+    if tau.is_ideal:
+        return 0.0, None
+    scales = [np.abs(W).max() / abs(p) for p, W in tau.poles]
+    bound = CLASS_TOL * float(max(1.0, np.abs(tau.tau0).max(), *scales))
+    lam = float(np.linalg.eigvalsh(tau.value(0.0))[-1])
+    conditions = [(bound - lam, f"tau(0) has eigenvalue {lam:.3e} > 0")]
+    for p, W in tau.poles:
+        if p < 0.0:
+            lam = float(np.linalg.eigvalsh(W)[-1])
+            conditions.append((bound - lam / -p, f"pole p = {p:.6g} lies on the "
+                               f"negative axis (residue eigenvalue {lam:.3e})"))
+    return min(conditions, key=lambda c: c[0])
 
 
-def check_stieltjes_class(tau, sample_points=DEFAULT_CLASS_POINTS):
-    """Sampled kernel test for admissibility of a parameter.
+def check_stieltjes_class(tau):
+    """Admissibility of a :class:`TauParameter`, read off its normal form:
+    ``lambda_max(tau(0))`` and, for each pole ``p_k < 0``,
+    ``lambda_max(W_k)/|p_k|`` may not exceed ``CLASS_TOL s``, with
+    ``s = max(1, |tau0|, |W_k|/|p_k|)`` in max-entry norms.  The ideal
+    parameter passes vacuously.
 
-    Builds, over the sample points and a basis of finite-part directions, the
-    Nevanlinna kernels of ``z -> tau(z)/z`` and of ``tau`` itself, and passes
-    iff both have smallest eigenvalue at least ``-CLASS_TOL`` (relative to the
-    kernel scale).  A parameter with empty finite part passes vacuously.
-
-    ``tau`` may be a :class:`TauParameter` or a bare callable
-    ``z -> matrix`` (any matrix-valued function can be probed this way).
-
-    Returns ``(passed, worst_min_eig)``.
+    Returns ``(passed, margin)``: the bound less the worst value, ``>= 0``
+    inside the class.
     """
-    if callable(tau) and not isinstance(tau, TauParameter):
-        value = lambda z: np.atleast_2d(np.asarray(tau(z), dtype=complex))
-        dim = value(1j).shape[0]
-    else:
-        if tau.is_ideal:
-            return True, 0.0
-        value = tau.value
-        dim = tau.finite_dim
-    pts = [complex(z) for z in sample_points]
-    if any(z.imag <= 0 for z in pts):
-        raise ValueError("class sample points must lie in the upper half-plane")
-    worst = np.inf
-    ok = True
-    for fun in (lambda z: value(z) / z, value):
-        lo, scale = _kernel_min_eig(fun, pts, dim)
-        worst = min(worst, lo)
-        if lo < -CLASS_TOL * max(1.0, scale):
-            ok = False
-    return ok, float(worst)
+    margin = _worst_condition(tau)[0]
+    return margin >= 0.0, margin
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,12 @@ cross-check of the exact spectral measures the library emits, and
 ``eigvalsh`` per leading block; ``mp_relative_pivots`` is the natural-order
 Cholesky of a rounded Hankel in ``mpmath``, the exact-input reference for the
 relative pivots that ``check_solvable`` reports.
+
+``sampled_class_test`` is the Pick-matrix test of the Stieltjes class: the
+Nevanlinna kernels of ``tau(z)/z`` and ``tau(z)`` over upper-half-plane
+sample points must be positive semi-definite.  It is only a necessary
+condition, the reference the library's closed form is tested against, and
+it also probes a bare callable outside the normal form.
 """
 
 from dataclasses import dataclass
@@ -27,6 +33,7 @@ import numpy as np
 from stieltjesmp._linalg import PINV_RCOND, herm
 from stieltjesmp.errors import MomentProblemError, PropertyViolated
 from stieltjesmp.hankel import DEFAULT_PSD_TOL, _block_hankel
+from stieltjesmp.krein import CLASS_TOL, TauParameter
 from stieltjesmp.shiftop import _off_positive_axis
 from stieltjesmp.solutions import solution_measure
 
@@ -367,3 +374,55 @@ def measure_distance(a, b, grid=None):
     for lam in grid:
         worst = max(worst, float(np.linalg.norm(a.cumulative(lam) - b.cumulative(lam))))
     return worst
+
+
+#: default upper-half-plane sample set for the class kernel test
+DEFAULT_CLASS_POINTS = (1j, 2j, 1 + 1j, -1 + 1j, 0.5 + 1.5j)
+
+
+def kernel_min_eig(fun, pts, dim):
+    """Smallest eigenvalue of the sampled Nevanlinna kernel of ``fun``."""
+    vals = np.array([np.atleast_2d(fun(z)) for z in pts])
+    p = np.asarray(pts)
+    # row block j carries the conjugated slot: K[(j,b),(i,a)] =
+    # (G(z_i) - G(z_j)*)[b,a] / (z_i - conj(z_j)), positive semi-definite
+    # exactly when G is a Herglotz function.
+    num = vals[None] - vals.conj().transpose(0, 2, 1)[:, None]
+    blk = num / (p[None, :] - p.conj()[:, None])[:, :, None, None]
+    K = herm(blk.transpose(0, 2, 1, 3).reshape(len(pts) * dim, len(pts) * dim))
+    w = np.linalg.eigvalsh(K)
+    return float(w.min()), float(np.abs(w).max())
+
+
+def sampled_class_test(tau, sample_points=DEFAULT_CLASS_POINTS):
+    """Sampled kernel test for admissibility of a parameter.
+
+    Builds, over the sample points and a basis of finite-part directions, the
+    Nevanlinna kernels of ``z -> tau(z)/z`` and of ``tau`` itself, and passes
+    iff both have smallest eigenvalue at least ``-CLASS_TOL`` (relative to the
+    kernel scale).  A parameter with empty finite part passes vacuously.
+
+    ``tau`` may be a :class:`TauParameter` or a bare callable
+    ``z -> matrix`` (any matrix-valued function can be probed this way).
+
+    Returns ``(passed, worst_min_eig)``.
+    """
+    if callable(tau) and not isinstance(tau, TauParameter):
+        value = lambda z: np.atleast_2d(np.asarray(tau(z), dtype=complex))
+        dim = value(1j).shape[0]
+    else:
+        if tau.is_ideal:
+            return True, 0.0
+        value = tau.value
+        dim = tau.finite_dim
+    pts = [complex(z) for z in sample_points]
+    if any(z.imag <= 0 for z in pts):
+        raise ValueError("class sample points must lie in the upper half-plane")
+    worst = np.inf
+    ok = True
+    for fun in (lambda z: value(z) / z, value):
+        lo, scale = kernel_min_eig(fun, pts, dim)
+        worst = min(worst, lo)
+        if lo < -CLASS_TOL * max(1.0, scale):
+            ok = False
+    return ok, float(worst)

@@ -268,6 +268,34 @@ def test_solve_out_of_class_tau_refused(two_atom_file, tmp_path):
     assert run("solve", two_atom_file, "--tau", tau) == 70
 
 
+NEGATIVE_POLE = {"type": "rational", "tau0": [[-1.0]], "poles": [{"p": -300.0, "W": [[1e-3]]}]}
+
+
+@pytest.fixture
+def three_atom_file(tmp_path):
+    # atoms 0.5, 1.5, 3.0 with weights 0.3, 0.5, 0.2, up to S_3: indeterminate
+    return write(
+        tmp_path / "m3.json",
+        {"N": 1, "moments": [[[1, 0]], [[1.5, 0]], [[3, 0]], [[7.125, 0]]]},
+    )
+
+
+def test_solve_negative_pole_refused_as_out_of_class(three_atom_file, tmp_path, capsys):
+    tau = write(tmp_path / "tau.json", NEGATIVE_POLE)
+    assert run("solve", three_atom_file, "--tau", tau) == 70
+    (res,) = json.loads(capsys.readouterr().out)["results"]
+    assert res["status"] == "error"
+    assert res["error"]["type"] == "NotStieltjesClass"
+    assert "pole p = -300" in res["error"]["message"]
+
+
+def test_transform_negative_pole_refused(three_atom_file, tmp_path, capsys):
+    tau = write(tmp_path / "tau.json", NEGATIVE_POLE)
+    assert run("transform", three_atom_file, "--tau", tau, "--z", "1j") == 70
+    out = capsys.readouterr()
+    assert out.out == "" and "pole p = -300 lies on the negative axis" in out.err
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -312,6 +340,37 @@ def test_transform_determinate_direct(tmp_path, capsys):
     z0 = complex(*doc["samples"][0]["z"])
     F0 = complex(*doc["samples"][0]["F"][0][0])
     assert abs(F0 - 1.0 / (1.0 - z0)) <= 1e-10
+
+
+def test_transform_determinate_matches_the_dense_resolvent(tmp_path, capsys):
+    # the stored eigenpairs of t_mu against one LU of the Cayley resolvent
+    from stieltjesmp import analyze, resolvent_from_contraction
+    from stieltjesmp.hankel import load_moments
+
+    moments = [[[2, 0]], [[3, 0]], [[5, 0]], [[9, 0]], [[17, 0]]]  # atoms 1, 2
+    f = write(tmp_path / "d.json", {"N": 1, "moments": moments})
+    zs = (1j, -2.0, -1 + 0.5j, 3 + 1e-3j)
+    assert run("transform", f, "--z=" + ",".join(map(str, zs))) == 0
+    a = analyze(load_moments(read_json(f)))
+    assert a.verdict.determinate
+    Xi0 = a.rep.vectors[:, :1]
+    for z, sample in zip(zs, json.loads(capsys.readouterr().out)["samples"]):
+        want = (Xi0.conj().T @ resolvent_from_contraction(a.picture.t_mu, z) @ Xi0)[0, 0]
+        assert abs(complex(*sample["F"][0][0]) - want) <= 1e-13 * abs(want)
+    assert run("transform", f, "--z", "1j,2.0") == 70
+    assert "lies on [0, inf)" in capsys.readouterr().err
+
+
+def test_transform_z_list_with_a_leading_minus(two_atom_file, tmp_path, capsys):
+    tau = write(tmp_path / "tau.json", {"type": "constant", "matrix": [[-1.0]]})
+    assert run("transform", two_atom_file, "--tau", tau, "--z", "-1+1j,1j") == 0
+    separate = capsys.readouterr().out
+    assert run("transform", two_atom_file, "--tau", tau, "--z=-1+1j,1j") == 0
+    assert capsys.readouterr().out == separate
+    assert [s["z"] for s in json.loads(separate)["samples"]] == [[-1, 1], [0, 1]]
+    # a --z without its value is still a usage error
+    assert run("transform", two_atom_file, "--tau", tau, "--z") == 64
+    assert run("transform", two_atom_file, "--z", "--tau", tau) == 64
 
 
 def test_transform_requires_tau_when_indeterminate(two_atom_file):

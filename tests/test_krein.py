@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import measure_distance, perron_invert
+from oracles import DEFAULT_CLASS_POINTS, measure_distance, perron_invert, sampled_class_test
 
 from stieltjesmp import (
     BadPoint,
@@ -20,7 +20,7 @@ from stieltjesmp import (
     solution_transform,
     solve_tau_grid,
 )
-from stieltjesmp.krein import CONDITION_LIMIT, DEFAULT_CLASS_POINTS
+from stieltjesmp.krein import CONDITION_LIMIT
 from stieltjesmp.solutions import transform_of_measure
 from stieltjesmp.extensions import spectral_solution
 
@@ -152,7 +152,7 @@ def test_make_tau_constant_nsd_in_class():
     tau = make_tau({"type": "constant", "matrix": [[-1.0]]})
     assert tau.class_ok is True
     with np.errstate(all="ignore"):
-        ok, worst = check_stieltjes_class(tau, UPPER)
+        ok, worst = sampled_class_test(tau, UPPER)
     assert ok and worst >= -1e-9
 
 
@@ -277,8 +277,38 @@ def test_mixed_ideal_rank_rule(ideal, accepted):
             make_tau(doc)
 
 
+def test_negative_pole_is_refused_by_name():
+    # the sampled kernel test admitted this pole: its share of the tau/z
+    # kernel, (W/p) sum 1/|p - z_i|^2, is about -2e-10, inside CLASS_TOL
+    doc = {"type": "rational", "tau0": [[-1.0]], "poles": [{"p": -300.0, "W": [[1e-3]]}]}
+    assert sampled_class_test(make_tau(doc))[0]
+    with pytest.raises(NotStieltjesClass, match=r"pole p = -300 lies on the negative axis") as exc:
+        make_tau(doc, require_class=True)
+    assert exc.value.worst_eig == pytest.approx(1e-9 - 1e-3 / 300.0)
+
+
+def test_class_conditions_read_off_the_normal_form():
+    # tau(0) = tau0 + sum W_k / p_k decides; the margin is CLASS_TOL s less
+    # the worst value, s = max(1, |tau0|, |W_k| / |p_k|)
+    rat = lambda tau0, *poles: make_tau(
+        {"type": "rational", "tau0": [[tau0]], "poles": [{"p": p, "W": [[W]]} for p, W in poles]}
+    )
+    ok, margin = check_stieltjes_class(rat(-0.5, (2.0, 0.5)))
+    assert ok and margin == pytest.approx(0.25 + 1e-9)
+    ok, margin = check_stieltjes_class(rat(-4.0, (0.5, 2.0)))
+    assert ok and margin == pytest.approx(4e-9)  # tau(0) = 0 exactly
+    ok, margin = check_stieltjes_class(rat(-4.0, (0.5, 2.0 + 1e-7)))
+    assert not ok and margin == pytest.approx(4e-9 - 2e-7, rel=1e-6)
+    with pytest.raises(NotStieltjesClass, match=r"tau\(0\) has eigenvalue 2\.000e-07 > 0"):
+        make_tau({"type": "rational", "tau0": [[-4.0]], "poles": [{"p": 0.5, "W": [[2.0 + 1e-7]]}]},
+                 require_class=True)
+    # a zero residue on the negative axis is no pole at all
+    assert check_stieltjes_class(rat(-1.0, (-2.0, 0.0)))[0]
+    assert check_stieltjes_class(make_tau({"type": "infinite"})) == (True, 0.0)
+
+
 def test_class_kernel_vacuous_for_ideal():
-    ok, worst = check_stieltjes_class(make_tau({"type": "infinite"}), UPPER)
+    ok, worst = sampled_class_test(make_tau({"type": "infinite"}), UPPER)
     assert ok and worst == 0.0
 
 
@@ -286,7 +316,7 @@ def test_class_kernel_callable_probe():
     # the pure Cauchy kernel of a positive point mass on the positive axis,
     # normalized to vanish at 0, is a class member
     fun = lambda z: np.array([[z / (1.5 * (1.5 - z))]])
-    ok, worst = check_stieltjes_class(fun, UPPER)
+    ok, worst = sampled_class_test(fun, UPPER)
     assert ok, worst
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import krein_reference as ref
+from oracles import DEFAULT_CLASS_POINTS, kernel_min_eig
 from stieltjesmp import (
     BadPoint,
     ParameterDegenerate,
@@ -19,7 +20,7 @@ from stieltjesmp import (
     solution_transform,
 )
 from stieltjesmp.io import encode_matrix
-from stieltjesmp.krein import CONDITION_LIMIT, DEFAULT_CLASS_POINTS, TauParameter
+from stieltjesmp.krein import CONDITION_LIMIT, TauParameter
 from stieltjesmp.solutions import random_discrete_measure
 
 PARITY_TOL = 1e-13
@@ -253,11 +254,9 @@ def test_class_kernel_is_bit_equal_to_the_block_loop(monkeypatch):
     monkeypatch.setattr(
         np.linalg, "eigvalsh", lambda K: seen.append(K.copy()) or eigvalsh(K)
     )
-    from stieltjesmp.krein import _kernel_min_eig
-
     for fun, pts, dim in _probes():
         pts = [complex(z) for z in pts]
-        _kernel_min_eig(fun, pts, dim)
+        kernel_min_eig(fun, pts, dim)
         want = ref.kernel(fun, pts, dim)
         assert seen[-1].shape == want.shape
         assert seen[-1].tobytes() == want.tobytes()

@@ -1,9 +1,12 @@
-"""Invariances the determinacy decision must respect, and the closed-form
-extremal corners against an independent reference, as property tests.
+"""Invariances the determinacy decision must respect, the closed-form
+extremal corners against an independent reference, and the closed-form
+class test against the sampled one, as property tests.
 
 The data are moments of discrete measures of moderate size: block size
 ``N <= 2``, order ``m <= 5``, at most three atoms on a fixed grid in
 ``[0.2, 5]`` with weights whose non-zero eigenvalues lie in ``[0.5, 2]``.
+The parameters are normal forms ``tau0 + sum W_k / (p_k - z)`` on ``C^f``,
+``f <= 3``, with at most two poles of either sign.
 """
 
 import numpy as np
@@ -14,9 +17,12 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from corner_reference import gap_kernel_dim, reference_corners  # noqa: E402
+from oracles import DEFAULT_CLASS_POINTS, sampled_class_test  # noqa: E402
 
-from stieltjesmp import analyze, extend_ext, moment_sequence  # noqa: E402
+from stieltjesmp import analyze, extend_ext, make_tau, moment_sequence  # noqa: E402
 from stieltjesmp import moments_of_measure, solution_measure, solve_tau_grid  # noqa: E402
+from stieltjesmp.io import encode_matrix  # noqa: E402
+from stieltjesmp.krein import CLASS_TOL, check_stieltjes_class  # noqa: E402
 
 GRID = (0.2, 0.6, 1.1, 1.7, 2.4, 3.2, 4.1, 5.0)
 FEW = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -121,3 +127,53 @@ def test_corners_match_the_gram_factor_reference(problem):
     assert np.abs(a.picture.t_M - t_M).max() <= 1e-9
     kernel = a.picture.defect_dim - extend_ext(a.picture).defect_dim
     assert kernel == gap_kernel_dim(t_mu, t_M, J)
+
+
+#: the sampled test bounds ``lambda_max(tau(0))`` by ``CLASS_TOL`` over
+#: ``sum 1/|z_i|^2``, the norm of the ``tau(0)/z`` part of its kernel
+BAND = sum(abs(z) ** -2 for z in DEFAULT_CLASS_POINTS)
+
+
+@st.composite
+def normal_forms(draw):
+    """``(spec, s)``: a rational parameter with ``lambda_max(tau(0))``
+    of either sign, at ``1e-14`` to ``1`` or (half the draws) within a
+    decade and a half of ``CLASS_TOL s``; ``s`` is the form's scale."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = int(rng.integers(1, 4))
+    poles = []
+    for _ in range(int(rng.integers(0, 3))):
+        p = float(10 ** rng.uniform(-1, 2.5) * rng.choice([-1.0, 1.0]))
+        shape = (rng.integers(1, f + 1), f)
+        B = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        W = _herm(B.conj().T @ B)
+        poles.append((p, W * 10 ** rng.uniform(-6, 1) / np.abs(W).max()))
+    s = max([1.0] + [np.abs(W).max() / abs(p) for p, W in poles])
+    if draw(st.booleans()):
+        lam = CLASS_TOL * s * 10 ** rng.uniform(-1.5, 1.5)
+    else:
+        lam = 10 ** rng.uniform(-14, 0) * rng.choice([-1.0, 1.0])
+    U = _unitary(rng, f)
+    tau_at_0 = (U * (lam - np.r_[0.0, rng.uniform(0, 1, f - 1)])) @ U.conj().T
+    tau0 = _herm(tau_at_0 - sum((W / p for p, W in poles), np.zeros((f, f))))
+    spec = {
+        "type": "rational",
+        "tau0": encode_matrix(tau0),
+        "poles": [{"p": p, "W": encode_matrix(W)} for p, W in poles],
+    }
+    return spec, max(s, np.abs(tau0).max())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(normal_forms())
+def test_closed_form_class_implies_the_sampled_kernel_test(form):
+    # the sampled test is a necessary condition: what the closed form admits
+    # it admits too, except where its tighter bound on tau(0) bites
+    spec, s = form
+    tau = make_tau(spec)
+    ok, margin = check_stieltjes_class(tau)
+    assert tau.class_ok == ok and (margin >= 0.0) == ok
+    lam = float(np.linalg.eigvalsh(tau.value(0.0))[-1])
+    if ok and not CLASS_TOL * s / BAND < lam <= CLASS_TOL * s:
+        with np.errstate(all="ignore"):
+            assert sampled_class_test(tau)[0], (spec, lam / s)
