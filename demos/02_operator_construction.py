@@ -13,12 +13,12 @@ from stieltjesmp import (
     analyze,
     build_shift,
     build_space,
+    check_solvable,
     moment_sequence,
-    scalarize,
 )
 
 seq = moment_sequence([[[2.0]], [[3.0]], [[5.0]]])  # atoms {1, 2}, unit weights
-rep = build_space(scalarize(seq))
+rep = build_space(*check_solvable(seq).plain)  # the factor that decided solvability
 X = rep.vectors
 print("Gram rank (space dimension):", rep.dim)
 print("Gram reproduction error:",
@@ -44,6 +44,6 @@ from stieltjesmp import InconsistentTruncation
 
 bad = moment_sequence([[[1.0]], [[1.0]], [[1.0]], [[1.0]], [[2.0]]])
 try:
-    build_shift(build_space(scalarize(bad)))
+    build_shift(build_space(*check_solvable(bad).plain))
 except InconsistentTruncation as exc:
     print("\ndegenerate truncation rejected as expected:\n ", exc)

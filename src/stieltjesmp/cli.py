@@ -10,11 +10,11 @@ Subcommands::
     verify       moment round-trip check of a measure against moments
 
 Exit codes: 0 success, 2 negative mathematical verdict, 3 marginal verdict,
-4 inconsistent truncation, 64 usage or schema error, 70 internal numeric
-failure.  JSON output is deterministic (sorted keys, 17 significant digits);
-complex numbers serialize as ``[re, im]`` and matrices as row-major nested
-arrays.  The environment variable ``STIELTJES_MP_SEED`` overrides the default
-seed of ``gen``.
+4 inconsistent truncation, 64 usage or schema error (data too short for the
+command included), 70 internal numeric failure.  JSON output is deterministic
+(sorted keys, 17 significant digits); complex numbers serialize as
+``[re, im]`` and matrices as row-major nested arrays.  The environment
+variable ``STIELTJES_MP_SEED`` overrides the default seed of ``gen``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import io
-from .errors import InconsistentTruncation, MomentProblemError, SchemaError
+from .errors import InconsistentTruncation, MomentProblemError, OrderTooLow, SchemaError
 from .hankel import check_solvable, load_moments
 from .krein import make_tau, solution_transform
 from .pipeline import Tolerances, analyze, solve_tau_grid, solve_with_tau, unique_solution
@@ -308,7 +308,7 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     # each command takes only the tolerance flags it reads
-    analyze_tols = ("--psd-tol", "--rank-tol", "--consistency-tol", "--det-tol")
+    analyze_tols = ("--psd-tol", "--consistency-tol", "--det-tol")
 
     def add_tols(sp, *flags):
         for flag in flags:
@@ -391,7 +391,7 @@ def main(argv=None):
         return COMMANDS[args.command](args)
     except MomentProblemError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, SchemaError):
+        if isinstance(exc, (SchemaError, OrderTooLow)):
             return EXIT_USAGE
         return EXIT_INCONSISTENT if isinstance(exc, InconsistentTruncation) else EXIT_NUMERIC
 

@@ -4,7 +4,7 @@ A positive semi-definite Gram matrix ``gamma`` of size ``(n+1)N`` factors as
 ``gamma = X* X`` with ``X`` its Cholesky factor in natural order, i.e.
 Gram-Schmidt of ``xi_0, xi_1, ...``: column ``k`` opens a new coordinate when
 its pivot (its squared residual after the earlier kept columns) exceeds
-``rank_tol * gamma[k, k]``, and is dropped into their span otherwise.  The
+``psd_tol * gamma[k, k]``, and is dropped into their span otherwise.  The
 columns ``xi_a`` of ``X`` live in ``C^d`` (d = kept columns) and reproduce the
 Gram in the standard inner product: ``vdot(xi_a, xi_b) = gamma[a, b]``.
 ``X`` is upper trapezoidal, so the span of the first vectors is a span of
@@ -12,8 +12,9 @@ leading coordinates (the block-Jacobi basis of matrix orthogonal polynomials).
 
 Rank-deficient Grams are a first-class case: linearly dependent ``xi_a`` are
 expected and everything downstream is tested only through inner products.
-The rule is :func:`natural_factor`; :func:`hankel.check_solvable` runs it
-too, at ``psd_tol`` and on its own factors of both maximal Hankels.
+The rule is :func:`natural_factor`; only :func:`hankel.check_solvable` runs
+it, and its plain factor is the one :func:`build_space` takes, so a dropped
+column is always a ``marginal`` (or worse) verdict.
 """
 
 from __future__ import annotations
@@ -22,12 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import herm
 from .errors import NotPSD
 
 __all__ = ["HilbertRep", "build_space", "natural_factor"]
-
-DEFAULT_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -42,7 +40,6 @@ class HilbertRep:
     dim: int
     vectors: np.ndarray
     gram: object  # the source ScalarGram
-    rank_tol: float
 
 
 def natural_factor(G, tol):
@@ -81,11 +78,11 @@ def natural_factor(G, tol):
     return R[:d], rel, fault
 
 
-def build_space(gram, rank_tol=DEFAULT_RANK_TOL):
-    """Coordinate vectors of a scalarized Gram by :func:`natural_factor` at
-    ``rank_tol``; a fault means the Gram is not positive semi-definite
-    (unsolvable input reached the construction): :class:`NotPSD`."""
-    R, _, fault = natural_factor(herm(np.asarray(gram.gamma, dtype=complex)), rank_tol)
+def build_space(gram, factor):
+    """Coordinate vectors of a scalarized Gram from its :func:`natural_factor`
+    (``SolvabilityReport.plain`` carries both); a fault means the Gram is not
+    positive semi-definite (unsolvable input reached it): :class:`NotPSD`."""
+    R, _, fault = factor
     if fault:
         raise NotPSD(fault)
-    return HilbertRep(dim=R.shape[0], vectors=R, gram=gram, rank_tol=rank_tol)
+    return HilbertRep(dim=R.shape[0], vectors=R, gram=gram)

@@ -11,13 +11,13 @@ of each family's maximal matrix decides every order (:func:`check_solvable`).
 
 Everything downstream works with the scalarized Gram: the plain block Hankel
 of maximal representable order ``n = floor(m/2)`` viewed entrywise, so that
-``gamma[r*N + j, t*N + k] = S_{r+t}[j, k]``.
+``gamma[r*N + j, t*N + k] = S_{r+t}[j, k]``, built and factored once.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
 from itertools import chain
 
 import numpy as np
@@ -82,7 +82,8 @@ class ScalarGram:
 class SolvabilityReport:
     """Per order ``k``, the smallest relative pivot ``pivot / max(G_jj, 1)``
     over the leading ``(k+1)N`` columns of each family's factor, and the
-    verdict."""
+    verdict.  ``plain``, not reported, is the :class:`ScalarGram` and its
+    factor: the arguments of :func:`gns.build_space`."""
 
     plain_min_pivots: tuple
     shifted_min_pivots: tuple
@@ -90,10 +91,11 @@ class SolvabilityReport:
     psd_tol: float
     max_plain_order: int
     max_shifted_order: int
+    plain: tuple = field(default=None, repr=False, compare=False)
 
     def to_dict(self):
         return {
-            **asdict(self),
+            **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "plain"},
             "note": (
                 "verdict certifies positive semi-definiteness of the block "
                 "Hankel matrices up to the stated orders only"
@@ -228,11 +230,12 @@ def check_solvable(seq, psd_tol=DEFAULT_PSD_TOL):
     :func:`gns.natural_factor` at ``psd_tol`` of each family's maximal one,
     whose leading ``(k+1)N`` block is the Hankel of order ``k``: ``"not
     solvable"`` when a factor has a fault, ``"marginal"`` when one drops a
-    column, ``"solvable"`` otherwise."""
-    tops = (seq.n, (seq.m - 1) // 2)  # maximal plain and shifted orders
+    column, ``"solvable"`` otherwise.  The plain one is the scalarized Gram."""
+    gram, top = scalarize(seq), (seq.m - 1) // 2  # the maximal shifted order
+    shifted = _block_hankel(seq, top, 1)
+    factors = [natural_factor(G, psd_tol) for G in (gram.gamma, shifted)]
     verdict, pivots = "solvable", []
-    for offset, top in enumerate(tops):
-        R, rel, fault = natural_factor(_block_hankel(seq, top, offset), psd_tol)
+    for R, rel, fault in factors:
         pivots.append(tuple(np.minimum.accumulate(rel)[seq.N - 1 :: seq.N].tolist()))
         if fault:
             verdict = "not solvable"
@@ -243,6 +246,7 @@ def check_solvable(seq, psd_tol=DEFAULT_PSD_TOL):
         shifted_min_pivots=pivots[1],
         verdict=verdict,
         psd_tol=psd_tol,
-        max_plain_order=tops[0],
-        max_shifted_order=tops[1],
+        max_plain_order=seq.n,
+        max_shifted_order=top,
+        plain=(gram, factors[0]),
     )

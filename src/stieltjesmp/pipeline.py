@@ -3,7 +3,8 @@ solution measures out.
 
 This is the layer the command-line tool and the demos drive; each stage is a
 thin composition of the module-level operations so intermediate objects stay
-inspectable.
+inspectable.  ``psd_tol`` makes every rank decision: the space is the plain
+Hankel factor that decided solvability.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ __all__ = ["Tolerances", "Analysis", "analyze", "solve_tau_grid", "solve_with_ta
 
 @dataclass(frozen=True)
 class Tolerances:
-    psd_tol: float = 1e-10
-    rank_tol: float = 1e-10
-    consistency_tol: float = 1e-8
-    det_tol: float = DET_TOL
-    rtol: float = 1e-8
+    psd_tol: float = 1e-10  # every rank cut and PSD verdict
+    consistency_tol: float = 1e-8  # shift residual
+    det_tol: float = DET_TOL  # gap norm of the determinacy decision
+    rtol: float = 1e-8  # moment round-trip gate
     # not a setting: no library code reads it, only the benchmark harness
     invert_rtol: ClassVar[float] = 1e-3
 
@@ -77,8 +77,7 @@ def analyze(seq, tols=Tolerances()):
     still succeed.
     """
     solv = hankel.check_solvable(seq, tols.psd_tol)
-    gram = hankel.scalarize(seq)
-    rep = build_space(gram, tols.rank_tol)
+    rep = build_space(*solv.plain)
     shift = build_shift(rep, tol=tols.consistency_tol)
     pic = extremal_extensions(shift)
     verdict = determinacy(pic, det_tol=tols.det_tol)
@@ -94,7 +93,7 @@ def analyze(seq, tols=Tolerances()):
     return Analysis(
         seq=seq,
         solvability=solv,
-        gram=gram,
+        gram=rep.gram,
         rep=rep,
         shift=shift,
         picture=pic,

@@ -564,17 +564,23 @@ def test_unwritable_output_path_exit_usage(gen_two_atom, tmp_path, capsys, flag)
 @pytest.mark.parametrize(
     "args",
     [
-        ("determinacy", "--rank-tol", "nan"),
-        ("determinacy", "--rank-tol", "inf"),
-        ("determinacy", "--rank-tol", -1),
+        ("determinacy", "--psd-tol", "nan"),
+        ("determinacy", "--psd-tol", "inf"),
+        ("determinacy", "--psd-tol", -1),
         ("check", "--psd-tol", "nan"),
         ("solve", "--rtol", "nan"),
     ],
-    ids=["rank-tol-nan", "rank-tol-inf", "rank-tol-negative", "psd-tol-nan", "rtol-nan"],
+    ids=[
+        "determinacy-psd-tol-nan",
+        "determinacy-psd-tol-inf",
+        "determinacy-psd-tol-negative",
+        "psd-tol-nan",
+        "rtol-nan",
+    ],
 )
 def test_non_finite_or_negative_tolerance_exit_usage(gen_two_atom, capsys, args):
     # nan used to pass every comparison (a wrong determinate verdict, or a
-    # traceback from non-finite JSON output); a negative rank-tol exited 70
+    # traceback from non-finite JSON output); a negative rank tolerance exited 70
     m, _ = gen_two_atom
     assert_usage_error(capsys, args[0], m, *args[1:])
 
@@ -652,7 +658,27 @@ def test_verify_block_size_mismatch_exit_usage(gen_two_atom, tmp_path, capsys):
     assert_usage_error(capsys, "verify", g, m2)
 
 
-def test_unread_tolerance_flag_exit_usage(two_atom_file):
-    # check reads only --psd-tol; a flag nothing reads is refused, not ignored
+def test_unread_tolerance_flag_exit_usage(two_atom_file, tmp_path):
+    # check reads only --psd-tol; a flag nothing reads is refused, not ignored.
+    # --rank-tol is gone: --psd-tol makes every rank decision
     assert run("check", two_atom_file, "--rank-tol", 1e-6) == 64
+    tau = write(tmp_path / "tau.json", {"type": "constant", "matrix": [[-1.0]]})
+    transform = ("transform", "--tau", tau, "--z", "1j")
+    for command, *rest in (("determinacy",), transform, ("solve",)):
+        assert run(command, two_atom_file, *rest) == 0
+        assert run(command, two_atom_file, *rest, "--rank-tol", 1e-6) == 64
     assert run("verify", two_atom_file, two_atom_file, "--det-tol", 1e-6) == 64
+
+
+@pytest.mark.parametrize("moments", [[1.0], [1.0, 2.0]], ids=["S0", "S0-S1"])
+@pytest.mark.parametrize("command", ["determinacy", "solve", "transform"])
+def test_too_short_for_the_shift_exit_usage(tmp_path, capsys, moments, command):
+    # the shift needs S_2: data that stop at S_0 or S_1 are too short for the
+    # command, a usage error (they exited 70, "numeric failure"); check only
+    # reads the Hankels and still decides them
+    m = write(tmp_path / "m.json", {"N": 1, "moments": [[[v]] for v in moments]})
+    assert run("check", m) == 0
+    args = ("--z", "1j") if command == "transform" else ()
+    capsys.readouterr()
+    assert run(command, m, *args) == 64
+    assert capsys.readouterr().err == "error: need moments through S_2 to define the shift\n"

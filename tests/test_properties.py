@@ -1,10 +1,12 @@
 """Invariances the determinacy decision must respect, the closed-form
-extremal corners against an independent reference, and the closed-form
-class test against the sampled one, as property tests.
+extremal corners against an independent reference, the closed-form class
+test against the sampled one, the one rank decision behind the verdict and
+the space, and ``tau = 0`` as the Krein corner, as property tests.
 
 The data are moments of discrete measures of moderate size: block size
-``N <= 2``, order ``m <= 5``, at most three atoms on a fixed grid in
-``[0.2, 5]`` with weights whose non-zero eigenvalues lie in ``[0.5, 2]``.
+``N <= 2``, order ``m <= 9``, atoms on a fixed grid in ``[0.2, 5]`` (and at
+0 where a property says so) with weights whose non-zero eigenvalues lie in
+``[0.5, 2]``.
 The parameters are normal forms ``tau0 + sum W_k / (p_k - z)`` on ``C^f``,
 ``f <= 3``, with at most two poles of either sign.
 """
@@ -19,8 +21,10 @@ from hypothesis import strategies as st  # noqa: E402
 from corner_reference import gap_kernel_dim, reference_corners  # noqa: E402
 from oracles import DEFAULT_CLASS_POINTS, sampled_class_test  # noqa: E402
 
-from stieltjesmp import analyze, extend_ext, make_tau, moment_sequence  # noqa: E402
+from stieltjesmp import NotPSD, Tolerances, analyze, build_space  # noqa: E402
+from stieltjesmp import check_solvable, extend_ext, make_tau, moment_sequence  # noqa: E402
 from stieltjesmp import moments_of_measure, solution_measure, solve_tau_grid  # noqa: E402
+from stieltjesmp import MomentProblemError, solution_transform, transform_of_measure  # noqa: E402
 from stieltjesmp.io import encode_matrix  # noqa: E402
 from stieltjesmp.krein import CLASS_TOL, check_stieltjes_class  # noqa: E402
 
@@ -37,6 +41,17 @@ def _unitary(rng, N):
     return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
+def _measure(rng, N, positions, rank=None):
+    """Weights of rank ``rank`` (1..N at random when ``None``) at ``positions``."""
+    atoms = []
+    for lam in positions:
+        s = rng.uniform(0.5, 2.0, size=N)
+        s[rank or rng.integers(1, N + 1) :] = 0.0
+        U = _unitary(rng, N)
+        atoms.append((lam, (U * s) @ U.conj().T))
+    return solution_measure(N, atoms)
+
+
 @st.composite
 def problems(draw):
     """``(moments, rng)``: moments of a random discrete measure and a
@@ -45,13 +60,8 @@ def problems(draw):
     count = draw(st.integers(1, 3))
     m = draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    atoms = []
-    for lam in rng.choice(GRID, size=count, replace=False):
-        s = rng.uniform(0.5, 2.0, size=N)
-        s[rng.integers(1, N + 1) :] = 0.0  # rank 1..N
-        U = _unitary(rng, N)
-        atoms.append((lam, (U * s) @ U.conj().T))
-    return moments_of_measure(solution_measure(N, atoms), m), rng
+    meas = _measure(rng, N, rng.choice(GRID, size=count, replace=False))
+    return moments_of_measure(meas, m), rng
 
 
 def _positions(analysis, count):
@@ -177,3 +187,54 @@ def test_closed_form_class_implies_the_sampled_kernel_test(form):
     if ok and not CLASS_TOL * s / BAND < lam <= CLASS_TOL * s:
         with np.errstate(all="ignore"):
             assert sampled_class_test(tau)[0], (spec, lam / s)
+
+
+@st.composite
+def deficient_problems(draw):
+    """Moments of ``count <= n`` atoms whose weights all have rank ``r <= N``
+    (``N <= 2``, ``m <= 7``), one of them at 0 in half the draws: the Gram
+    has rank at most ``count r < (n+1) N``."""
+    N, m = draw(st.integers(1, 2)), draw(st.integers(2, 7))
+    count, rank = draw(st.integers(1, m // 2)), draw(st.integers(1, N))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    positions = rng.choice(GRID, size=count, replace=False)
+    if draw(st.booleans()):
+        positions[0] = 0.0
+    return moments_of_measure(_measure(rng, N, positions, rank), m)
+
+
+@FEW
+@given(deficient_problems())
+def test_a_dropped_space_column_is_never_a_solvable_verdict(seq):
+    # the verdict and the space are one rank decision, at psd_tol
+    for psd_tol in (1e-12, 1e-10, 1e-6):
+        solv = check_solvable(seq, psd_tol)
+        try:
+            rep = build_space(*solv.plain)
+        except NotPSD:
+            assert solv.verdict == "not solvable"
+            continue
+        assert rep.dim == rep.gram.size or solv.verdict != "solvable"
+        try:
+            a = analyze(seq, Tolerances(psd_tol=psd_tol))
+        except MomentProblemError:
+            continue  # refused after the space is built (shift, completion)
+        assert (a.rep.dim, a.solvability.verdict) == (rep.dim, solv.verdict)
+
+
+@FEW
+@given(st.sampled_from((5, 7, 9)), st.integers(0, 2**32 - 1))
+def test_tau_zero_is_the_krein_corner(m, seed):
+    # Krein's formula at the constant tau = 0 and the grid's s = 1 measure
+    # (the Krein corner's eigenpairs) are the same solution, with an atom
+    # at 0 in the data
+    n = m // 2
+    rng = np.random.default_rng(seed)
+    positions = np.r_[0.0, rng.choice(GRID, size=n + 1, replace=False)]
+    a = analyze(moments_of_measure(_measure(rng, 1, positions), m))
+    meas = solve_tau_grid(a, 1)[0]["measure"]
+    tau = make_tau({"type": "constant", "matrix": [[0.0]]})
+    for z in (-0.3, -2.0, 0.5j, 1 + 1j):
+        got = solution_transform(a.require_gamma_weyl(), tau, a.rep, 1, z)
+        ref = transform_of_measure(meas, z)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (z, got, ref)

@@ -9,8 +9,8 @@ from stieltjesmp import (
     PropertyViolated,
     build_shift,
     build_space,
+    check_solvable,
     moment_sequence,
-    scalarize,
 )
 from stieltjesmp.shiftop import ShiftOperator
 from stieltjesmp.solutions import moments_of_measure, random_discrete_measure
@@ -18,7 +18,7 @@ from stieltjesmp.solutions import moments_of_measure, random_discrete_measure
 
 def shift_of(values, n_extra=None, N=1):
     seq = moment_sequence([[[float(v)]] for v in values]) if N == 1 else values
-    rep = build_space(scalarize(seq))
+    rep = build_space(*check_solvable(seq).plain)
     return build_shift(rep)
 
 
@@ -45,7 +45,7 @@ def test_dirac0_shift_is_zero():
 
 def test_order_too_low():
     seq = moment_sequence([[[1.0]], [[2.0]]])
-    rep = build_space(scalarize(seq))
+    rep = build_space(*check_solvable(seq).plain)
     with pytest.raises(OrderTooLow):
         build_shift(rep)
 
@@ -53,7 +53,7 @@ def test_order_too_low():
 def test_inconsistent_truncation_detected():
     # kernel relation xi_0 = xi_1 is not respected by the shifted vectors
     seq = moment_sequence([[[1.0]], [[1.0]], [[1.0]], [[1.0]], [[2.0]]])
-    rep = build_space(scalarize(seq))
+    rep = build_space(*check_solvable(seq).plain)
     with pytest.raises(InconsistentTruncation):
         build_shift(rep)
 
@@ -121,7 +121,7 @@ def test_defect_invariants_on_generated_instances(seed):
     seq = moments_of_measure(
         random_discrete_measure(seed, N, count, min_sep=0.4), 2 * count
     )
-    rep = build_space(scalarize(seq))
+    rep = build_space(*check_solvable(seq).plain)
     op = build_shift(rep)
     indices = []
     for z in (1j, -1.0, -2 + 3j):

@@ -255,8 +255,9 @@ def test_borderline_rank_truncation_is_gated_not_silent():
     # seed 14: the smallest genuine Gram eigenvalue (5.0e-6 of the largest)
     # is far above every pivot threshold of the natural-order factor, so the
     # default keeps all 12 directions and the measures pass cleanly.  A loose
-    # rank tolerance truncates genuine directions; the emitted measures then
-    # miss the 1e-8 gate, and the pipeline must refuse (gate), not pass.
+    # psd_tol (it makes every rank cut) truncates genuine directions; the
+    # emitted measures then miss the 1e-8 gate, and the pipeline must refuse
+    # (gate), not pass.
     from stieltjesmp import analyze, solve_tau_grid
     from stieltjesmp.pipeline import Tolerances
 
@@ -268,7 +269,7 @@ def test_borderline_rank_truncation_is_gated_not_silent():
     entries = solve_tau_grid(full, 2)
     assert all(e["verification"]["pass"] for e in entries)
 
-    loose_tols = Tolerances(rank_tol=1e-5)
+    loose_tols = Tolerances(psd_tol=1e-5)
     loose = analyze(seq, loose_tols)
     assert loose.rep.dim < 12
     entries = solve_tau_grid(loose, 2, loose_tols)
