@@ -10,11 +10,12 @@ Subcommands::
     verify       moment round-trip check of a measure against moments
 
 Exit codes: 0 success, 2 negative mathematical verdict, 3 marginal verdict,
-4 inconsistent truncation, 64 usage or schema error (data too short for the
-command included), 70 internal numeric failure.  JSON output is deterministic
-(sorted keys, 17 significant digits); complex numbers serialize as
-``[re, im]`` and matrices as row-major nested arrays.  The environment
-variable ``STIELTJES_MP_SEED`` overrides the default seed of ``gen``.
+4 inconsistent truncation, 64 usage or schema error (an unread flag,
+non-Hermitian moments and data too short for the command included), 70
+internal numeric failure.  JSON output is deterministic (sorted keys, 17
+significant digits); complex numbers serialize as ``[re, im]`` and matrices
+as row-major nested arrays.  The environment variable ``STIELTJES_MP_SEED``
+overrides the default seed of ``gen``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from dataclasses import fields
 import numpy as np
 
 from . import io
-from .errors import InconsistentTruncation, MomentProblemError, OrderTooLow, SchemaError
+from .errors import InconsistentTruncation, MomentProblemError, NotHermitian
+from .errors import OrderTooLow, SchemaError
 from .hankel import check_solvable, load_moments
 from .krein import make_tau, solution_transform
 from .pipeline import Tolerances, analyze, solve_tau_grid, solve_with_tau, unique_solution
@@ -177,15 +179,15 @@ def cmd_solve(args):
     allow = args.allow_unverified
     error = None
     if analysis.verdict.determinate:
-        entries, tau_doc = [unique_solution(analysis, args.tols)], {"type": "unique"}
+        entries, tau_doc = [unique_solution(analysis)], {"type": "unique"}
     elif tau_grid is not None:
-        entries = solve_tau_grid(analysis, tau_grid, args.tols)
+        entries = solve_tau_grid(analysis, tau_grid)
         tau_doc = {"type": "constant-grid"}
     else:
         tau_doc = io.read_json(args.tau)
         try:
             tau = make_tau(tau_doc, require_class=not allow)
-            entries = [solve_with_tau(analysis, tau, args.tols)]
+            entries = [solve_with_tau(analysis, tau)]
         except SchemaError:
             raise
         except MomentProblemError as exc:
@@ -256,14 +258,17 @@ def _parse_atoms_spec(text):
 
 def cmd_gen(args):
     if args.atoms:
+        given = (args.N, args.seed, args.min_sep) != (None, None, None)
+        _check(not given, "--atoms takes no --N, --seed or --min-sep")
         meas = solution_measure(1, _parse_atoms_spec(args.atoms))
         count = len(meas.atoms)
     else:
+        N = 1 if args.N is None else args.N
         count = args.count
-        _check(args.N >= 1 and count >= 1, "--N and --count must be at least 1")
+        _check(N >= 1 and count >= 1, "--N and --count must be at least 1")
         try:
             meas = random_discrete_measure(
-                _gen_seed(args), args.N, count, min_sep=args.min_sep
+                _gen_seed(args), N, count, min_sep=args.min_sep or 0.0
             )
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
@@ -308,8 +313,6 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     # each command takes only the tolerance flags it reads
-    analyze_tols = ("--psd-tol", "--consistency-tol", "--det-tol")
-
     def add_tols(sp, *flags):
         for flag in flags:
             sp.add_argument(flag, type=float, default=None)
@@ -321,7 +324,7 @@ def _build_parser():
 
     sp = sub.add_parser("determinacy", help="determinacy verdict")
     sp.add_argument("moments")
-    add_tols(sp, *analyze_tols)
+    add_tols(sp, "--psd-tol")
 
     sp = sub.add_parser("solve", help="solution measures")
     sp.add_argument("moments")
@@ -345,23 +348,23 @@ def _build_parser():
         metavar="PREFIX",
         help="write (lambda, M(lambda)) CSV per emitted measure as PREFIX<i>.csv",
     )
-    add_tols(sp, *analyze_tols, "--rtol")
+    add_tols(sp, "--psd-tol", "--rtol")
 
     sp = sub.add_parser("transform", help="sampled Stieltjes transform")
     sp.add_argument("moments")
     sp.add_argument("--tau", default=None)
     sp.add_argument("--z", required=True, help="comma-separated complex points")
     sp.add_argument("--csv", default=None, help="also write a CSV of the samples")
-    add_tols(sp, *analyze_tols)
+    add_tols(sp, "--psd-tol")
 
     sp = sub.add_parser("gen", help="deterministic test data")
     src = sp.add_mutually_exclusive_group(required=True)
-    src.add_argument("--atoms", default=None, help='e.g. "1:1,2:1" (N = 1)')
+    src.add_argument("--atoms", help='e.g. "1:1,2:1" (N = 1; no --N, --seed or --min-sep)')
     src.add_argument("--count", type=int, default=None, help="random atoms")
-    sp.add_argument("--N", type=int, default=1)
+    sp.add_argument("--N", type=int, default=None, help="with --count (default 1)")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--order", type=int, default=None)
-    sp.add_argument("--min-sep", type=float, default=0.0)
+    sp.add_argument("--min-sep", type=float, default=None, help="with --count (default 0)")
     sp.add_argument("--out-moments", required=True)
     sp.add_argument("--out-measure", required=True)
 
@@ -391,7 +394,7 @@ def main(argv=None):
         return COMMANDS[args.command](args)
     except MomentProblemError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, (SchemaError, OrderTooLow)):
+        if isinstance(exc, (SchemaError, OrderTooLow, NotHermitian)):
             return EXIT_USAGE
         return EXIT_INCONSISTENT if isinstance(exc, InconsistentTruncation) else EXIT_NUMERIC
 

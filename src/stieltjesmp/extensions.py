@@ -189,17 +189,17 @@ def extremal_extensions(op):
     )
 
 
-def determinacy(pic, det_tol=DET_TOL):
+def determinacy(pic):
     """Decide determinacy and measure the gap between the extremal extensions.
 
     The gap norm is the largest ``|eigenvalue|`` of the ``q x q`` gap; the
     problem is determinate when the defect is trivial or that norm is at most
-    ``det_tol``.
+    the constant ``DET_TOL``.
     """
     w, _, in_ker = pic.gap
     q = pic.defect_dim
     gap = float(np.abs(w).max()) if q else 0.0
-    determinate = q == 0 or gap <= det_tol
+    determinate = q == 0 or gap <= DET_TOL
     ups = q if determinate else int(in_ker.sum())
     return DeterminacyVerdict(
         upsilon_dim=ups,

@@ -3,26 +3,21 @@ solution measures out.
 
 This is the layer the command-line tool and the demos drive; each stage is a
 thin composition of the module-level operations so intermediate objects stay
-inspectable.  ``psd_tol`` makes every rank decision: the space is the plain
-Hankel factor that decided solvability.
+inspectable.  The :class:`Tolerances` given to :func:`analyze` are the only
+settings; the :class:`Analysis` keeps them and the solvers gate at its rtol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from inspect import signature
 from typing import ClassVar
 
 from . import hankel
 from ._linalg import herm
 from .errors import MomentProblemError, NotIndeterminate, WeylLimitDivergent
-from .extensions import (
-    DET_TOL,
-    _spectral_measure,
-    determinacy,
-    extend_ext,
-    extremal_extensions,
-    spectral_solution,
-)
+from .extensions import _spectral_measure, determinacy, extend_ext
+from .extensions import extremal_extensions, spectral_solution
 from .gns import build_space
 from .krein import _extension, build_gamma_weyl
 from .shiftop import build_shift
@@ -33,10 +28,10 @@ __all__ = ["Tolerances", "Analysis", "analyze", "solve_tau_grid", "solve_with_ta
 
 @dataclass(frozen=True)
 class Tolerances:
-    psd_tol: float = 1e-10  # every rank cut and PSD verdict
-    consistency_tol: float = 1e-8  # shift residual
-    det_tol: float = DET_TOL  # gap norm of the determinacy decision
-    rtol: float = 1e-8  # moment round-trip gate
+    """The two settings; every other threshold is a module constant."""
+
+    psd_tol: float = hankel.DEFAULT_PSD_TOL  # every rank cut and PSD verdict
+    rtol: float = signature(verify_moments).parameters["rtol"].default  # round-trip gate
     # not a setting: no library code reads it, only the benchmark harness
     invert_rtol: ClassVar[float] = 1e-3
 
@@ -46,6 +41,7 @@ class Analysis:
     """Everything the pipeline derives from a moment sequence."""
 
     seq: object
+    tols: Tolerances
     solvability: object
     gram: object
     rep: object
@@ -69,7 +65,7 @@ class Analysis:
 
 
 def analyze(seq, tols=Tolerances()):
-    """Run the construction through the determinacy decision.
+    """Run the construction through the determinacy decision at ``tols``.
 
     For indeterminate problems the regularized picture and the boundary data
     (gamma field / Weyl function) are attached; a divergent Weyl limit is
@@ -78,12 +74,10 @@ def analyze(seq, tols=Tolerances()):
     """
     solv = hankel.check_solvable(seq, tols.psd_tol)
     rep = build_space(*solv.plain)
-    shift = build_shift(rep, tol=tols.consistency_tol)
+    shift = build_shift(rep)
     pic = extremal_extensions(shift)
-    verdict = determinacy(pic, det_tol=tols.det_tol)
-    extended = None
-    gw = None
-    gw_error = None
+    verdict = determinacy(pic)
+    extended = gw = gw_error = None
     if not verdict.determinate:
         extended = extend_ext(pic)
         try:
@@ -92,6 +86,7 @@ def analyze(seq, tols=Tolerances()):
             gw_error = str(exc)
     return Analysis(
         seq=seq,
+        tols=tols,
         solvability=solv,
         gram=rep.gram,
         rep=rep,
@@ -104,34 +99,35 @@ def analyze(seq, tols=Tolerances()):
     )
 
 
-def _gated(analysis, meas, rtol):
-    """Attach the verification report; refuse silently-broken measures.  Every
-    measure the solvers emit is the spectral measure of an extension, so it
-    is marked exact."""
-    report = verify_moments(meas, analysis.seq, upto=2 * analysis.seq.n, rtol=rtol)
+def _gated(analysis, meas):
+    """Attach the verification report at ``analysis.tols.rtol``; refuse
+    silently-broken measures.  Every measure the solvers emit is the spectral
+    measure of an extension, so it is marked exact."""
+    seq, rtol = analysis.seq, analysis.tols.rtol
+    report = verify_moments(meas, seq, upto=2 * seq.n, rtol=rtol)
     return {"measure": meas, "verification": report, "exact": True}
 
 
-def unique_solution(analysis, tols=Tolerances()):
+def unique_solution(analysis):
     """Solution of a determinate problem (spectral measure of the unique
-    non-negative extension)."""
+    non-negative extension), gated at ``analysis.tols.rtol``."""
     if not analysis.verdict.determinate:
         raise MomentProblemError("problem is not determinate")
     meas = spectral_solution(analysis.picture.t_mu, analysis.rep, analysis.N)
-    return _gated(analysis, meas, tols.rtol)
+    return _gated(analysis, meas)
 
 
-def solve_tau_grid(analysis, count, tols=Tolerances()):
+def solve_tau_grid(analysis, count):
     """Canonical solutions along the extension segment.
 
-    Emits ``count`` measures from the contractive extensions
-    ``t_mu + s C`` at ``s = (j+1)/count``; the Krein corner
-    (``s = 1``) is included, from the eigenpairs its picture stores, and the
-    Friedrichs corner is approached but excluded because its measure carries
-    mass at infinity and cannot reproduce the top moment.  Each entry reports
-    the Hermitian-constant parameter of its extension, in closed form at the
-    base point: ``tau_s = M(0) - (2/s) G^{-1}`` with ``G^{-1}`` from the gap's
-    stored eigenpairs.  It needs no condition guard, since
+    Emits ``count`` measures, each gated at ``analysis.tols.rtol``, from the
+    contractive extensions ``t_mu + s C`` at ``s = (j+1)/count``; the Krein
+    corner (``s = 1``) is included, from the eigenpairs its picture stores,
+    and the Friedrichs corner is approached but excluded because its measure
+    carries mass at infinity and cannot reproduce the top moment.  Each entry
+    reports the Hermitian-constant parameter of its extension, in closed form
+    at the base point: ``tau_s = M(0) - (2/s) G^{-1}`` with ``G^{-1}`` from
+    the gap's stored eigenpairs.  It needs no condition guard, since
     :func:`krein.build_gamma_weyl` keeps only gap eigenvalues above
     ``KER_TOL`` times the largest.
     """
@@ -146,7 +142,7 @@ def solve_tau_grid(analysis, count, tols=Tolerances()):
             meas = _spectral_measure(pic.w_M, pic.V_M, analysis.rep, analysis.N)
         else:
             meas = spectral_solution(pic.t_mu + s * pic.C, analysis.rep, analysis.N)
-        entry = _gated(analysis, meas, tols.rtol)
+        entry = _gated(analysis, meas)
         entry["s"] = s
         if gw is not None:
             entry["tau_constant"] = herm(gw.M0 - (2.0 / s) * G_inv)
@@ -154,9 +150,9 @@ def solve_tau_grid(analysis, count, tols=Tolerances()):
     return out
 
 
-def solve_with_tau(analysis, tau, tols=Tolerances()):
+def solve_with_tau(analysis, tau):
     """Solution attached to one parameter: the spectral measure of the
-    extension it defines, exact and gated at ``tols.rtol``.
+    extension it defines, exact and gated at ``analysis.tols.rtol``.
 
     A parameter without poles defines an extension inside the representation
     space; a rational one ``tau0 + sum W_k / (p_k - z)`` defines an
@@ -168,4 +164,4 @@ def solve_with_tau(analysis, tau, tols=Tolerances()):
     """
     _, w, V = _extension(analysis.require_gamma_weyl(), tau)
     meas = _spectral_measure(w, V, analysis.rep, analysis.N)
-    return _gated(analysis, meas, tols.rtol)
+    return _gated(analysis, meas)

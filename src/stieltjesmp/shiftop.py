@@ -5,8 +5,8 @@ On the representation space the data prescribe ``A xi_k = xi_{k+N}`` for
 vectors, which the natural-order factor of :mod:`gns` makes the first ``q1``
 coordinates.  ``A`` is fixed there by the kept columns, and must then also
 map the dropped ones: the solution is accepted only when its residual is
-negligible on every column, otherwise the truncated data simply do not
-determine the operator and :class:`InconsistentTruncation` is raised.
+at most ``CONSISTENCY_TOL`` on every column, otherwise the truncated data
+do not determine the operator and :class:`InconsistentTruncation` is raised.
 
 The deficiency index is ``q = d - q1``, the dimension of the coordinates
 outside the domain; :mod:`extensions` reads the defect space at ``-1`` off
@@ -25,7 +25,7 @@ from .errors import BadPoint, InconsistentTruncation, OrderTooLow
 
 __all__ = ["ShiftOperator", "build_shift"]
 
-DEFAULT_CONSISTENCY_TOL = 1e-8
+CONSISTENCY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def _off_positive_axis(z):
     return z
 
 
-def build_shift(rep, tol=DEFAULT_CONSISTENCY_TOL):
+def build_shift(rep):
     """Solve ``A xi_k = xi_{k+N}`` on the domain by one triangular solve.
 
     The kept columns among the first ``n*N`` are upper triangular on the
@@ -70,9 +70,9 @@ def build_shift(rep, tol=DEFAULT_CONSISTENCY_TOL):
     OrderTooLow
         The sequence stops at ``S_0`` or ``S_1`` (empty domain, n = 0).
     InconsistentTruncation
-        The residual on some domain column exceeds ``tol`` relative to the
-        shifted vectors, i.e. the kernel of the domain Gram is not mapped into
-        the kernel of the shifted Gram.
+        The residual on some domain column exceeds ``CONSISTENCY_TOL``
+        relative to the shifted vectors, i.e. the kernel of the domain Gram
+        is not mapped into the kernel of the shifted Gram.
     """
     N = rep.gram.N
     n = rep.gram.n
@@ -91,9 +91,9 @@ def build_shift(rep, tol=DEFAULT_CONSISTENCY_TOL):
     achieved = np.linalg.norm(A @ dom - img, axis=0)
     top = float(target.max()) if target.size else 0.0
     residual = float(achieved.max()) / top if top > 0.0 else 0.0
-    if residual > tol:
+    if residual > CONSISTENCY_TOL:
         raise InconsistentTruncation(
-            f"shift relation residual {residual:.3e} exceeds {tol:.1e}; the "
+            f"shift relation residual {residual:.3e} exceeds {CONSISTENCY_TOL:.1e}; the "
             "degenerate truncated data do not determine the shift operator"
         )
     return ShiftOperator(

@@ -518,6 +518,21 @@ def test_gen_impossible_random_measure_exit_usage(tmp_path, capsys, extra):
     assert not m.exists()
 
 
+@pytest.mark.parametrize("extra", [("--N", 3), ("--seed", 1), ("--min-sep", 0.5)])
+def test_gen_atoms_refuses_the_random_measure_flags(tmp_path, capsys, extra):
+    # --atoms fixes N = 1 and every atom, so it reads none of these flags
+    # (--N 3 used to exit 0 and write "N": 1); --count keeps their defaults
+    m, g = tmp_path / "m.json", tmp_path / "g.json"
+    out = ("--out-moments", m, "--out-measure", g)
+    assert_usage_error(capsys, "gen", "--atoms", "1:1,2:1", *extra, *out)
+    assert not m.exists()
+    assert run("gen", "--count", 3, *out) == 0
+    default = m.read_bytes()
+    assert read_json(m)["N"] == 1
+    assert run("gen", "--count", 3, "--N", 1, "--seed", 0, "--min-sep", 0, *out) == 0
+    assert m.read_bytes() == default
+
+
 def test_gen_negative_order_exit_usage(tmp_path, capsys):
     # --order -1 used to die in moments_of_measure (exit 1); 0 is S_0 alone
     m, g = tmp_path / "m.json", tmp_path / "g.json"
@@ -594,6 +609,24 @@ NEGATIVE_ATOM = {
 }
 
 
+@pytest.mark.parametrize("command", ["check", "determinacy", "solve", "transform", "verify"])
+def test_non_hermitian_moments_exit_usage(tmp_path, capsys, command):
+    # malformed input, as a non-Hermitian measure weight or tau matrix is;
+    # every command exited 70 ("numeric failure") on it
+    m = write(tmp_path / "m.json", {
+        "N": 2, "moments": [[[1, 0.5], [0.4, 1]], [[1, 0], [0, 1]], [[2, 0], [0, 2]]],
+    })
+    g = write(tmp_path / "g.json", {
+        "N": 2, "atoms": [{"position": 1.0, "weight": [[1, 0], [0, 1]]}],
+    })
+    args = {"transform": (m, "--z", "1j"), "verify": (g, m)}.get(command, (m,))
+    capsys.readouterr()
+    assert run(command, *args) == 64
+    assert capsys.readouterr().err.startswith(
+        "error: moment 0 deviates from Hermitian symmetry by 1.000e-01"
+    )
+
+
 def test_verify_negative_position_exit_usage(two_atom_file, tmp_path, capsys):
     g = write(tmp_path / "g.json", NEGATIVE_ATOM)
     assert_usage_error(capsys, "verify", g, two_atom_file)
@@ -660,13 +693,16 @@ def test_verify_block_size_mismatch_exit_usage(gen_two_atom, tmp_path, capsys):
 
 def test_unread_tolerance_flag_exit_usage(two_atom_file, tmp_path):
     # check reads only --psd-tol; a flag nothing reads is refused, not ignored.
-    # --rank-tol is gone: --psd-tol makes every rank decision
+    # --rank-tol is gone: --psd-tol makes every rank decision; so are
+    # --consistency-tol and --det-tol: the shift residual and the gap norm are
+    # decided at constants
     assert run("check", two_atom_file, "--rank-tol", 1e-6) == 64
     tau = write(tmp_path / "tau.json", {"type": "constant", "matrix": [[-1.0]]})
     transform = ("transform", "--tau", tau, "--z", "1j")
     for command, *rest in (("determinacy",), transform, ("solve",)):
         assert run(command, two_atom_file, *rest) == 0
-        assert run(command, two_atom_file, *rest, "--rank-tol", 1e-6) == 64
+        for flag in ("--rank-tol", "--consistency-tol", "--det-tol"):
+            assert run(command, two_atom_file, *rest, flag, 1e-6) == 64
     assert run("verify", two_atom_file, two_atom_file, "--det-tol", 1e-6) == 64
 
 

@@ -1,14 +1,17 @@
 """Invariances the determinacy decision must respect, the closed-form
 extremal corners against an independent reference, the closed-form class
 test against the sampled one, the one rank decision behind the verdict and
-the space, and ``tau = 0`` as the Krein corner, as property tests.
+the space, ``tau = 0`` as the Krein corner, Krein's bounds on the negative
+axis and nested data, as property tests.
 
 The data are moments of discrete measures of moderate size: block size
-``N <= 2``, order ``m <= 9``, atoms on a fixed grid in ``[0.2, 5]`` (and at
-0 where a property says so) with weights whose non-zero eigenvalues lie in
-``[0.5, 2]``.
+``N <= 2`` (``N <= 3`` for the parameter family), order ``m <= 9``, atoms on
+a fixed grid in ``[0.2, 5]`` (and at 0 where a property says so) with
+weights whose non-zero eigenvalues lie in ``[0.5, 2]``.
 The parameters are normal forms ``tau0 + sum W_k / (p_k - z)`` on ``C^f``,
-``f <= 3``, with at most two poles of either sign.
+``f <= 3``, with at most two poles of either sign; the admissible ones of
+the parameter family have their poles on the positive axis, and may have an
+ideal part.
 """
 
 import numpy as np
@@ -24,12 +27,15 @@ from oracles import DEFAULT_CLASS_POINTS, sampled_class_test  # noqa: E402
 from stieltjesmp import NotPSD, Tolerances, analyze, build_space  # noqa: E402
 from stieltjesmp import check_solvable, extend_ext, make_tau, moment_sequence  # noqa: E402
 from stieltjesmp import moments_of_measure, solution_measure, solve_tau_grid  # noqa: E402
+from stieltjesmp.pipeline import unique_solution  # noqa: E402
 from stieltjesmp import MomentProblemError, solution_transform, transform_of_measure  # noqa: E402
 from stieltjesmp.io import encode_matrix  # noqa: E402
 from stieltjesmp.krein import CLASS_TOL, check_stieltjes_class  # noqa: E402
 
 GRID = (0.2, 0.6, 1.1, 1.7, 2.4, 3.2, 4.1, 5.0)
 FEW = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+#: 36 draws for the parameter family, over the 12 cells of N <= 3, even m <= 8
+FAMILY = settings(max_examples=36, deadline=None, derandomize=True, database=None)
 
 
 def _herm(S):
@@ -238,3 +244,88 @@ def test_tau_zero_is_the_krein_corner(m, seed):
         got = solution_transform(a.require_gamma_weyl(), tau, a.rep, 1, z)
         ref = transform_of_measure(meas, z)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (z, got, ref)
+
+
+@st.composite
+def indeterminate_problems(draw):
+    """``(moments, rng)``: ``S_0 .. S_m`` (``N <= 3``, even ``m <= 8``) of
+    ``m/2 + 2`` atoms of full-rank weight, so every Hankel is positive
+    definite and the problem completely indeterminate."""
+    N, m = draw(st.integers(1, 3)), draw(st.sampled_from((2, 4, 6, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    positions = rng.choice(GRID, size=m // 2 + 2, replace=False)
+    return moments_of_measure(_measure(rng, N, positions, rank=N), m), rng
+
+
+def _negative_definite(rng, f):
+    B = rng.standard_normal((f, f)) + 1j * rng.standard_normal((f, f))
+    return -10 ** rng.uniform(-2, 2) * _herm(B.conj().T @ B + 0.1 * np.eye(f))
+
+
+def _finite_part(rng, f, rational):
+    """A constant ``tau0 < 0`` on ``C^f``, or (``rational``) one or two PSD
+    residues at poles ``p > 0`` with ``tau(0) = tau0 + sum W_k/p_k < 0``."""
+    if not rational:
+        return {"type": "constant", "matrix": encode_matrix(_negative_definite(rng, f))}
+    poles = []
+    for _ in range(int(rng.integers(1, 3))):
+        B = rng.standard_normal((f, f)) + 1j * rng.standard_normal((f, f))
+        poles.append((float(10 ** rng.uniform(-1, 1.5)), _herm(B.conj().T @ B)))
+    tau0 = _negative_definite(rng, f) - sum(W / p for p, W in poles)
+    return {
+        "type": "rational",
+        "tau0": encode_matrix(tau0),
+        "poles": [{"p": p, "W": encode_matrix(W)} for p, W in poles],
+    }
+
+
+def _admissible_taus(rng, q):
+    """Constant and rational admissible parameters on ``C^q``, the ideal one,
+    and (``q >= 2``) a mixed one with a rational finite part."""
+    specs = [_finite_part(rng, q, False), _finite_part(rng, q, True), {"type": "infinite"}]
+    if q >= 2:
+        k = int(rng.integers(1, q))
+        ideal = rng.standard_normal((k, q)) + 1j * rng.standard_normal((k, q))
+        mixed = _finite_part(rng, q - k, True)
+        mixed.update(type="mixed", ideal_subspace=[encode_matrix(v[None])[0] for v in ideal])
+        specs.append(mixed)
+    return [make_tau(spec, hdim=q, require_class=True) for spec in specs]
+
+
+def _corner_transform(w, V, Xi0, x):
+    """``Xi0* R_x Xi0`` for the contraction ``V diag(w) V*``."""
+    Y = V.conj().T @ Xi0
+    return Y.conj().T @ (((1.0 + w) / ((1.0 - x) - (1.0 + x) * w))[:, None] * Y)
+
+
+@FAMILY
+@given(indeterminate_problems())
+def test_every_solution_lies_between_the_corners_on_the_negative_axis(problem):
+    # Krein 1947: F_mu(x) <= F(x) <= F_M(x) in Loewner order for x < 0, F_mu
+    # and F_M the transforms of the Friedrichs and Krein corners
+    seq, rng = problem
+    a = analyze(seq)
+    gw, pic, Xi0 = a.require_gamma_weyl(), a.picture, a.rep.vectors[:, : seq.N]
+    taus = _admissible_taus(rng, gw.q)
+    for x in (-0.05, -0.5, -3.0, -30.0):
+        F_mu = _corner_transform(pic.w, pic.V, Xi0, x)
+        F_M = _corner_transform(pic.w_M, pic.V_M, Xi0, x)
+        slack = 1e-12 * np.linalg.norm(F_M, 2)
+        for tau in taus:
+            F = solution_transform(gw, tau, a.rep, seq.N, x)
+            low = np.linalg.eigvalsh(_herm(F - F_mu))[0]
+            high = np.linalg.eigvalsh(_herm(F_M - F))[0]
+            assert min(low, high) >= -slack, (x, tau.kind, low, high, slack)
+
+
+@FAMILY
+@given(indeterminate_problems(), st.sampled_from((2, 4)))
+def test_a_solution_continued_by_its_own_moments_is_determinate(problem, extra):
+    # the first interior grid member has a finite-rank measure; its own next
+    # moments leave it the only solution, and it passes the gate
+    seq, _ = problem
+    meas = solve_tau_grid(analyze(seq), 3)[0]["measure"]
+    tail = moments_of_measure(meas, seq.m + extra).moments[seq.m + 1 :]
+    a = analyze(moment_sequence(seq.moments + tail))
+    assert a.verdict.determinate, a.verdict
+    assert unique_solution(a)["verification"]["pass"]

@@ -272,9 +272,25 @@ def test_borderline_rank_truncation_is_gated_not_silent():
     loose_tols = Tolerances(psd_tol=1e-5)
     loose = analyze(seq, loose_tols)
     assert loose.rep.dim < 12
-    entries = solve_tau_grid(loose, 2, loose_tols)
+    entries = solve_tau_grid(loose, 2)
     assert all(not e["verification"]["pass"] for e in entries)
     assert all(max(e["verification"]["errors"]) < 1e-4 for e in entries)
+
+
+def test_the_settings_go_in_once_to_analyze():
+    # psd_tol and rtol are the only settings; the analysis keeps the ones it
+    # was given, and every solver gates at its rtol
+    from dataclasses import fields
+
+    from stieltjesmp import analyze, moment_sequence, solve_tau_grid
+    from stieltjesmp.pipeline import Tolerances
+
+    assert [f.name for f in fields(Tolerances)] == ["psd_tol", "rtol"]
+    seq = moment_sequence([[[2.0]], [[3.0]], [[5.0]]])
+    t = Tolerances(rtol=1e-3)
+    a = analyze(seq, t)
+    assert a.tols is t
+    assert {e["verification"]["rtol"] for e in solve_tau_grid(a, 2)} == {1e-3}
 
 
 def test_close_atom_pairs_keep_the_full_defect_space():
