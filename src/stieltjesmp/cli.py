@@ -264,12 +264,11 @@ def cmd_gen(args):
         count = len(meas.atoms)
     else:
         N = 1 if args.N is None else args.N
-        count = args.count
+        count, min_sep = args.count, args.min_sep or 0.0
         _check(N >= 1 and count >= 1, "--N and --count must be at least 1")
+        _check(np.isfinite(min_sep) and min_sep >= 0, "--min-sep must be finite and non-negative")
         try:
-            meas = random_discrete_measure(
-                _gen_seed(args), N, count, min_sep=args.min_sep or 0.0
-            )
+            meas = random_discrete_measure(_gen_seed(args), N, count, min_sep=min_sep)
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
     order = args.order if args.order is not None else max(2 * count - 1, 1)

@@ -32,9 +32,9 @@ operator and the contractivity check on ``t_M`` refuses the input.  The
 interval is validated against a brute-force feasibility oracle and an
 independent Gram-factor construction in the test suite.
 
-Determinacy, the gap norm and the gap kernel are read off one ``eigh`` of
-``G`` (:attr:`ContractionPicture.gap`), never of a ``d x d`` matrix; the
-Krein corner's solution reuses the ``eigh`` of its contractivity check.
+Each matrix is decomposed once.  The gap norm and kernel are read off one
+``eigh`` of the ``G`` formed here (:attr:`ContractionPicture.gap`), whose
+pairs :func:`extend_ext` restricts; each corner's solution, off its pairs.
 
 The dense reference resolvent is computed from the contraction itself:
 ``R_z = (E + t) ((1 - z) E - (1 + z) t)^{-1}``.  An eigenvalue ``-1`` of ``t``
@@ -45,7 +45,6 @@ of a truncated problem) then contributes nothing, with no singular inversion.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -85,9 +84,9 @@ CLUSTER_TOL = 1e-9
 class ContractionPicture:
     """The extremal extensions ``t_mu <= t_M`` of the contraction ``T``.
 
-    Their gap ``C = t_M - t_mu`` is supported on the defect space.
+    Their gap ``C = t_M - t_mu = J G J*`` is supported on the defect space.
     ``t_mu = V diag(w) V*`` with the eigenpairs read off ``eigh(A11)``, and
-    ``t_M = V_M diag(w_M) V_M*`` from the one ``eigh`` of ``t_M``.
+    ``t_M = V_M diag(w_M) V_M*`` and ``G = U diag(g) U*`` from one ``eigh`` each.
     """
 
     dim: int
@@ -99,19 +98,11 @@ class ContractionPicture:
     V: np.ndarray  # (d, d) eigenvectors of t_mu
     w_M: np.ndarray  # (d,) eigenvalues of t_M, ascending
     V_M: np.ndarray  # (d, d) eigenvectors of t_M
+    gap: tuple  # (g, U, in_ker), in_ker: g up to KER_TOL times the largest
 
     @property
     def defect_dim(self):
         return self.defect_basis.shape[1]
-
-    @cached_property
-    def gap(self):
-        """``(w, V, in_ker)``: the eigenpairs of the ``q x q`` gap ``G = J* C J``
-        and the mask of its kernel, the eigenvalues up to ``KER_TOL`` times the
-        largest; :func:`determinacy` counts it, :func:`extend_ext` drops it."""
-        J = self.defect_basis
-        w, V = np.linalg.eigh(herm(J.conj().T @ self.C @ J))
-        return w, V, w <= KER_TOL * max(float(w.max()) if w.size else 0.0, 1e-300)
 
 
 @dataclass(frozen=True)
@@ -174,6 +165,7 @@ def extremal_extensions(op):
             f"range-condition residual |A21 on ker A11| = {off:.3e} (A21 "
             f"must vanish on ker A11 for solvable data)"
         )
+    g, U_G = np.linalg.eigh(G)
     V = np.eye(d, dtype=complex)
     V[:q1, :q1] = U
     return ContractionPicture(
@@ -186,6 +178,7 @@ def extremal_extensions(op):
         V=V,
         w_M=w_M,
         V_M=V_M,
+        gap=(g, U_G, g <= KER_TOL * max(g.max(initial=0.0), 1e-300)),
     )
 
 
@@ -216,13 +209,16 @@ def extend_ext(pic):
 
     On the kernel of the gap all self-adjoint contractive extensions agree
     with both extremal ones, so T extends canonically there; the regularized
-    picture keeps the extremal pair ``t_mu``, ``t_M``, ``C`` and has its own,
-    trivial, gap kernel.  Returns ``pic`` itself when there is nothing to drop.
+    picture keeps the extremal pair ``t_mu``, ``t_M``, ``C``; on its defect
+    basis ``J U_keep`` the gap is ``diag(g_keep)``, so it restricts the pairs.
+    Returns ``pic`` itself when there is nothing to drop.
     """
-    _, V, in_ker = pic.gap
+    g, U, in_ker = pic.gap
     if not in_ker.any():
         return pic
-    return replace(pic, defect_basis=pic.defect_basis @ V[:, ~in_ker])
+    keep = ~in_ker
+    gap = (g[keep], np.eye(int(keep.sum()), dtype=complex), in_ker[keep])
+    return replace(pic, defect_basis=pic.defect_basis @ U[:, keep], gap=gap)
 
 
 def resolvent_from_contraction(t, z):

@@ -6,8 +6,12 @@ power moments of a sought non-decreasing matrix function on ``[0, inf)``.
 Solvability is governed by two families of block Hankel matrices: the plain
 one with block ``(i, j)`` equal to ``S_{i+j}`` and the shifted one with block
 ``S_{i+j+1}``; the problem admits a solution exactly when every representable
-matrix of both families is positive semi-definite.  One natural-order factor
-of each family's maximal matrix decides every order (:func:`check_solvable`).
+matrix of both families is positive semi-definite and the range condition
+holds: the family whose maximal matrix stops at ``S_{m-1}`` has its next block
+column ``[S_{n+1}; ..; S_m]`` in that matrix's range (Krein-Krasnoselskiy;
+Dyukarev, Math. Notes 75, 2004).  One natural-order factor of each family's
+maximal matrix decides every order and the range condition
+(:func:`check_solvable`).
 
 Everything downstream works with the scalarized Gram: the plain block Hankel
 of maximal representable order ``n = floor(m/2)`` viewed entrywise, so that
@@ -82,8 +86,9 @@ class ScalarGram:
 class SolvabilityReport:
     """Per order ``k``, the smallest relative pivot ``pivot / max(G_jj, 1)``
     over the leading ``(k+1)N`` columns of each family's factor, and the
-    verdict.  ``plain``, not reported, is the :class:`ScalarGram` and its
-    factor: the arguments of :func:`gns.build_space`."""
+    verdict.  Not reported: ``plain``, the :class:`ScalarGram` and its
+    factor (the arguments of :func:`gns.build_space`), and ``fault``, the
+    first failed condition of a ``"not solvable"`` verdict."""
 
     plain_min_pivots: tuple
     shifted_min_pivots: tuple
@@ -92,10 +97,12 @@ class SolvabilityReport:
     max_plain_order: int
     max_shifted_order: int
     plain: tuple = field(default=None, repr=False, compare=False)
+    fault: str | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self):
         return {
-            **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "plain"},
+            **{f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("plain", "fault")},
             "note": (
                 "verdict certifies positive semi-definiteness of the block "
                 "Hankel matrices up to the stated orders only"
@@ -225,22 +232,59 @@ def scalarize(seq):
     return ScalarGram(size=(n + 1) * seq.N, gamma=G, N=seq.N, n=n)
 
 
+def _range_fault(seq, G, factor, tol):
+    """The range condition on the family whose maximal Hankel ``G`` stops at
+    ``S_{m-1}``, read off its factor ``R``: on each dropped column ``k``, the
+    Schur complement ``s_k = b_k - R[:, k]* X`` of the next block column
+    ``b = [S_{n+1}; ..; S_m]``, with ``X = T^{-*} b_kept`` its coordinates on
+    the kept columns ``T``, must keep :func:`gns.natural_factor`'s
+    Cauchy-Schwarz bound ``|s_kj|^2 <= tol c_k c_j``.  The diagonal entry of
+    ``b``'s column ``j`` needs ``S_{m+1}``; ``c_j = max(||X_j||^2, 1)`` takes
+    the least value it can have.  Returns the failure, or ``None``."""
+    R = factor[0]
+    kept = (R != 0).argmax(axis=1)  # the first nonzero of a row is its pivot
+    drop = np.flatnonzero(np.bincount(kept, minlength=G.shape[0]) == 0)
+    if not drop.size:
+        return None
+    b = np.vstack(seq.moments[seq.n + 1 :])
+    X = np.linalg.solve(R[:, kept].conj().T, b[kept])
+    s = b[drop] - R[:, drop].conj().T @ X
+    c_k = np.maximum(G.diagonal().real[drop], 1.0)
+    c_j = np.maximum((np.abs(X) ** 2).sum(axis=0), 1.0)
+    ratio = np.abs(s) ** 2 / np.outer(c_k, c_j)
+    k, j = np.unravel_index(ratio.argmax(), ratio.shape)
+    if ratio[k, j] <= tol:
+        return None
+    return (
+        f"range condition: [S_{seq.n + 1}; ..; S_{seq.m}] is not in the range of "
+        f"the {('shifted', 'plain')[seq.m % 2]} Hankel of order "
+        f"{G.shape[0] // seq.N - 1}: its column {drop[k]} is dropped but its "
+        f"Schur complement against column {j} of S_{seq.m} is {abs(s[k, j]):.3e}"
+    )
+
+
 def check_solvable(seq, psd_tol=DEFAULT_PSD_TOL):
     """Decide every representable Hankel matrix from one
     :func:`gns.natural_factor` at ``psd_tol`` of each family's maximal one,
     whose leading ``(k+1)N`` block is the Hankel of order ``k``: ``"not
-    solvable"`` when a factor has a fault, ``"marginal"`` when one drops a
-    column, ``"solvable"`` otherwise.  The plain one is the scalarized Gram."""
+    solvable"`` when a factor has a fault or the range condition fails
+    (:func:`_range_fault`, on the plain family for odd ``m`` and the shifted
+    one for even ``m``), ``"marginal"`` when a factor drops a column,
+    ``"solvable"`` otherwise.  The plain one is the scalarized Gram."""
     gram, top = scalarize(seq), (seq.m - 1) // 2  # the maximal shifted order
     shifted = _block_hankel(seq, top, 1)
     factors = [natural_factor(G, psd_tol) for G in (gram.gamma, shifted)]
     verdict, pivots = "solvable", []
-    for R, rel, fault in factors:
+    for R, rel, _ in factors:
         pivots.append(tuple(np.minimum.accumulate(rel)[seq.N - 1 :: seq.N].tolist()))
-        if fault:
-            verdict = "not solvable"
-        elif R.shape[0] < rel.size and verdict == "solvable":
+        if R.shape[0] < rel.size:
             verdict = "marginal"
+    fault = factors[0][2] or factors[1][2]
+    if not fault and seq.m:
+        G, f = (gram.gamma, factors[0]) if seq.m % 2 else (shifted, factors[1])
+        fault = _range_fault(seq, G, f, psd_tol)
+    if fault:
+        verdict = "not solvable"
     return SolvabilityReport(
         plain_min_pivots=pivots[0],
         shifted_min_pivots=pivots[1],
@@ -249,4 +293,5 @@ def check_solvable(seq, psd_tol=DEFAULT_PSD_TOL):
         max_plain_order=seq.n,
         max_shifted_order=top,
         plain=(gram, factors[0]),
+        fault=fault,
     )

@@ -51,7 +51,7 @@ and ``tau(z)/z = tau(0)/z + sum (W_k/p_k)/(p_k - z)``, so the class is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -201,16 +201,13 @@ class TauParameter:
     complement of the relation part, the identity when there is none; the
     finite part acts there, in those coordinates:
     ``tau(z) = tau0 + sum_k W_k / (p_k - z)``.  The pure ideal parameter has
-    a ``0 x 0`` ``tau0``, no poles and no ``finite_basis``.  ``kind``
-    echoes the input ``type``; no method reads it.
+    a ``0 x 0`` ``tau0``, no poles and no ``finite_basis``.
     """
 
-    kind: str  # "constant" | "rational" | "infinite" | "mixed"
     hdim: int | None
     finite_basis: np.ndarray | None
     tau0: np.ndarray
     poles: tuple
-    class_ok: bool | None = None
 
     @property
     def finite_dim(self):
@@ -300,9 +297,9 @@ def make_tau(spec, hdim=None, require_class=False):
     poles, and ``mixed`` a rational finite part acting on the orthogonal
     complement of ``ideal_subspace``, in the coordinates of the trailing left
     singular vectors of the ``ideal_subspace`` columns.  Class membership
-    (:func:`check_stieltjes_class`) is always computed and attached; it is
-    enforced only when ``require_class`` is set, in which case a failing
-    parameter raises :class:`NotStieltjesClass` naming the failed condition.
+    (:func:`check_stieltjes_class`) is tested only when ``require_class`` is
+    set, in which case a failing parameter raises :class:`NotStieltjesClass`
+    naming the failed condition.
     """
     if not isinstance(spec, dict) or "type" not in spec:
         raise SchemaError("tau description must be an object with a 'type'")
@@ -339,10 +336,9 @@ def make_tau(spec, hdim=None, require_class=False):
         if basis is None:
             basis = np.eye(tau0.shape[0], dtype=complex)
 
-    tau = TauParameter(kind=kind, hdim=hdim, finite_basis=basis, tau0=tau0, poles=poles)
-    margin, condition = _worst_condition(tau)
-    tau = replace(tau, class_ok=margin >= 0.0)
-    if require_class and margin < 0.0:
+    tau = TauParameter(hdim=hdim, finite_basis=basis, tau0=tau0, poles=poles)
+    margin, condition = _worst_condition(tau) if require_class else (0.0, None)
+    if margin < 0.0:
         raise NotStieltjesClass(f"parameter is not Stieltjes class: {condition}", worst_eig=margin)
     return tau
 

@@ -5,6 +5,8 @@ This is the layer the command-line tool and the demos drive; each stage is a
 thin composition of the module-level operations so intermediate objects stay
 inspectable.  The :class:`Tolerances` given to :func:`analyze` are the only
 settings; the :class:`Analysis` keeps them and the solvers gate at its rtol.
+The solvers refuse data that are ``"not solvable"``, and read the corners'
+measures off the eigenpairs the picture stores.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from typing import ClassVar
 
 from . import hankel
 from ._linalg import herm
-from .errors import MomentProblemError, NotIndeterminate, WeylLimitDivergent
+from .errors import CompletionInfeasible, MomentProblemError, NotIndeterminate
+from .errors import WeylLimitDivergent
 from .extensions import _spectral_measure, determinacy, extend_ext
 from .extensions import extremal_extensions, spectral_solution
 from .gns import build_space
@@ -99,6 +102,14 @@ def analyze(seq, tols=Tolerances()):
     )
 
 
+def _require_solvable(analysis):
+    """Refuse an analysis of data that are not solvable, naming the failed
+    condition."""
+    solv = analysis.solvability
+    if solv.verdict == "not solvable":
+        raise CompletionInfeasible(f"the data are not solvable: {solv.fault}")
+
+
 def _gated(analysis, meas):
     """Attach the verification report at ``analysis.tols.rtol``; refuse
     silently-broken measures.  Every measure the solvers emit is the spectral
@@ -109,11 +120,14 @@ def _gated(analysis, meas):
 
 
 def unique_solution(analysis):
-    """Solution of a determinate problem (spectral measure of the unique
-    non-negative extension), gated at ``analysis.tols.rtol``."""
+    """Solution of a determinate problem, the spectral measure of ``t_mu`` read
+    off its stored pairs in ascending order, gated at ``analysis.tols.rtol``."""
+    _require_solvable(analysis)
     if not analysis.verdict.determinate:
         raise MomentProblemError("problem is not determinate")
-    meas = spectral_solution(analysis.picture.t_mu, analysis.rep, analysis.N)
+    pic = analysis.picture
+    up = pic.w.argsort()  # Cayley order: descending, then the -1s
+    meas = _spectral_measure(pic.w[up], pic.V[:, up], analysis.rep, analysis.N)
     return _gated(analysis, meas)
 
 
@@ -131,6 +145,7 @@ def solve_tau_grid(analysis, count):
     :func:`krein.build_gamma_weyl` keeps only gap eigenvalues above
     ``KER_TOL`` times the largest.
     """
+    _require_solvable(analysis)
     pic, gw = analysis.picture, analysis.gamma_weyl
     if gw is not None:
         g, U, _ = analysis.extended.gap
@@ -162,6 +177,7 @@ def solve_with_tau(analysis, tau):
     :func:`krein.make_tau` accepts is one of these, so the measure is always
     exact; no transform is inverted.
     """
+    _require_solvable(analysis)
     _, w, V = _extension(analysis.require_gamma_weyl(), tau)
     meas = _spectral_measure(w, V, analysis.rep, analysis.N)
     return _gated(analysis, meas)

@@ -163,12 +163,47 @@ def test_determinacy_inconsistent_truncation_exit_four(tmp_path):
 
 @pytest.mark.parametrize("cmd", ["determinacy", "solve"])
 def test_range_condition_failure_names_its_cause(tmp_path, capsys, cmd):
-    # S = [1, 0, 1]: check says marginal, but A21 does not vanish on ker A11
+    # S = [1, 0, 1]: check reads the range condition (not solvable), and the
+    # analysis refuses it where A21 does not vanish on ker A11
     f = write(tmp_path / "r.json", {"N": 1, "moments": [[[1, 0]], [[0, 0]], [[1, 0]]]})
-    assert run("check", f) == 3
+    assert run("check", f) == 2
     assert run(cmd, f) == 70
     err = capsys.readouterr().err
     assert "range-condition residual |A21 on ker A11| = 1.000e+00" in err
+
+
+@pytest.mark.parametrize(
+    "values, code",
+    [
+        ([1, 0, 1], 2),
+        ([2, 1, 1, 1, 2], 2),
+        ([1, 0, 0, 1], 2),
+        ([0, 1], 2),
+        ([1, 0, 0], 3),
+        ([2, 1, 1, 1, 1], 3),
+    ],
+)
+def test_check_reads_the_range_condition(tmp_path, capsys, values, code):
+    # the next block column [S_{n+1}; ..; S_m] must lie in the range of the
+    # maximal Hankel that stops at S_{m-1}: S_1 = 0 or S_2 = 0 puts all mass
+    # at 0, and [2, 1, 1, 1] puts it at 0 and 1.  delta_0 and delta_0 +
+    # delta_1 keep the condition and stay marginal; the report's keys stay
+    f = write(tmp_path / "m.json", {"N": 1, "moments": [[[v]] for v in values]})
+    assert run("check", f) == code
+    assert set(json.loads(capsys.readouterr().out)) == {
+        "max_plain_order", "max_shifted_order", "note", "plain_min_pivots",
+        "psd_tol", "shifted_min_pivots", "verdict",
+    }
+
+
+def test_solve_refuses_data_that_fail_the_range_condition(tmp_path, capsys):
+    # S = [1, 0, 0, 1]: S_2 = 0 puts all mass at 0, so S_3 must be 0.  The
+    # analysis calls it determinate; solve used to emit delta_0 with exit 0
+    f = write(tmp_path / "m.json", {"N": 1, "moments": [[[1]], [[0]], [[0]], [[1]]]})
+    assert run("solve", f) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the data are not solvable: range condition" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +566,23 @@ def test_gen_atoms_refuses_the_random_measure_flags(tmp_path, capsys, extra):
     assert read_json(m)["N"] == 1
     assert run("gen", "--count", 3, "--N", 1, "--seed", 0, "--min-sep", 0, *out) == 0
     assert m.read_bytes() == default
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("min_sep", ["-1", "nan", "inf"])
+def test_gen_refuses_a_negative_or_non_finite_min_sep(tmp_path, capsys, monkeypatch, count, min_sep):
+    # -1 passed every separation test and was ignored (exit 0); it is
+    # refused before any atom is drawn, as the tolerance flags are
+    import stieltjesmp.cli as cli
+
+    def draw(*args, **kwargs):
+        raise AssertionError("an atom was drawn")
+
+    monkeypatch.setattr(cli, "random_discrete_measure", draw)
+    m, g = tmp_path / "m.json", tmp_path / "g.json"
+    out = ("--out-moments", m, "--out-measure", g)
+    assert_usage_error(capsys, "gen", "--count", count, "--min-sep", min_sep, *out)
+    assert not m.exists()
 
 
 def test_gen_negative_order_exit_usage(tmp_path, capsys):

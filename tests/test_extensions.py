@@ -25,7 +25,8 @@ from stieltjesmp import (
     solve_tau_grid,
     spectral_solution,
 )
-from stieltjesmp.solutions import moments_of_measure, verify_moments
+from stieltjesmp.pipeline import unique_solution
+from stieltjesmp.solutions import moments_of_measure, random_discrete_measure, verify_moments
 
 
 def herm(M):
@@ -555,6 +556,62 @@ def test_grid_factors_each_matrix_once(monkeypatch):
     assert entries[-1]["s"] == 1.0 and len(got.atoms) == len(krein.atoms)
     for (lam, W), (lam0, W0) in zip(got.atoms, krein.atoms):
         assert lam == lam0 and np.array_equal(W, W0)
+
+
+def _counted_eigh(monkeypatch):
+    """The inputs of every ``np.linalg.eigh`` and ``eigvalsh`` call, in order."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(M, *args, _name=name, _real=real, **kwargs):
+            calls.append((_name, M.copy()))
+            return _real(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_unique_solution_reads_the_stored_pairs(monkeypatch):
+    # a determinate analyze and its unique solution decompose A11, t_M and
+    # the q x q gap once each; the solution reads t_mu's stored pairs
+    meas = random_discrete_measure(0, 2, 2, (0.1, 4.0), min_sep=0.3)
+    calls = _counted_eigh(monkeypatch)
+    a = analyze(moments_of_measure(meas, 6))
+    got = unique_solution(a)["measure"]
+    pic, d, q = a.picture, a.picture.dim, a.picture.defect_dim
+    assert a.verdict.determinate
+    assert [(n, M.shape) for n, M in calls] == [
+        ("eigh", (d - q, d - q)),
+        ("eigh", (d, d)),
+        ("eigh", (q, q)),
+    ]
+    assert np.array_equal(calls[1][1], pic.t_M)
+    monkeypatch.undo()
+    # the same atoms as a fresh eigh of t_mu, weights to 1e-7 of the mass
+    fresh = spectral_solution(pic.t_mu, a.rep, a.N)
+    mass = np.trace(a.seq.moments[0]).real
+    assert len(got.atoms) == len(fresh.atoms) == 2
+    for (lam, W), (lam0, W0) in zip(got.atoms, fresh.atoms):
+        assert abs(lam - lam0) <= 1e-12 * lam0
+        assert np.abs(W - W0).max() <= 1e-7 * mass
+    for (lam, W), (lam0, W0) in zip(got.atoms, meas.atoms):
+        assert abs(lam - lam0) <= 1e-10 * lam0
+        assert np.abs(W - W0).max() <= 1e-7 * mass
+
+
+def test_gap_is_decomposed_from_the_formed_G(monkeypatch):
+    # the gap's eigh input is the G that C = herm(J G J*) is formed from,
+    # bit for bit, not J* C J
+    calls = _counted_eigh(monkeypatch)
+    a = analyze(_ladder_n4_m9_problem())
+    pic = a.picture
+    J, (_, G_in) = pic.defect_basis, calls[2]
+    assert not a.verdict.determinate and G_in.shape == (pic.defect_dim,) * 2
+    assert np.array_equal(herm(J @ G_in @ J.conj().T), pic.C)
+    g, U, in_ker = pic.gap
+    assert not in_ker.any()
+    assert np.abs((U * g) @ U.conj().T - G_in).max() <= 1e-13 * g.max()
 
 
 @pytest.mark.parametrize("case", ["rank_deficient", "exit_space"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stieltjesmp import (
+    CompletionInfeasible,
     NotHermitian,
     OrderTooHigh,
     SchemaError,
@@ -15,8 +16,12 @@ from stieltjesmp import (
     moment_sequence,
     scalarize,
     solution_measure,
+    make_tau,
+    solve_tau_grid,
+    solve_with_tau,
 )
 from stieltjesmp.gns import natural_factor
+from stieltjesmp.pipeline import unique_solution
 from stieltjesmp.hankel import _pair_array
 from stieltjesmp.io import parse_matrix
 from stieltjesmp.solutions import moments_of_measure, random_discrete_measure
@@ -336,6 +341,23 @@ def test_not_solvable_when_a_dropped_column_has_a_live_schur_row():
     assert rep.verdict == "not solvable" == eigen_solvability(seq)[2]
 
 
+def test_solvers_refuse_data_that_fail_the_range_condition():
+    # [1, 0, 0, 1] alone is determinate; summed with the indeterminate
+    # two-atom problem [2, 3, 5, 9] it is not.  Both analyses go through,
+    # and every solver refuses them, naming the failed condition
+    refused = pytest.raises(CompletionInfeasible, match="not solvable: range condition")
+    a = analyze(seq1(1, 0, 0, 1))
+    assert a.verdict.determinate and a.solvability.verdict == "not solvable"
+    with refused:
+        unique_solution(a)
+    a = analyze(moment_sequence([np.diag([x, y]) for x, y in zip((1, 0, 0, 1), (2, 3, 5, 9))]))
+    assert a.gamma_weyl is not None and a.solvability.verdict == "not solvable"
+    with refused:
+        solve_tau_grid(a, 3)
+    with refused:
+        solve_with_tau(a, make_tau({"type": "constant", "matrix": [[-1.0]]}))
+
+
 def test_loose_tolerance_never_keeps_a_negative_pivot():
     # at psd_tol >= 1 a negative diagonal used to clear tol * G_kk; such a
     # column is dropped (marginal), never kept with a NaN row (solvable)
@@ -378,6 +400,26 @@ def test_relative_pivots_agree_with_exact_input_oracle(N):
             exact = mp_relative_pivots(build(seq, top))
             exact = np.minimum.accumulate(exact)[N - 1 :: N]
             assert (np.abs(np.array(pivots) - exact) <= 1e-8 * np.abs(exact)).all()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_moments_of_measures_are_solvable_at_every_order(seed):
+    # every m <= 9, weights of rank r <= N, as many atoms as the order can
+    # see or fewer, and an atom at 0 in every other draw
+    rng = np.random.default_rng([seed, 25])
+    for m, draw in product(range(10), range(4)):
+        N = int(rng.choice([1, 2, 3]))
+        r = int(rng.integers(1, N + 1))
+        lam = rng.uniform(0.1, 4.0, size=int(rng.integers(1, m // 2 + 3)))
+        if draw % 2:
+            lam[0] = 0.0
+        atoms = []
+        for x in lam:
+            G = rng.standard_normal((r, N)) + 1j * rng.standard_normal((r, N))
+            atoms.append((x, G.conj().T @ G / N))
+        seq = moments_of_measure(solution_measure(N, atoms), m)
+        rep = check_solvable(seq)
+        assert rep.verdict != "not solvable", (m, N, lam, rep.fault)
 
 
 def _refuse(*args, **kwargs):

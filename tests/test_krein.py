@@ -124,7 +124,7 @@ def test_pipeline_weyl_limit_always_finite(battery):
 
 def test_make_tau_infinite():
     tau = make_tau({"type": "infinite"})
-    assert tau.is_ideal and tau.class_ok
+    assert tau.is_ideal and check_stieltjes_class(tau)[0]
     assert tau.finite_dim == 0
     for q in (1, 3):
         assert tau.inclusion(q).shape == (q, 0)
@@ -136,7 +136,7 @@ def test_make_tau_constant_is_rational_without_poles(X):
     const = make_tau({"type": "constant", "matrix": X})
     rat = make_tau({"type": "rational", "tau0": X})
     q = len(X)
-    assert const.class_ok == rat.class_ok
+    assert check_stieltjes_class(const) == check_stieltjes_class(rat)
     assert np.array_equal(const.inclusion(q), rat.inclusion(q))
     for z in UPPER + (-2.0,):
         assert np.array_equal(const.value(z), rat.value(z))
@@ -144,13 +144,13 @@ def test_make_tau_constant_is_rational_without_poles(X):
 
 def test_make_tau_constant_psd_returned_but_out_of_class():
     tau = make_tau({"type": "constant", "matrix": [[1.0]]})
-    assert tau.kind == "constant"
-    assert tau.class_ok is False
+    assert tau.poles == () and tau.finite_dim == 1
+    assert check_stieltjes_class(tau)[0] is False
 
 
 def test_make_tau_constant_nsd_in_class():
     tau = make_tau({"type": "constant", "matrix": [[-1.0]]})
-    assert tau.class_ok is True
+    assert check_stieltjes_class(tau)[0] is True
     with np.errstate(all="ignore"):
         ok, worst = sampled_class_test(tau, UPPER)
     assert ok and worst >= -1e-9
@@ -161,14 +161,14 @@ def test_make_tau_rational_matches_documented_evaluation():
     tau = make_tau({"type": "rational", "tau0": [[0.0]], "poles": [{"p": -1.0, "W": [[2.0]]}]})
     assert np.isclose(tau.value(-2.0)[0, 0], 2.0)
     # a pole inside the spectral gap is not admissible
-    assert tau.class_ok is False
+    assert check_stieltjes_class(tau)[0] is False
 
 
 def test_make_tau_rational_positive_pole_in_class():
     tau = make_tau(
         {"type": "rational", "tau0": [[-1.0]], "poles": [{"p": 1.5, "W": [[0.5]]}]}
     )
-    assert tau.class_ok is True
+    assert check_stieltjes_class(tau)[0] is True
 
 
 def test_make_tau_require_class():
@@ -389,7 +389,7 @@ def test_eigenbasis_formula_matches_dense_reference(indeterminate_battery):
                     (solution_transform(gw, tau, a.rep, a.N, z), F),
                 ):
                     err = np.abs(got - ref).max() / np.abs(ref).max()
-                    assert err <= 1e-10, (name, tau.kind, z, err)
+                    assert err <= 1e-10, (name, tau.finite_dim, len(tau.poles), z, err)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +425,7 @@ def _pole_taus(q, seed=0):
     from stieltjesmp.io import encode_matrix
 
     rng = np.random.default_rng(seed)
-    taus = [tau for tau in _reference_taus(q) if tau.kind == "rational"]
+    taus = [tau for tau in _reference_taus(q) if tau.poles and tau.finite_dim == q]
     taus += [_random_rational(rng, q, k) for k in (1, 2)]
     if q >= 2:
         mixed = {
@@ -435,7 +435,7 @@ def _pole_taus(q, seed=0):
             "poles": [{"p": 0.8, "W": encode_matrix(np.eye(q - 1))}],
         }
         taus.append(make_tau(mixed, hdim=q))
-    assert all(tau.class_ok for tau in taus)
+    assert all(check_stieltjes_class(tau)[0] for tau in taus)
     return taus
 
 
@@ -454,8 +454,8 @@ def test_exit_space_measure_matches_the_formula(indeterminate_battery):
                 ref = solution_transform(gw, tau, a.rep, a.N, z)
                 got = transform_of_measure(meas, z)
                 err = np.abs(got - ref).max() / np.abs(ref).max()
-                assert err <= 1e-10, (name, tau.kind, z, err)
-            kinds.add(tau.kind)
+                assert err <= 1e-10, (name, tau.finite_dim, len(tau.poles), z, err)
+            kinds.add("mixed" if tau.finite_dim < gw.q else "rational")
     assert kinds == {"rational", "mixed"}
 
 
@@ -517,12 +517,12 @@ def test_exit_space_run_time_checks(two_atom):
         exit_space_extension(gw, replace(tau, tau0=np.array([[-1.0 + 0.5j]])))
     # a pole on the negative axis: the pole block D' is not >= 0
     neg = make_tau(dict(RATIONAL, poles=[{"p": -0.5, "W": [[0.5]]}]))
-    assert not neg.class_ok
+    assert not check_stieltjes_class(neg)[0]
     with pytest.raises(PropertyViolated, match="pole block"):
         exit_space_extension(gw, neg)
     # tau(0) > 0: D' >= 0, yet the extension is not a contraction
     pos = make_tau(dict(RATIONAL, tau0=[[-0.1]]))
-    assert not pos.class_ok
+    assert not check_stieltjes_class(pos)[0]
     with pytest.raises(PropertyViolated, match="recovered extension is not a contraction"):
         exit_space_extension(gw, pos)
     # a non-Hermitian residue: the extension realizes its Hermitian part,
@@ -701,7 +701,7 @@ def test_constant_parameter_round_trip_n4_m9():
         t = herm(pic.t_mu + s * (pic.t_M - pic.t_mu))
         tau_mat = constant_tau_of_extension(gw, t)
         tau = make_tau({"type": "constant", "matrix": encode_matrix(tau_mat)})
-        assert tau.class_ok
+        assert check_stieltjes_class(tau)[0]
         for z in (1j, -1 + 1j, 0.5 + 0.25j, -2.0):
             err = np.abs(
                 krein_resolvent(gw, tau, z) - resolvent_from_contraction(t, z)
@@ -864,7 +864,7 @@ def test_mixed_parameter_is_limit_of_constants(battery):
             "tau0": encode_matrix(-np.eye(2)),
         }
     )
-    assert mixed.class_ok and mixed.finite_dim == 2
+    assert check_stieltjes_class(mixed)[0] and mixed.finite_dim == 2
     inc = mixed.inclusion(3)
     P1 = np.eye(3) - inc @ inc.conj().T
     z = 0.7j

@@ -226,8 +226,7 @@ def test_eigenvalue_just_below_minus_one_is_clipped(two_atom):
 def test_degenerate_block_without_a_constructor(two_atom):
     # a 1 x 1 block that is exactly zero, built without make_tau
     gw = two_atom.gamma_weyl
-    tau = TauParameter(kind="constant", hdim=1, finite_basis=np.eye(1),
-                       tau0=np.array(gw.M0), poles=())
+    tau = TauParameter(hdim=1, finite_basis=np.eye(1), tau0=np.array(gw.M0), poles=())
     with pytest.raises(ParameterDegenerate):
         krein_resolvent(gw, tau, -1.0)
     with pytest.raises(ParameterDegenerate):
