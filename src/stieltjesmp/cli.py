@@ -27,7 +27,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import io
+from . import io, pipeline
 from .errors import InconsistentTruncation, MomentProblemError, NotHermitian
 from .errors import OrderTooLow, SchemaError
 from .hankel import check_solvable, load_moments
@@ -127,6 +127,7 @@ def cmd_check(args):
 def cmd_determinacy(args):
     seq = _read_moments(args.moments)
     analysis = analyze(seq, args.tols)
+    pipeline._require_solvable(analysis)
     defect = analysis.extended.defect_dim if analysis.extended else 0
     doc = analysis.verdict.to_dict()
     doc.update(
@@ -214,6 +215,7 @@ def cmd_transform(args):
     z_points = _parse_list(args.z, complex, "z")
     seq = _read_moments(args.moments)
     analysis = analyze(seq, args.tols)
+    pipeline._require_solvable(analysis)
     N, rep = seq.N, analysis.rep
     if analysis.verdict.determinate:
         # Xi0* R_z Xi0 off the stored t_mu = V diag(w) V*; Xi0 is zero below row N

@@ -34,12 +34,12 @@ coordinates, ``-1`` on the last ``q``): for ``c = 1 - w - z (1 + w)``,
 eigenvalue ``w = -1`` (mass at infinity) needs no special case: there
 ``c = 2``, so it adds 0 to ``R_z``, 1 to gamma.  The coordinates of the data
 vectors are formed once per analysis, on its first transform, so one point of
-the formula costs one product (every block at once) and one solve.  The solve
-also returns ``K(z)^{-1}``, and ``||K||_F ||K^{-1}||_F``, an upper bound on
-``cond_2 K``, certifies the point when it is within half of
+the formula costs two products (the four blocks it reads, and no other) and
+one inverse.  With ``K(z)^{-1}`` in hand, ``||K||_F ||K^{-1}||_F``, an upper
+bound on ``cond_2 K``, certifies the point when it is within half of
 ``CONDITION_LIMIT``; only a point it cannot certify pays for an SVD, the
 condition test itself, which then decides.  The parameter block at the base
-point, ``tau0 - P* M(0) P``, takes the same certified solve.
+point, ``tau0 - P* M(0) P``, takes the same certified inverse.
 
 Admissibility is read off the normal form: ``tau(z)`` and ``tau(z)/z`` must
 both be matrix Nevanlinna functions.  With PSD residues ``tau`` itself is,
@@ -144,13 +144,13 @@ class GammaWeyl:
 
 
 def _stacked(w, ov, X):
-    """``(Y, Y*)`` for ``Y = [s X, X, V* J]``, eigen-coordinates ``X = V* P``
-    and ``s = sqrt((1+w)/2)`` (``1 + w`` clipped at 0): the blocks of
-    ``Y* diag(g) Y`` are then ``P* R_z P``, ``P* gamma(z)``,
-    ``gamma(conj(z))* P`` and ``M(z)/(z + 1)``.  ``Y*`` is made contiguous
-    once, so no point conjugates a copy."""
-    s = np.sqrt(np.clip(1.0 + w, 0.0, None) / 2.0)
-    Y = np.hstack([s[:, None] * X, X, ov])
+    """``(Y, Y*)`` for ``Y = [h X, V* J, X]``, eigen-coordinates ``X = V* P``
+    and ``h = (1 + w)/2`` (clipped at 0).  With ``g = 2/c`` the formula reads
+    two products: ``X* diag(g) [h X, V* J]`` is ``[P* R_z P, P* gamma(z)]``
+    and ``(V* J)* diag(g) [V* J, X]`` is ``[M(z)/(z + 1), gamma(conj(z))* P]``.
+    ``Y*`` is made contiguous once, so no point conjugates a copy."""
+    h = np.clip(1.0 + w, 0.0, None) / 2.0
+    Y = np.hstack([h[:, None] * X, ov, X])
     return Y, np.ascontiguousarray(Y.conj().T)
 
 
@@ -379,64 +379,60 @@ def check_stieltjes_class(tau):
 
 def _certified_solve(K, B, z):
     """``K^{-1} B`` for the parameter block ``K = K(z)``, refused when its
-    condition number exceeds ``CONDITION_LIMIT``.
-
-    One LU gives ``K^{-1} B`` and ``K^{-1}``.  ``cond_2(K)`` is at most
-    ``||K||_F ||K^{-1}||_F``, so a bound within half the limit accepts (the
-    margin absorbs the roundoff of the computed inverse).  Any other case (a
-    larger bound, a NaN, an exactly singular pivot) takes the SVD test, where
-    an all-zero block counts as infinitely ill-conditioned.
+    condition number exceeds ``CONDITION_LIMIT``.  One inverse gives
+    ``K^{-1}``, and ``cond_2(K) <= ||K||_F ||K^{-1}||_F``, so a bound within
+    half the limit accepts (the margin absorbs the inverse's roundoff).  Any
+    other case (a larger bound, a NaN, an exactly singular pivot) takes the
+    SVD test, where an all-zero block counts as infinitely ill-conditioned.
     """
-    k, n = K.shape[0], B.shape[1]
     try:
-        S = np.linalg.solve(K, np.concatenate((B, np.eye(k)), axis=1))
-        Ki = S[:, n:]
-        # the squares as Python floats: their true product is at least k, so
-        # a square that underflows comes with one that overflows, and inf or
-        # 0 * inf = NaN fails the test, without a warning
+        Ki = np.linalg.inv(K)
+        # the squares as Python floats: their true product is at least the
+        # block's size, so a square that underflows comes with one that
+        # overflows, and inf or 0 * inf = NaN fails the test, without a warning
         if float(np.vdot(K, K).real) * float(np.vdot(Ki, Ki).real) <= (
             CONDITION_LIMIT / 2
         ) ** 2:
-            return S[:, :n]
+            return Ki @ B
     except np.linalg.LinAlgError:
-        S = None
+        Ki = None
     s = np.linalg.svd(K, compute_uv=False)
     if s[-1] == 0.0 or s[0] / s[-1] > CONDITION_LIMIT:
         raise ParameterDegenerate(
             f"parameter block at z = {z} has condition above {CONDITION_LIMIT:.0e}"
         )
-    return np.linalg.solve(K, B) if S is None else S[:, :n]
+    return np.linalg.solve(K, B) if Ki is None else Ki @ B
 
 
 def _compressed_resolvent(gw, tau, z, Y, Yh):
     """``P* (V* R(tau, z) V) P`` for ``(Y, Yh) = _stacked(gw.w, gw.ov, P)``:
-    one product ``Y* diag(g) Y`` gives every block of the formula, then one
-    certified solve applies the parameter block
-    ``K = tau(z) + I* (M(z) - M(0)) I``, ``I`` the finite-part inclusion of
-    ``tau``, whose identity products are skipped when it has no ideal part."""
-    z = complex(z)
-    g = gw._diagonal(z)
-    n = (Y.shape[1] - gw.q) // 2
+    two products with ``diag(g) Y`` give the four blocks the formula reads,
+    then one certified inverse applies the parameter block
+    ``K = tau(z) + I* (M(z) - M(0)) I``, assembled in place (``I``, the
+    finite-part inclusion of ``tau``, is skipped when it is the identity)."""
+    z = _off_positive_axis(z)
+    a, b = gw._one_pm_w
+    gY = (2.0 / (a - z * b))[:, None] * Y
+    q, n = gw.q, (Y.shape[1] - gw.q) // 2
     if tau.is_ideal:
-        return Yh[:n] @ (g[:, None] * Y[:, :n])
-    H = Yh @ (g[:, None] * Y)
-    Mz = (z + 1.0) * H[2 * n :, 2 * n :] - gw.M0
-    B, C = H[2 * n :, n : 2 * n], H[n : 2 * n, 2 * n :]
-    inc = tau.inclusion(gw.q)
-    if tau.finite_dim < gw.q:
+        return Yh[n + q :] @ gY[:, :n]
+    HC, MB = Yh[n + q :] @ gY[:, : n + q], Yh[n : n + q] @ gY[:, n:]
+    K, B, C = (z + 1.0) * MB[:, :q] - gw.M0, MB[:, q:], HC[:, n:]
+    inc = tau.inclusion(q)
+    if tau.finite_dim < q:
         inch = inc.conj().T
-        Mz, B, C = inch @ Mz @ inc, inch @ B, C @ inc
-    return H[:n, :n] - C @ _certified_solve(tau.value(z) + Mz, B, z)
+        K, B, C = inch @ K @ inc, inch @ B, C @ inc
+    K += tau.tau0
+    for p, W in tau.poles:
+        K += W / (p - z)
+    return HC[:, :n] - C @ _certified_solve(K, B, z)
 
 
 def krein_resolvent(gw, tau, z):
     """Generalized resolvent ``R_z - gamma(z) K(z)^{-1} gamma(conj(z))*`` on
     all of ``C^d``: the compressed formula at the coordinates ``P = V*``.
-
-    ``K(z)`` is the finite-part compression of ``tau(z) + M(z) - M(0)``; its
-    inverse is embedded by zero on the relation part, so the pure ideal
-    parameter returns the Friedrichs-corner resolvent unchanged.
-    """
+    ``K(z)^{-1}`` is embedded by zero on the relation part, so the pure ideal
+    parameter returns the Friedrichs-corner resolvent unchanged."""
     return _compressed_resolvent(gw, tau, z, *_stacked(gw.w, gw.ov, gw.V.conj().T))
 
 
@@ -504,9 +500,10 @@ def _verified(gw, tau, t):
     if float(np.abs(w).max()) > 1.0 + CHECK_TOL:
         raise PropertyViolated("recovered extension is not a contraction", witness=t)
     Vd = V[: gw.dim]
+    Y, Yh = _stacked(gw.w, gw.ov, gw.V.conj().T)  # krein_resolvent's, for both points
     for zc in CHECK_POINTS:
         R = (Vd * ((1.0 + w) / ((1.0 - zc) - (1.0 + zc) * w))) @ Vd.conj().T
-        err = np.abs(krein_resolvent(gw, tau, zc) - R).max()
+        err = np.abs(_compressed_resolvent(gw, tau, zc, Y, Yh) - R).max()
         if err > CHECK_TOL:
             raise PropertyViolated(
                 f"recovered extension mismatches the formula at z = {zc} "
@@ -557,7 +554,7 @@ def exit_space_extension(gw, tau):
     compressed resolvent sees.  Admissible parameters give ``D' >= 0``.
     Without poles (``r = 0``) ``T = t_c``, an extension inside the space; the
     ideal parameter (``P`` with no columns) gives ``t_mu``.  ``Q`` takes the
-    certified solve of every point of the formula, at ``z = -1``, and ``T``
+    certified inverse of every point of the formula, at ``z = -1``, and ``T``
     is verified once, by :func:`_verified`.
     """
     return _extension(gw, tau)[0]

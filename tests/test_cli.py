@@ -196,11 +196,15 @@ def test_check_reads_the_range_condition(tmp_path, capsys, values, code):
     }
 
 
-def test_solve_refuses_data_that_fail_the_range_condition(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "cmd", [["solve"], ["determinacy"], ["transform", "--z", "1j"]], ids=lambda c: c[0]
+)
+def test_commands_refuse_data_that_fail_the_range_condition(tmp_path, capsys, cmd):
     # S = [1, 0, 0, 1]: S_2 = 0 puts all mass at 0, so S_3 must be 0.  The
-    # analysis calls it determinate; solve used to emit delta_0 with exit 0
+    # analysis calls it determinate; solve and transform used to emit
+    # delta_0 and determinacy to report "determinate", all with exit 0
     f = write(tmp_path / "m.json", {"N": 1, "moments": [[[1]], [[0]], [[0]], [[1]]]})
-    assert run("solve", f) == 70
+    assert run(cmd[0], f, *cmd[1:]) == 70
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "the data are not solvable: range condition" in captured.err

@@ -271,11 +271,11 @@ def _near_singular(gw, z, c, big=4):
     return _constant(-(ref.herm(M) - gw.M0) + D)
 
 
-def _counting_svd(monkeypatch):
+def _counting(monkeypatch, name):
     calls = []
-    svd = np.linalg.svd
+    fun = getattr(np.linalg, name)
     monkeypatch.setattr(
-        np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k)
+        np.linalg, name, lambda *a, **k: calls.append(1) or fun(*a, **k)
     )
     return calls
 
@@ -290,7 +290,7 @@ def test_bound_above_half_the_limit_falls_back_to_the_svd(n8, monkeypatch):
     K = tau.value(z) + (gw.M(z) - gw.M0)
     bound = np.linalg.norm(K) * np.linalg.norm(np.linalg.inv(K))
     assert bound > CONDITION_LIMIT / 2 and np.linalg.cond(K) < CONDITION_LIMIT
-    calls = _counting_svd(monkeypatch)
+    calls = _counting(monkeypatch, "svd")
     got = solution_transform(gw, tau, a.rep, a.N, z)
     assert len(calls) == 1
     want = ref.solution_transform(gw, tau, a.rep, a.N, z)
@@ -326,16 +326,18 @@ def test_near_degenerate_sweep_refused_like_the_reference(n8, z, big):
 
 
 def test_transform_scan_runs_no_svd(n8, monkeypatch):
-    # every point of a scan across the atoms is certified by its solve
+    # every point of a scan across the atoms is certified by its one inverse:
+    # no SVD and no solve, and no inverse for the ideal parameter
     a, meas = n8
     gw = a.gamma_weyl
     zs = np.linspace(min(meas.positions) - 0.1, max(meas.positions) + 0.1, 256) + 0.01j
     taus, _ = _taus(gw.q)  # a mixed parameter's complement is one SVD, in make_tau
-    calls = _counting_svd(monkeypatch)
+    calls = {name: _counting(monkeypatch, name) for name in ("svd", "solve", "inv")}
     for tau in taus.values():
         for z in zs:
             solution_transform(gw, tau, a.rep, a.N, z)
-    assert not calls
+    assert not calls["svd"] and not calls["solve"]
+    assert len(calls["inv"]) == len(zs) * sum(not tau.is_ideal for tau in taus.values())
 
 
 @pytest.mark.parametrize("z", [1e300j, -1e300 + 1j, 1e200 + 1e200j])
