@@ -3,7 +3,9 @@
 The shift trades for a Hermitian contraction T on D(T) = (A + E) D(A); its
 self-adjoint contractive extensions fill the operator interval between the
 Friedrichs corner t_mu and the Krein corner t_M.  The moment problem is
-determinate exactly when the interval collapses.
+determinate exactly when the interval collapses, and that happens exactly
+when the defect is trivial: on a non-trivial defect space the gap between the
+corners is positive definite.
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ for label, mats in [
     v = a.verdict
     print(f"{label}:")
     print(f"  defect {v.defect_dim}, gap norm {v.gap_norm:.6f} ->",
-          "determinate" if v.determinate else "completely indeterminate")
+          "determinate" if v.determinate else "indeterminate")
 
 a = analyze(moment_sequence([[[2.0]], [[3.0]], [[5.0]]]))
 pic = a.picture

@@ -1,6 +1,6 @@
 """The resolvent formula: one parameter, one solution.
 
-For a completely indeterminate problem the gamma field and Weyl function
+For an indeterminate problem the gamma field and Weyl function
 turn the extension interval into a clean parameterization:
 
     R(tau, z) = R_z(t_mu) - gamma(z) (tau(z) + M(z) - M(0))^{-1} gamma(zbar)*

@@ -3,8 +3,7 @@
 Given Hermitian matrix moments ``S_0 .. S_m``, this package decides
 solvability through block Hankel positivity, realizes the data as a
 non-negative Hermitian shift operator on a finite-dimensional space, decides
-determinacy through the gap between the extremal contractive extensions, and
-parameterizes the full family of solutions through the resolvent formula of
+determinacy by the dimension of its defect space, and parameterizes the full family of solutions through the resolvent formula of
 the boundary machinery, with every output verified by moment round trips.
 """
 
@@ -29,7 +28,6 @@ from .extensions import (
     ContractionPicture,
     DeterminacyVerdict,
     determinacy,
-    extend_ext,
     extremal_extensions,
     resolvent_from_contraction,
     spectral_solution,

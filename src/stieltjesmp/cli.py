@@ -128,7 +128,6 @@ def cmd_determinacy(args):
     seq = _read_moments(args.moments)
     analysis = analyze(seq, args.tols)
     pipeline._require_solvable(analysis)
-    defect = analysis.extended.defect_dim if analysis.extended else 0
     doc = analysis.verdict.to_dict()
     doc.update(
         {
@@ -136,7 +135,6 @@ def cmd_determinacy(args):
             "space_dim": analysis.rep.dim,
             "shift_residual": analysis.shift.consistency_residual,
             "deficiency_index": analysis.picture.defect_dim,
-            "regularized_defect_dim": defect,
         }
     )
     if analysis.gamma_weyl_error:
@@ -181,6 +179,7 @@ def cmd_solve(args):
     error = None
     if analysis.verdict.determinate:
         entries, tau_doc = [unique_solution(analysis)], {"type": "unique"}
+        _check(args.tau is None, "determinate problem: --tau is not read")
     elif tau_grid is not None:
         entries = solve_tau_grid(analysis, tau_grid)
         tau_doc = {"type": "constant-grid"}
@@ -210,14 +209,16 @@ def cmd_solve(args):
 
 
 def cmd_transform(args):
-    """Transform of the unique solution of a determinate problem, else of
-    the solution attached to the ``--tau`` parameter."""
+    """Transform of the unique solution of a determinate problem (which
+    refuses ``--tau``), else of the solution attached to the ``--tau``
+    parameter."""
     z_points = _parse_list(args.z, complex, "z")
     seq = _read_moments(args.moments)
     analysis = analyze(seq, args.tols)
     pipeline._require_solvable(analysis)
     N, rep = seq.N, analysis.rep
     if analysis.verdict.determinate:
+        _check(args.tau is None, "determinate problem: --tau is not read")
         # Xi0* R_z Xi0 off the stored t_mu = V diag(w) V*; Xi0 is zero below row N
         w, Y = analysis.picture.w, analysis.picture.V[:N].conj().T @ rep.vectors[:N, :N]
         samples = [

@@ -32,9 +32,14 @@ operator and the contractivity check on ``t_M`` refuses the input.  The
 interval is validated against a brute-force feasibility oracle and an
 independent Gram-factor construction in the test suite.
 
-Each matrix is decomposed once.  The gap norm and kernel are read off one
-``eigh`` of the ``G`` formed here (:attr:`ContractionPicture.gap`), whose
-pairs :func:`extend_ext` restricts; each corner's solution, off its pairs.
+Every factor of ``G`` is nonsingular, so ``G`` is positive definite whenever
+``q > 0``: the problem is determinate exactly when the defect is trivial
+(Krein 1947; Gantmacher, ch. XVI, in the scalar case).  Partial determinacy
+shows as ``q < N``, never as a kernel of the gap.
+
+Each matrix is decomposed once.  The gap norm is read off one ``eigh`` of the
+``G`` formed here (:attr:`ContractionPicture.gap`), whose pairs also give
+``G^{-1}``; each corner's solution, off its pairs.
 
 The dense reference resolvent is computed from the contraction itself:
 ``R_z = (E + t) ((1 - z) E - (1 + z) t)^{-1}``.  An eigenvalue ``-1`` of ``t``
@@ -44,7 +49,7 @@ of a truncated problem) then contributes nothing, with no singular inversion.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,7 +63,6 @@ __all__ = [
     "DeterminacyVerdict",
     "extremal_extensions",
     "determinacy",
-    "extend_ext",
     "resolvent_from_contraction",
     "spectral_solution",
 ]
@@ -70,12 +74,6 @@ INFINITY_TOL = 1e-12
 #: contractivity slack allowed to an extremal completion (and negativity
 #: allowed to ``A11``)
 FEAS_TOL = 1e-8
-#: gap eigenvalues up to this fraction of the largest one span the gap kernel
-KER_TOL = 1e-9
-#: determinate when the gap norm is at most ``1e-9 ||t_M|| + 1e-12``, where
-#: ``||t_M|| = 1`` for any non-trivial defect: the Krein corner makes
-#: ``E - t_M`` singular
-DET_TOL = 1e-9 + 1e-12
 #: eigenvalues this close form one atom
 CLUSTER_TOL = 1e-9
 
@@ -98,7 +96,7 @@ class ContractionPicture:
     V: np.ndarray  # (d, d) eigenvectors of t_mu
     w_M: np.ndarray  # (d,) eigenvalues of t_M, ascending
     V_M: np.ndarray  # (d, d) eigenvectors of t_M
-    gap: tuple  # (g, U, in_ker), in_ker: g up to KER_TOL times the largest
+    gap: tuple  # (g, U), the eigenpairs of G
 
     @property
     def defect_dim(self):
@@ -107,8 +105,6 @@ class ContractionPicture:
 
 @dataclass(frozen=True)
 class DeterminacyVerdict:
-    upsilon_dim: int
-    completely_indeterminate: bool
     determinate: bool
     gap_norm: float
     defect_dim: int
@@ -178,47 +174,23 @@ def extremal_extensions(op):
         V=V,
         w_M=w_M,
         V_M=V_M,
-        gap=(g, U_G, g <= KER_TOL * max(g.max(initial=0.0), 1e-300)),
+        gap=(g, U_G),
     )
 
 
 def determinacy(pic):
     """Decide determinacy and measure the gap between the extremal extensions.
 
-    The gap norm is the largest ``|eigenvalue|`` of the ``q x q`` gap; the
-    problem is determinate when the defect is trivial or that norm is at most
-    the constant ``DET_TOL``.
+    The problem is determinate exactly when the defect is trivial: the gap is
+    positive definite whenever ``q > 0``.  The gap norm, the largest
+    eigenvalue of the ``q x q`` gap, says how far apart the corners are.
     """
-    w, _, in_ker = pic.gap
     q = pic.defect_dim
-    gap = float(np.abs(w).max()) if q else 0.0
-    determinate = q == 0 or gap <= DET_TOL
-    ups = q if determinate else int(in_ker.sum())
     return DeterminacyVerdict(
-        upsilon_dim=ups,
-        completely_indeterminate=(ups == 0 and q > 0),
-        determinate=determinate,
-        gap_norm=gap,
+        determinate=q == 0,
+        gap_norm=float(np.abs(pic.gap[0]).max(initial=0.0)),
         defect_dim=q,
     )
-
-
-def extend_ext(pic):
-    """Drop ker(C | defect) from the defect space, forcing complete
-    indeterminacy.
-
-    On the kernel of the gap all self-adjoint contractive extensions agree
-    with both extremal ones, so T extends canonically there; the regularized
-    picture keeps the extremal pair ``t_mu``, ``t_M``, ``C``; on its defect
-    basis ``J U_keep`` the gap is ``diag(g_keep)``, so it restricts the pairs.
-    Returns ``pic`` itself when there is nothing to drop.
-    """
-    g, U, in_ker = pic.gap
-    if not in_ker.any():
-        return pic
-    keep = ~in_ker
-    gap = (g[keep], np.eye(int(keep.sum()), dtype=complex), in_ker[keep])
-    return replace(pic, defect_basis=pic.defect_basis @ U[:, keep], gap=gap)
 
 
 def resolvent_from_contraction(t, z):

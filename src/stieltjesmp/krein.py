@@ -65,7 +65,6 @@ from .errors import (
     SchemaError,
     WeylLimitDivergent,
 )
-from .extensions import DET_TOL
 from .io import parse_complex, parse_hermitian, parse_matrix
 from .shiftop import _off_positive_axis
 
@@ -155,24 +154,18 @@ def _stacked(w, ov, X):
 
 
 def build_gamma_weyl(pic, rep):
-    """Gamma field / Weyl function of a completely indeterminate picture,
-    with the data vectors ``xi_0 .. xi_{N-1}`` of ``rep`` (their coordinates
-    are formed on the first :func:`solution_transform`).
+    """Gamma field / Weyl function of an indeterminate picture, with the data
+    vectors ``xi_0 .. xi_{N-1}`` of ``rep`` (their coordinates are formed on
+    the first :func:`solution_transform`).
 
-    ``pic`` carries extremal extensions whose gap has a trivial kernel (apply
-    :func:`extensions.extend_ext` first otherwise); a trivial defect, a
-    collapsed gap or a gap kernel raise :class:`NotIndeterminate`.  When the
-    Friedrichs corner has an eigenvalue at 0 whose eigenspace overlaps the
-    defect space, ``M`` has no finite limit at 0: :class:`WeylLimitDivergent`.
+    A trivial defect (a determinate problem) raises :class:`NotIndeterminate`.
+    When the Friedrichs corner has an eigenvalue at 0 whose eigenspace
+    overlaps the defect space, ``M`` has no finite limit at 0:
+    :class:`WeylLimitDivergent`.
     """
     q = pic.defect_dim
     if q == 0:
         raise NotIndeterminate("trivial defect space: the problem is determinate")
-    gap, _, in_ker = pic.gap
-    if in_ker.any() or float(np.abs(gap).max()) <= DET_TOL:
-        raise NotIndeterminate(
-            "gap kernel is non-trivial; regularize with extend_ext first"
-        )
     J, w, V = pic.defect_basis, pic.w, pic.V
     # M(0) is M(z) at z = 0, where 2/c = 2/(1 - w)
     ov = V.conj().T @ J  # overlaps first, as in spectral_solution

@@ -17,10 +17,9 @@ from typing import ClassVar
 
 from . import hankel
 from ._linalg import herm
-from .errors import CompletionInfeasible, MomentProblemError, NotIndeterminate
-from .errors import WeylLimitDivergent
-from .extensions import _spectral_measure, determinacy, extend_ext
-from .extensions import extremal_extensions, spectral_solution
+from .errors import CompletionInfeasible, MomentProblemError, WeylLimitDivergent
+from .extensions import _spectral_measure, determinacy, extremal_extensions
+from .extensions import spectral_solution
 from .gns import build_space
 from .krein import _extension, build_gamma_weyl
 from .shiftop import build_shift
@@ -51,7 +50,6 @@ class Analysis:
     shift: object
     picture: object  # with extremal extensions
     verdict: object
-    extended: object | None = None  # regularized picture, indeterminate case only
     gamma_weyl: object | None = None
     gamma_weyl_error: str | None = None
 
@@ -70,22 +68,21 @@ class Analysis:
 def analyze(seq, tols=Tolerances()):
     """Run the construction through the determinacy decision at ``tols``.
 
-    For indeterminate problems the regularized picture and the boundary data
-    (gamma field / Weyl function) are attached; a divergent Weyl limit is
-    recorded rather than raised so that callers needing only the verdict
-    still succeed.
+    The problem is determinate exactly when its defect is trivial.  For
+    indeterminate problems the boundary data (gamma field / Weyl function) of
+    the picture are attached; a divergent Weyl limit is recorded rather than
+    raised so that callers needing only the verdict still succeed.
     """
     solv = hankel.check_solvable(seq, tols.psd_tol)
     rep = build_space(*solv.plain)
     shift = build_shift(rep)
     pic = extremal_extensions(shift)
     verdict = determinacy(pic)
-    extended = gw = gw_error = None
+    gw = gw_error = None
     if not verdict.determinate:
-        extended = extend_ext(pic)
         try:
-            gw = build_gamma_weyl(extended, rep)
-        except (WeylLimitDivergent, NotIndeterminate) as exc:
+            gw = build_gamma_weyl(pic, rep)
+        except WeylLimitDivergent as exc:
             gw_error = str(exc)
     return Analysis(
         seq=seq,
@@ -96,7 +93,6 @@ def analyze(seq, tols=Tolerances()):
         shift=shift,
         picture=pic,
         verdict=verdict,
-        extended=extended,
         gamma_weyl=gw,
         gamma_weyl_error=gw_error,
     )
@@ -141,14 +137,13 @@ def solve_tau_grid(analysis, count):
     carries mass at infinity and cannot reproduce the top moment.  Each entry
     reports the Hermitian-constant parameter of its extension, in closed form
     at the base point: ``tau_s = M(0) - (2/s) G^{-1}`` with ``G^{-1}`` from
-    the gap's stored eigenpairs.  It needs no condition guard, since
-    :func:`krein.build_gamma_weyl` keeps only gap eigenvalues above
-    ``KER_TOL`` times the largest.
+    the gap's stored eigenpairs.  It needs no condition guard, since the gap
+    is positive definite whenever the defect is not trivial.
     """
     _require_solvable(analysis)
     pic, gw = analysis.picture, analysis.gamma_weyl
     if gw is not None:
-        g, U, _ = analysis.extended.gap
+        g, U = pic.gap
         G_inv = (U / g) @ U.conj().T
     out = []
     for j in range(int(count)):

@@ -20,7 +20,8 @@ import numpy as np
 
 from oracles import domain_basis
 
-from stieltjesmp.extensions import KER_TOL
+#: gap eigenvalues up to this fraction of the largest one span the gap kernel
+KER_TOL = 1e-9
 
 
 def herm(M):

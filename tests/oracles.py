@@ -134,7 +134,7 @@ def sample_sc_extensions(pic, count, seed=0):
     ``t_mu + J R Y R* J*`` of the interval, with ``R`` the square root of the
     gap ``G`` and ``0 <= Y <= I``.
     """
-    w, V, _ = pic.gap
+    w, V = pic.gap
     root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
     count = int(count)
     if count <= 0:

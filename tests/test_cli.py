@@ -143,8 +143,10 @@ def test_determinacy_two_atom(two_atom_file, capsys):
     assert run("determinacy", two_atom_file) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["determinate"] is False
-    assert doc["completely_indeterminate"] is True
     assert doc["deficiency_index"] == 1
+    assert doc["gap_norm"] > 0
+    retired = {"upsilon_dim", "completely_indeterminate", "regularized_defect_dim"}
+    assert not retired & doc.keys()
 
 
 def test_determinacy_dirac0(tmp_path, capsys):
@@ -611,6 +613,29 @@ def test_gen_non_finite_atom_exit_usage(tmp_path, capsys, atoms):
     assert run("gen", "--atoms", atoms, "--out-moments", m, "--out-measure", g) == 64
     assert "is not finite" in capsys.readouterr().err
     assert not m.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "transform"])
+@pytest.mark.parametrize("tau", ["bogus", "missing"])
+def test_tau_on_determinate_data_exit_usage(tmp_path, capsys, command, tau):
+    # the unique solution reads no parameter, so --tau is refused like any
+    # flag nothing reads; the file is never opened
+    m, g = tmp_path / "m.json", tmp_path / "g.json"
+    gen = ("gen", "--atoms", "1:1,2:1", "--order", 5)
+    assert run(*gen, "--out-moments", m, "--out-measure", g) == 0
+    path = tmp_path / "tau.json"
+    if tau == "bogus":
+        write(path, {"type": "bogus"})
+    extra = ("--z", "1j") if command == "transform" else ()
+    assert run(command, m, *extra) == 0
+    capsys.readouterr()
+    assert run(command, m, "--tau", path, *extra) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tau" in captured.err
+    # --tau-grid keeps its meaning: the grid of a determinate problem is its
+    # unique solution
+    if command == "solve":
+        assert run("solve", m, "--tau-grid", 3) == 0
 
 
 def test_solve_tau_grid_zero_exit_usage(gen_two_atom, capsys):

@@ -14,9 +14,7 @@ from stieltjesmp import (
     BadPoint,
     CompletionInfeasible,
     analyze,
-    determinacy,
     exit_space_extension,
-    extend_ext,
     extremal_extensions,
     make_tau,
     moment_sequence,
@@ -190,14 +188,13 @@ def test_atom_at_zero_keeps_krein_corner_contractive(seed):
 
 
 def _assert_matches_reference(a, label):
-    # corners within 1e-9 of the Gram-factor reference, the same gap-kernel
-    # dimension, and a defect basis orthogonal to D(T)
+    # corners within 1e-9 of the Gram-factor reference, whose gap has no
+    # kernel either, and a defect basis orthogonal to D(T)
     pic = a.picture
     t_mu, t_M, J = reference_corners(a.shift)
     assert np.abs(pic.t_mu - t_mu).max() <= 1e-9, label
     assert np.abs(pic.t_M - t_M).max() <= 1e-9, label
-    kernel = pic.defect_dim - extend_ext(pic).defect_dim
-    assert kernel == gap_kernel_dim(t_mu, t_M, J), label
+    assert gap_kernel_dim(t_mu, t_M, J) == 0, label
     Q1 = cayley_reference(a.shift)[0]
     assert np.abs(Q1.conj().T @ pic.defect_basis).max(initial=0.0) <= 1e-12, label
 
@@ -298,42 +295,41 @@ def test_transversality_rank(two_atom):
 
 
 def test_transversality_rank_battery(indeterminate_battery):
-    # completely indeterminate case: ran(E + t_mu) + ran(E + t_M) fills H
+    # indeterminate case: ran(E + t_mu) + ran(E + t_M) fills H
     for name, a in indeterminate_battery.items():
-        pic = a.extended
+        pic = a.picture
         I = np.eye(pic.dim)
         stacked = np.hstack([I + pic.t_mu, I + pic.t_M])
         assert np.linalg.matrix_rank(stacked, tol=1e-10) == pic.dim, name
 
 
 # ---------------------------------------------------------------------------
-# determinacy and regularization
+# determinacy
 
 
 def test_determinacy_verdicts(delta1, dirac0, two_atom):
-    assert delta1.verdict.determinate
-    assert dirac0.verdict.determinate
+    # determinate exactly when the defect is trivial
+    assert delta1.verdict.determinate and delta1.verdict.defect_dim == 0
+    assert dirac0.verdict.determinate and dirac0.verdict.defect_dim == 0
     v = two_atom.verdict
-    assert not v.determinate
-    assert v.completely_indeterminate and v.upsilon_dim == 0 and v.defect_dim == 1
+    assert not v.determinate and v.defect_dim == 1 and v.gap_norm > 0
 
 
-def test_determinate_implies_full_kernel(delta1):
-    v = delta1.verdict
-    assert v.upsilon_dim == v.defect_dim
+def test_determinate_gap_is_empty(delta1):
+    g, U = delta1.picture.gap
+    assert g.shape == (0,) and U.shape == (0, 0)
+    assert delta1.verdict.gap_norm == 0.0
 
 
-def test_extend_ext_noop_when_completely_indeterminate(two_atom):
-    ext = extend_ext(two_atom.picture)
-    assert two_atom.picture.defect_dim - ext.defect_dim == 0
-    assert np.allclose(ext.t_mu, two_atom.picture.t_mu)
+def test_determinate_corners_coincide(delta1):
+    # no defect: T is defined on the whole space, so it is its own extension
+    pic = delta1.picture
+    assert pic.defect_dim == 0 and np.array_equal(pic.t_mu, pic.t_M)
 
 
-def test_extend_ext_determinate_fills_space(delta1):
-    # no defect: T is defined on the whole space and nothing is dropped
-    ext = extend_ext(delta1.picture)
-    assert ext.defect_dim == 0
-    assert ext is delta1.picture
+def test_indeterminate_gap_is_positive_definite(two_atom):
+    g, U = two_atom.picture.gap
+    assert g.min() > 0 and np.isclose(two_atom.verdict.gap_norm, g.max())
 
 
 def _direct_sum(s1, s2):
@@ -349,32 +345,25 @@ def _direct_sum(s1, s2):
     )
 
 
-def test_extend_ext_absorbs_determinate_summand(two_atom):
-    # determinate-with-defect block: S = [1, 1e-12, 1] puts its mass next to
-    # 0 and a sliver at 1e12, so its gap is 4e-12 (below DET_TOL) and its
-    # completion interval collapses
-    near = moment_sequence([[[1.0]], [[1e-12]], [[1.0]]])
-    v_det = analyze(near).verdict
-    assert v_det.determinate and v_det.defect_dim == 1 and v_det.gap_norm <= 1e-11
-    a = _direct_sum(near, two_atom.seq)
-    mixed = a.picture
-    v = determinacy(mixed)
-    assert v.defect_dim == 2 and v.upsilon_dim == 1
-    ext = extend_ext(mixed)
-    assert mixed.defect_dim - ext.defect_dim == 1
-    assert ext.defect_dim == 1
-    # the regularized picture keeps the same extremal pair
-    assert np.abs(ext.t_mu - mixed.t_mu).max() <= 1e-9
-    assert np.abs(ext.t_M - mixed.t_M).max() <= 1e-9
-    assert determinacy(ext).completely_indeterminate
+def test_tiny_gap_is_indeterminate_with_divergent_weyl_limit():
+    # S = [1, 1e-12, 1] puts its mass next to 0 and a sliver at 1e12.  Its
+    # Hankel is positive definite, so it is indeterminate with q = 1, though
+    # its gap is only 4e-12; the Friedrichs corner's atom at 0 overlaps the
+    # defect space, so M(0) diverges and is recorded, not raised
+    a = analyze(moment_sequence([[[1.0]], [[1e-12]], [[1.0]]]))
+    v = a.verdict
+    assert not v.determinate and v.defect_dim == 1
+    assert 3e-12 <= v.gap_norm <= 5e-12
+    assert a.gamma_weyl is None and "M(0) diverges" in a.gamma_weyl_error
 
 
 def test_trivial_direct_sum_with_determinate_instance(delta1, two_atom):
-    mixed = _direct_sum(delta1.seq, two_atom.seq).picture
-    v = determinacy(mixed)
-    # the determinate summand has no defect, so nothing is absorbed
-    assert v.defect_dim == 1 and v.upsilon_dim == 0
-    assert mixed.defect_dim - extend_ext(mixed).defect_dim == 0
+    # partial determinacy shows as q < N: the determinate summand adds no
+    # defect, and the gap of the sum is positive definite
+    mixed = _direct_sum(delta1.seq, two_atom.seq)
+    v = mixed.verdict
+    assert mixed.N == 2 and v.defect_dim == 1 and not v.determinate
+    assert mixed.picture.gap[0].min() > 0 and mixed.gamma_weyl is not None
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +514,10 @@ def test_spectral_solution_herms_clusters_only(
 
 
 def test_grid_factors_each_matrix_once(monkeypatch):
-    # analyze and a 3-point grid on a completely indeterminate problem: eigh
+    # analyze and a 3-point grid on an indeterminate problem: eigh
     # of A11, of t_M (read by the contractivity check and the s = 1 entry)
-    # and of the q x q gap (shared by determinacy, extend_ext and
-    # build_gamma_weyl), then one per interior grid point; no eigvalsh
+    # and of the q x q gap (shared by determinacy and the grid's G^{-1}),
+    # then one per interior grid point; no eigvalsh
     calls = []
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
@@ -541,7 +530,7 @@ def test_grid_factors_each_matrix_once(monkeypatch):
     a = analyze(_ladder_n4_m9_problem())
     entries = solve_tau_grid(a, 3)
     pic, d, q = a.picture, a.picture.dim, a.picture.defect_dim
-    assert a.verdict.completely_indeterminate and a.extended is pic
+    assert not a.verdict.determinate and a.gamma_weyl is not None
     assert [(n, M.shape) for n, M in calls] == [
         ("eigh", (d - q, d - q)),
         ("eigh", (d, d)),
@@ -609,8 +598,8 @@ def test_gap_is_decomposed_from_the_formed_G(monkeypatch):
     J, (_, G_in) = pic.defect_basis, calls[2]
     assert not a.verdict.determinate and G_in.shape == (pic.defect_dim,) * 2
     assert np.array_equal(herm(J @ G_in @ J.conj().T), pic.C)
-    g, U, in_ker = pic.gap
-    assert not in_ker.any()
+    g, U = pic.gap
+    assert g.min() > 0
     assert np.abs((U * g) @ U.conj().T - G_in).max() <= 1e-13 * g.max()
 
 

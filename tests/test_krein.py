@@ -110,8 +110,8 @@ def test_weyl_limit_divergence_guard(two_atom):
 
 
 def test_pipeline_weyl_limit_always_finite(battery):
-    # structural consequence of complete indeterminacy: ker(1 - t_mu) lies
-    # inside D(T), so M(0) converges on every regularized instance
+    # structural consequence of a positive definite gap: ker(1 - t_mu) lies
+    # inside D(T), so M(0) converges on every battery instance
     for name, a in battery.items():
         if a.verdict.determinate:
             continue
@@ -679,9 +679,9 @@ def test_constant_tau_of_partial_gap_has_ideal_part(battery):
     a = battery["n3_rand"]
     gw = a.gamma_weyl
     J = gw.J
-    w, V = np.linalg.eigh(herm(J.conj().T @ a.extended.C @ J))
+    w, V = np.linalg.eigh(herm(J.conj().T @ a.picture.C @ J))
     X = (V[:, 1:] * w[1:]) @ V[:, 1:].conj().T
-    t = a.extended.t_mu + J @ X @ J.conj().T
+    t = a.picture.t_mu + J @ X @ J.conj().T
     with pytest.raises(ParameterDegenerate, match="ideal part"):
         constant_tau_of_extension(gw, t)
 
@@ -696,7 +696,7 @@ def test_constant_parameter_round_trip_n4_m9():
     a = analyze(moments_of_measure(meas, 9))
     gw = a.gamma_weyl
     assert gw is not None and gw.q == 4 and gw.dim == 20
-    pic = a.extended
+    pic = a.picture
     for s in (0.3, 0.7, 1.0):
         t = herm(pic.t_mu + s * (pic.t_M - pic.t_mu))
         tau_mat = constant_tau_of_extension(gw, t)
@@ -714,8 +714,8 @@ def test_constant_parameter_round_trip_n4_m9():
 def grid_analyses(indeterminate_battery):
     """Analyses with boundary data: the indeterminate battery, seeded
     rank-deficient stress problems (an atom at 0 in 30% of them) and a
-    regularized picture, where extend_ext drops the kernel of a
-    near-determinate summand."""
+    partially determinate direct sum, whose determinate summand adds no
+    defect (``q < N``)."""
     from test_extensions import _direct_sum
     from test_hankel import _stress_measure
 
@@ -732,10 +732,10 @@ def grid_analyses(indeterminate_battery):
             continue
         if a.gamma_weyl is not None:
             out[f"stress{i}"] = a
-    near = moment_sequence([[[1.0]], [[1e-12]], [[1.0]]])
-    a = _direct_sum(near, indeterminate_battery["two_atom"].seq)
-    assert a.extended.defect_dim < a.picture.defect_dim
-    out["regularized"] = a
+    one_atom = moment_sequence([[[1.0]], [[1.0]], [[1.0]]])
+    a = _direct_sum(one_atom, indeterminate_battery["two_atom"].seq)
+    assert a.picture.defect_dim < a.N and a.gamma_weyl is not None
+    out["partial"] = a
     return out
 
 
@@ -752,10 +752,10 @@ def _weyl_identity_bound(gw):
 
 def test_weyl_limit_is_twice_the_inverse_gap(grid_analyses):
     # the Krein corner is tau = 0: t_M = t_mu + 2 J M(0)^{-1} J*, so
-    # M(0) = 2 G^{-1} on the regularized defect space
+    # M(0) = 2 G^{-1} on the defect space
     for name, a in grid_analyses.items():
         gw = a.gamma_weyl
-        g, U, _ = a.extended.gap
+        g, U = a.picture.gap
         err = np.linalg.norm(gw.M0 - 2.0 * (U / g) @ U.conj().T)
         assert err <= _weyl_identity_bound(gw), (name, err)
 

@@ -25,7 +25,7 @@ from corner_reference import gap_kernel_dim, reference_corners  # noqa: E402
 from oracles import DEFAULT_CLASS_POINTS, sampled_class_test  # noqa: E402
 
 from stieltjesmp import NotPSD, NotStieltjesClass, Tolerances, analyze, build_space  # noqa: E402
-from stieltjesmp import check_solvable, extend_ext, make_tau, moment_sequence  # noqa: E402
+from stieltjesmp import check_solvable, make_tau, moment_sequence  # noqa: E402
 from stieltjesmp import moments_of_measure, solution_measure, solve_tau_grid  # noqa: E402
 from stieltjesmp.pipeline import unique_solution  # noqa: E402
 from stieltjesmp import MomentProblemError, solution_transform, transform_of_measure  # noqa: E402
@@ -91,7 +91,6 @@ def test_unitary_conjugation_leaves_the_decision_unchanged(problem):
     va, vb = a.verdict, b.verdict
     assert va.determinate == vb.determinate
     assert va.defect_dim == vb.defect_dim
-    assert va.upsilon_dim == vb.upsilon_dim
     assert np.isclose(va.gap_norm, vb.gap_norm, rtol=1e-8, atol=1e-12)
     _same_positions(_positions(a, 3), _positions(b, 3))
 
@@ -112,7 +111,6 @@ def test_block_diagonal_data_sum_the_dimensions(p1, p2):
     a2 = analyze(moment_sequence(s2.moments[: m + 1]))
     v = analyze(moment_sequence(mats)).verdict
     assert v.defect_dim == a1.verdict.defect_dim + a2.verdict.defect_dim
-    assert v.upsilon_dim == a1.verdict.upsilon_dim + a2.verdict.upsilon_dim
     assert v.determinate == (a1.verdict.determinate and a2.verdict.determinate)
 
 
@@ -127,7 +125,6 @@ def test_scaling_the_axis_scales_the_atoms(problem, c):
     a, b = analyze(seq), analyze(scaled)
     assert a.verdict.determinate == b.verdict.determinate
     assert a.verdict.defect_dim == b.verdict.defect_dim
-    assert a.verdict.upsilon_dim == b.verdict.upsilon_dim
     _same_positions([c * p for p in _positions(a, 1)], _positions(b, 1))
 
 
@@ -141,8 +138,20 @@ def test_corners_match_the_gram_factor_reference(problem):
     t_mu, t_M, J = reference_corners(a.shift)
     assert np.abs(a.picture.t_mu - t_mu).max() <= 1e-9
     assert np.abs(a.picture.t_M - t_M).max() <= 1e-9
-    kernel = a.picture.defect_dim - extend_ext(a.picture).defect_dim
-    assert kernel == gap_kernel_dim(t_mu, t_M, J)
+    assert gap_kernel_dim(t_mu, t_M, J) == 0
+
+
+@settings(FEW, max_examples=40)
+@given(problems())
+def test_determinate_exactly_when_the_defect_is_trivial(problem):
+    # G = 2 L* S_K^{-1} L is a product of nonsingular factors, so it is
+    # positive definite whenever q > 0: the defect dimension decides alone
+    seq, _ = problem
+    a = analyze(seq)
+    q = a.picture.defect_dim
+    assert a.verdict.determinate == (q == 0)
+    if q:
+        assert a.picture.gap[0].min() > 0
 
 
 #: the sampled test bounds ``lambda_max(tau(0))`` by ``CLASS_TOL`` over

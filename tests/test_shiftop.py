@@ -58,6 +58,30 @@ def test_inconsistent_truncation_detected():
         build_shift(rep)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=InconsistentTruncation,
+    reason=(
+        "consistent data refused: four full-rank atoms (two of them 3.6e-3 "
+        "apart) at N = 4, m = 9 leave a shift residual of 1.2e-5 against the "
+        "1e-8 bound (ROADMAP items 2 and 3)"
+    ),
+)
+def test_determinate_data_of_low_order_define_the_shift():
+    # moments of a measure, so exactly consistent; the generator is the
+    # benchmark's random_measure and measure_moments, problem 117 of the
+    # determinate census
+    rng = np.random.default_rng([117, 25])
+    N, m = 4, 9
+    count = rng.integers(1, 5)
+    lam = np.sort(rng.uniform(0.1, 4.0, count))
+    G = rng.standard_normal((count, N, N)) + 1j * rng.standard_normal((count, N, N))
+    W = np.einsum("kji,kjl->kil", G.conj(), G) / N
+    S = np.einsum("pk,kij->pij", lam[None, :] ** np.arange(m + 1)[:, None], W)
+    op = shift_of(moment_sequence(list(0.5 * (S + S.conj().transpose(0, 2, 1)))), N=N)
+    assert op.consistency_residual <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # sampled operator properties
 
