@@ -39,7 +39,9 @@ print("  the defect space at -1 is orthogonal to ran(A + E):",
       f"{np.abs(pic.defect_basis.conj().T @ (op.matrix + np.eye(op.dim))[:, :q1]).max():.2e}")
 
 # a degenerate truncation that does NOT determine the shift: the Gram kernel
-# forces xi_0 = xi_1 but the data demand A xi_0 != A xi_1
+# forces xi_0 = xi_1 but the data demand A xi_0 != A xi_1.  These data fail
+# the range condition, so analyze refuses them first; build_shift is called
+# directly here to show its own check
 from stieltjesmp import InconsistentTruncation
 
 bad = moment_sequence([[[1.0]], [[1.0]], [[1.0]], [[1.0]], [[2.0]]])

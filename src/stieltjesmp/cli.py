@@ -27,7 +27,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import io, pipeline
+from . import io
 from .errors import InconsistentTruncation, MomentProblemError, NotHermitian
 from .errors import OrderTooLow, SchemaError
 from .hankel import check_solvable, load_moments
@@ -127,7 +127,6 @@ def cmd_check(args):
 def cmd_determinacy(args):
     seq = _read_moments(args.moments)
     analysis = analyze(seq, args.tols)
-    pipeline._require_solvable(analysis)
     doc = analysis.verdict.to_dict()
     doc.update(
         {
@@ -215,7 +214,6 @@ def cmd_transform(args):
     z_points = _parse_list(args.z, complex, "z")
     seq = _read_moments(args.moments)
     analysis = analyze(seq, args.tols)
-    pipeline._require_solvable(analysis)
     N, rep = seq.N, analysis.rep
     if analysis.verdict.determinate:
         _check(args.tau is None, "determinate problem: --tau is not read")

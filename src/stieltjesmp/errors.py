@@ -48,8 +48,9 @@ class PropertyViolated(MomentProblemError):
 
 
 class CompletionInfeasible(MomentProblemError):
-    """The contractive-completion range condition is violated beyond
-    tolerance; the input operator data are numerically inconsistent."""
+    """No solution: :func:`pipeline.analyze` refuses ``"not solvable"`` data,
+    and :func:`extensions.extremal_extensions` operator data whose
+    contractive-completion range condition fails beyond tolerance."""
 
 
 class NotIndeterminate(MomentProblemError):

@@ -81,7 +81,7 @@ def natural_factor(G, tol):
 def build_space(gram, factor):
     """Coordinate vectors of a scalarized Gram from its :func:`natural_factor`
     (``SolvabilityReport.plain`` carries both); a fault means the Gram is not
-    positive semi-definite (unsolvable input reached it): :class:`NotPSD`."""
+    positive semi-definite (a direct caller's unsolvable input): :class:`NotPSD`."""
     R, _, fault = factor
     if fault:
         raise NotPSD(fault)

@@ -274,12 +274,12 @@ def check_solvable(seq, psd_tol=DEFAULT_PSD_TOL):
     gram, top = scalarize(seq), (seq.m - 1) // 2  # the maximal shifted order
     shifted = _block_hankel(seq, top, 1)
     factors = [natural_factor(G, psd_tol) for G in (gram.gamma, shifted)]
-    verdict, pivots = "solvable", []
-    for R, rel, _ in factors:
+    verdict, pivots, fault = "solvable", [], None
+    for name, (R, rel, f) in zip(("plain", "shifted"), factors):
         pivots.append(tuple(np.minimum.accumulate(rel)[seq.N - 1 :: seq.N].tolist()))
         if R.shape[0] < rel.size:
             verdict = "marginal"
-    fault = factors[0][2] or factors[1][2]
+        fault = fault or (f and f"{name} Hankel: {f}")
     if not fault and seq.m:
         G, f = (gram.gamma, factors[0]) if seq.m % 2 else (shifted, factors[1])
         fault = _range_fault(seq, G, f, psd_tol)

@@ -5,8 +5,9 @@ This is the layer the command-line tool and the demos drive; each stage is a
 thin composition of the module-level operations so intermediate objects stay
 inspectable.  The :class:`Tolerances` given to :func:`analyze` are the only
 settings; the :class:`Analysis` keeps them and the solvers gate at its rtol.
-The solvers refuse data that are ``"not solvable"``, and read the corners'
-measures off the eigenpairs the picture stores.
+:func:`analyze` refuses data that are ``"not solvable"``, so every later stage
+sees only ``"solvable"`` or ``"marginal"`` data; the solvers read the
+corners' measures off the eigenpairs the picture stores.
 """
 
 from __future__ import annotations
@@ -68,12 +69,16 @@ class Analysis:
 def analyze(seq, tols=Tolerances()):
     """Run the construction through the determinacy decision at ``tols``.
 
-    The problem is determinate exactly when its defect is trivial.  For
-    indeterminate problems the boundary data (gamma field / Weyl function) of
-    the picture are attached; a divergent Weyl limit is recorded rather than
-    raised so that callers needing only the verdict still succeed.
+    ``"not solvable"`` data are refused first, by :class:`CompletionInfeasible`
+    naming the failed condition.  The problem is determinate exactly when its
+    defect is trivial.  For indeterminate problems the boundary data (gamma
+    field / Weyl function) of the picture are attached; a divergent Weyl
+    limit is recorded rather than raised so that callers needing only the
+    verdict still succeed.
     """
     solv = hankel.check_solvable(seq, tols.psd_tol)
+    if solv.fault:
+        raise CompletionInfeasible(f"the data are not solvable: {solv.fault}")
     rep = build_space(*solv.plain)
     shift = build_shift(rep)
     pic = extremal_extensions(shift)
@@ -98,14 +103,6 @@ def analyze(seq, tols=Tolerances()):
     )
 
 
-def _require_solvable(analysis):
-    """Refuse an analysis of data that are not solvable, naming the failed
-    condition."""
-    solv = analysis.solvability
-    if solv.verdict == "not solvable":
-        raise CompletionInfeasible(f"the data are not solvable: {solv.fault}")
-
-
 def _gated(analysis, meas):
     """Attach the verification report at ``analysis.tols.rtol``; refuse
     silently-broken measures.  Every measure the solvers emit is the spectral
@@ -117,8 +114,8 @@ def _gated(analysis, meas):
 
 def unique_solution(analysis):
     """Solution of a determinate problem, the spectral measure of ``t_mu`` read
-    off its stored pairs in ascending order, gated at ``analysis.tols.rtol``."""
-    _require_solvable(analysis)
+    off its stored pairs in ascending order, gated at ``analysis.tols.rtol``
+    (:func:`analyze` refused ``"not solvable"`` data, so no solver does)."""
     if not analysis.verdict.determinate:
         raise MomentProblemError("problem is not determinate")
     pic = analysis.picture
@@ -137,10 +134,10 @@ def solve_tau_grid(analysis, count):
     carries mass at infinity and cannot reproduce the top moment.  Each entry
     reports the Hermitian-constant parameter of its extension, in closed form
     at the base point: ``tau_s = M(0) - (2/s) G^{-1}`` with ``G^{-1}`` from
-    the gap's stored eigenpairs.  It needs no condition guard, since the gap
-    is positive definite whenever the defect is not trivial.
+    the gap's stored eigenpairs.  It needs no guard: the gap is positive
+    definite whenever the defect is not trivial, and :func:`analyze` refused
+    ``"not solvable"`` data.
     """
-    _require_solvable(analysis)
     pic, gw = analysis.picture, analysis.gamma_weyl
     if gw is not None:
         g, U = pic.gap
@@ -172,7 +169,6 @@ def solve_with_tau(analysis, tau):
     :func:`krein.make_tau` accepts is one of these, so the measure is always
     exact; no transform is inverted.
     """
-    _require_solvable(analysis)
     _, w, V = _extension(analysis.require_gamma_weyl(), tau)
     meas = _spectral_measure(w, V, analysis.rep, analysis.N)
     return _gated(analysis, meas)

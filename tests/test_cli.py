@@ -5,7 +5,7 @@ import pytest
 
 from stieltjesmp.cli import main
 from stieltjesmp.io import dumps_canonical, measure_from_dict, parse_complex, read_json
-from stieltjesmp.errors import SchemaError
+from stieltjesmp.errors import InconsistentTruncation, SchemaError
 
 
 def run(*args):
@@ -155,23 +155,15 @@ def test_determinacy_dirac0(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["determinate"] is True
 
 
-def test_determinacy_inconsistent_truncation_exit_four(tmp_path):
-    f = write(
-        tmp_path / "inc.json",
-        {"N": 1, "moments": [[[1, 0]], [[1, 0]], [[1, 0]], [[1, 0]], [[2, 0]]]},
-    )
-    assert run("determinacy", f) == 4
+def test_determinacy_inconsistent_truncation_exit_four(two_atom_file, monkeypatch):
+    # every input that reaches build_shift's refusal through the CLI is
+    # consistent data refused by roundoff (ROADMAP item 2), so the exit code
+    # is pinned on a stand-in refusal, not on such an input
+    def refuse(rep):
+        raise InconsistentTruncation("stand-in refusal")
 
-
-@pytest.mark.parametrize("cmd", ["determinacy", "solve"])
-def test_range_condition_failure_names_its_cause(tmp_path, capsys, cmd):
-    # S = [1, 0, 1]: check reads the range condition (not solvable), and the
-    # analysis refuses it where A21 does not vanish on ker A11
-    f = write(tmp_path / "r.json", {"N": 1, "moments": [[[1, 0]], [[0, 0]], [[1, 0]]]})
-    assert run("check", f) == 2
-    assert run(cmd, f) == 70
-    err = capsys.readouterr().err
-    assert "range-condition residual |A21 on ker A11| = 1.000e+00" in err
+    monkeypatch.setattr("stieltjesmp.pipeline.build_shift", refuse)
+    assert run("determinacy", two_atom_file) == 4
 
 
 @pytest.mark.parametrize(
@@ -198,18 +190,30 @@ def test_check_reads_the_range_condition(tmp_path, capsys, values, code):
     }
 
 
+#: not solvable by each condition check reads: the range condition (the
+#: first four), a negative pivot of the shifted or plain Hankel ([1, -1, 1],
+#: [-1, 0, 1]; [1, -1] is too short for the shift as well), and a dropped
+#: column with a live Schur-complement row ([1, 1, 1, 2, 5])
+NOT_SOLVABLE = [
+    [1, 0, 0, 1], [1, 0, 1], [2, 1, 1, 1, 2], [1, 1, 1, 1, 2],
+    [1, -1, 1], [1, 1, 1, 2, 5], [-1, 0, 1], [1, -1],
+]
+
+
+@pytest.mark.parametrize("values", NOT_SOLVABLE, ids=lambda v: ",".join(map(str, v)))
 @pytest.mark.parametrize(
     "cmd", [["solve"], ["determinacy"], ["transform", "--z", "1j"]], ids=lambda c: c[0]
 )
-def test_commands_refuse_data_that_fail_the_range_condition(tmp_path, capsys, cmd):
-    # S = [1, 0, 0, 1]: S_2 = 0 puts all mass at 0, so S_3 must be 0.  The
-    # analysis calls it determinate; solve and transform used to emit
-    # delta_0 and determinacy to report "determinate", all with exit 0
-    f = write(tmp_path / "m.json", {"N": 1, "moments": [[[1]], [[0]], [[0]], [[1]]]})
+def test_commands_refuse_not_solvable_data(tmp_path, capsys, cmd, values):
+    # check's verdict is the one rule: every command past it exits 70 on
+    # not solvable data, prints nothing and names the failed condition
+    f = write(tmp_path / "m.json", {"N": 1, "moments": [[[v]] for v in values]})
+    assert run("check", f) == 2
+    capsys.readouterr()
     assert run(cmd[0], f, *cmd[1:]) == 70
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "the data are not solvable: range condition" in captured.err
+    assert captured.err.startswith("error: the data are not solvable:")
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ from stieltjesmp import (
     BadPoint,
     CompletionInfeasible,
     analyze,
+    build_shift,
+    build_space,
+    check_solvable,
     exit_space_extension,
     extremal_extensions,
     make_tau,
@@ -145,9 +148,13 @@ def test_kernel_of_A11_not_annihilated_by_A21_is_refused():
     # S = [1, 0, 1] is not solvable (S_1 = 0 puts all mass at 0, so S_2 = 0):
     # A xi_0 = xi_1 with (A xi_0, xi_0) = 0.  The Krein corner is not an
     # operator there; the contractivity guard refuses the input and names
-    # the failed range condition: A11 = 0 and |A21| = 1
+    # the failed range condition: A11 = 0 and |A21| = 1.  analyze refuses
+    # these data first, so the guard is reached by building the steps by hand
+    seq = moment_sequence([[[1.0]], [[0.0]], [[1.0]]])
+    with pytest.raises(CompletionInfeasible, match="not solvable: range condition"):
+        analyze(seq)
     with pytest.raises(CompletionInfeasible) as info:
-        analyze(moment_sequence([[[1.0]], [[0.0]], [[1.0]]]))
+        extremal_extensions(build_shift(build_space(*check_solvable(seq).plain)))
     msg = str(info.value)
     assert "t_M violates contractivity by -3.236e+00" in msg
     assert "range-condition residual |A21 on ker A11| = 1.000e+00" in msg

@@ -46,7 +46,7 @@ def test_dirac_gram():
 
 
 def test_not_psd_raises():
-    with pytest.raises(NotPSD):
+    with pytest.raises(NotPSD, match="^Gram pivot 1 is -3.000e"):
         space_of_gram([[1.0, 2.0], [2.0, 1.0]])
 
 

@@ -16,12 +16,8 @@ from stieltjesmp import (
     moment_sequence,
     scalarize,
     solution_measure,
-    make_tau,
-    solve_tau_grid,
-    solve_with_tau,
 )
 from stieltjesmp.gns import natural_factor
-from stieltjesmp.pipeline import unique_solution
 from stieltjesmp.hankel import _pair_array
 from stieltjesmp.io import parse_matrix
 from stieltjesmp.solutions import moments_of_measure, random_discrete_measure
@@ -341,21 +337,31 @@ def test_not_solvable_when_a_dropped_column_has_a_live_schur_row():
     assert rep.verdict == "not solvable" == eigen_solvability(seq)[2]
 
 
+@pytest.mark.parametrize(
+    "values, prefix",
+    [
+        ((1, -1, 1), "shifted Hankel: Gram pivot 0 is -1.000e+00"),
+        ((-1, 0, 1), "plain Hankel: Gram pivot 0 is -1.000e+00"),
+        ((1, 1, 1, 2, 5), "plain Hankel: Gram column 1 is dropped"),
+    ],
+)
+def test_a_factor_fault_names_its_hankel(values, prefix):
+    # the same pivot reads alike in either family, so the fault says which
+    assert check_solvable(seq1(*values)).fault.startswith(prefix)
+
+
 def test_solvers_refuse_data_that_fail_the_range_condition():
     # [1, 0, 0, 1] alone is determinate; summed with the indeterminate
-    # two-atom problem [2, 3, 5, 9] it is not.  Both analyses go through,
-    # and every solver refuses them, naming the failed condition
-    refused = pytest.raises(CompletionInfeasible, match="not solvable: range condition")
-    a = analyze(seq1(1, 0, 0, 1))
-    assert a.verdict.determinate and a.solvability.verdict == "not solvable"
-    with refused:
-        unique_solution(a)
-    a = analyze(moment_sequence([np.diag([x, y]) for x, y in zip((1, 0, 0, 1), (2, 3, 5, 9))]))
-    assert a.gamma_weyl is not None and a.solvability.verdict == "not solvable"
-    with refused:
-        solve_tau_grid(a, 3)
-    with refused:
-        solve_with_tau(a, make_tau({"type": "constant", "matrix": [[-1.0]]}))
+    # two-atom problem [2, 3, 5, 9] it is not.  check_solvable reads the
+    # range condition on both, and analyze refuses both before any solver
+    # runs, naming the failed condition
+    for seq in (
+        seq1(1, 0, 0, 1),
+        moment_sequence([np.diag([x, y]) for x, y in zip((1, 0, 0, 1), (2, 3, 5, 9))]),
+    ):
+        assert check_solvable(seq).verdict == "not solvable"
+        with pytest.raises(CompletionInfeasible, match="not solvable: range condition"):
+            analyze(seq)
 
 
 def test_loose_tolerance_never_keeps_a_negative_pivot():

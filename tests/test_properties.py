@@ -1,13 +1,16 @@
 """Invariances the determinacy decision must respect, the closed-form
 extremal corners against an independent reference, the closed-form class
 test against the sampled one, the one rank decision behind the verdict and
-the space, ``tau = 0`` as the Krein corner, Krein's bounds on the negative
-axis and nested data, as property tests.
+the space, ``analyze`` refusing exactly the ``"not solvable"`` data, ``tau =
+0`` as the Krein corner, Krein's bounds on the negative axis and nested
+data, as property tests.
 
 The data are moments of discrete measures of moderate size: block size
 ``N <= 2`` (``N <= 3`` for the parameter family), order ``m <= 9``, atoms on
 a fixed grid in ``[0.2, 5]`` (and at 0 where a property says so) with
-weights whose non-zero eigenvalues lie in ``[0.5, 2]``.
+weights whose non-zero eigenvalues lie in ``[0.5, 2]``.  The refusal is
+tested on moments of random atoms (``N <= 4``) with one moment moved by a
+random PSD multiple.
 The parameters are normal forms ``tau0 + sum W_k / (p_k - z)`` on ``C^f``,
 ``f <= 3``, with at most two poles of either sign; the admissible ones of
 the parameter family have their poles on the positive axis, and may have an
@@ -24,7 +27,8 @@ from hypothesis import strategies as st  # noqa: E402
 from corner_reference import gap_kernel_dim, reference_corners  # noqa: E402
 from oracles import DEFAULT_CLASS_POINTS, sampled_class_test  # noqa: E402
 
-from stieltjesmp import NotPSD, NotStieltjesClass, Tolerances, analyze, build_space  # noqa: E402
+from stieltjesmp import CompletionInfeasible, NotPSD, NotStieltjesClass  # noqa: E402
+from stieltjesmp import Tolerances, analyze, build_space  # noqa: E402
 from stieltjesmp import check_solvable, make_tau, moment_sequence  # noqa: E402
 from stieltjesmp import moments_of_measure, solution_measure, solve_tau_grid  # noqa: E402
 from stieltjesmp.pipeline import unique_solution  # noqa: E402
@@ -241,6 +245,43 @@ def test_a_dropped_space_column_is_never_a_solvable_verdict(seq):
         except MomentProblemError:
             continue  # refused after the space is built (shift, completion)
         assert (a.rep.dim, a.solvability.verdict) == (rep.dim, solv.verdict)
+
+
+@st.composite
+def perturbed_problems(draw):
+    """Moments ``S_0 .. S_m`` (``N`` in 1, 2, 4; ``m <= 9``) of 1 to ``n``
+    atoms in ``[0.1, 4]`` with weights ``G* G / N``, one of them then moved by
+    a random PSD multiple ``P``: ``S_m`` up or down by ``0.1 max|S_m| P``, or
+    ``S_k`` (``k = 3``, or 1 for ``m = 2``) down by ``0.3 max|S_k| P``.  Most
+    draws are not solvable, by each condition ``check_solvable`` reads."""
+    N, m = draw(st.sampled_from((1, 2, 4))), draw(st.integers(2, 9))
+    k, step = draw(st.sampled_from(((m, 0.1), (m, -0.1), (3 if m >= 3 else 1, -0.3))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = int(rng.integers(1, m // 2 + 1))
+    G = rng.standard_normal((count + 1, N, N)) + 1j * rng.standard_normal((count + 1, N, N))
+    *W, P = [g.conj().T @ g / N for g in G]
+    lam = rng.uniform(0.1, 4.0, count)
+    S = [_herm(sum(x**p * w for x, w in zip(lam, W))) for p in range(m + 1)]
+    S[k] = _herm(S[k] + step * np.abs(S[k]).max() * P)
+    return moment_sequence(S)
+
+
+@FAMILY
+@given(perturbed_problems())
+def test_analyze_refuses_exactly_what_check_calls_not_solvable(seq):
+    # one verdict, one refusal: analyze raises on not solvable data, naming
+    # check_solvable's fault, and on nothing else with that message
+    solv = check_solvable(seq)
+    try:
+        analyze(seq)
+        message = ""
+    except CompletionInfeasible as exc:
+        message = str(exc)
+    except MomentProblemError:
+        message = ""  # a later stage's own check on solvable or marginal data
+    refused = message.startswith("the data are not solvable")
+    assert refused == (solv.verdict == "not solvable"), (solv.verdict, message)
+    assert not refused or message == f"the data are not solvable: {solv.fault}"
 
 
 @FEW

@@ -51,7 +51,9 @@ def test_order_too_low():
 
 
 def test_inconsistent_truncation_detected():
-    # kernel relation xi_0 = xi_1 is not respected by the shifted vectors
+    # kernel relation xi_0 = xi_1 is not respected by the shifted vectors.
+    # These data fail the range condition, so analyze refuses them first;
+    # build_shift's own check is reached only by calling it directly
     seq = moment_sequence([[[1.0]], [[1.0]], [[1.0]], [[1.0]], [[2.0]]])
     rep = build_space(*check_solvable(seq).plain)
     with pytest.raises(InconsistentTruncation):
