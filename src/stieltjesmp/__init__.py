@@ -22,7 +22,6 @@ from .errors import (
     PoleHit,
     PropertyViolated,
     SchemaError,
-    WeylLimitDivergent,
 )
 from .extensions import (
     ContractionPicture,

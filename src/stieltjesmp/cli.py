@@ -136,8 +136,6 @@ def cmd_determinacy(args):
             "deficiency_index": analysis.picture.defect_dim,
         }
     )
-    if analysis.gamma_weyl_error:
-        doc["gamma_weyl_error"] = analysis.gamma_weyl_error
     _output(doc, args.out)
     return EXIT_OK
 

@@ -1,7 +1,10 @@
 """Exception hierarchy for the moment-problem pipeline.
 
 Every error raised by this package derives from :class:`MomentProblemError`,
-so callers can catch one base class at pipeline boundaries.
+so callers can catch one base class at pipeline boundaries.  Boundary data
+exist exactly for indeterminate problems, and their Weyl limit
+``M(0) = 2 G^{-1}`` is always finite, so :class:`NotIndeterminate` is the one
+error of the boundary data themselves.
 """
 
 
@@ -55,12 +58,8 @@ class CompletionInfeasible(MomentProblemError):
 
 class NotIndeterminate(MomentProblemError):
     """Boundary-parameter machinery requested for an operator with trivial
-    defect (the problem is determinate)."""
-
-
-class WeylLimitDivergent(MomentProblemError):
-    """The Weyl function has no finite limit at 0 (an eigenvalue of the
-    Friedrichs extension at 0 overlaps the defect space)."""
+    defect (the problem is determinate): :func:`krein.build_gamma_weyl` and
+    :meth:`pipeline.Analysis.require_gamma_weyl`."""
 
 
 class NotStieltjesClass(MomentProblemError):

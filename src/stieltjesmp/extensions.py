@@ -39,7 +39,8 @@ shows as ``q < N``, never as a kernel of the gap.
 
 Each matrix is decomposed once.  The gap norm is read off one ``eigh`` of the
 ``G`` formed here (:attr:`ContractionPicture.gap`), whose pairs also give
-``G^{-1}``; each corner's solution, off its pairs.
+the Weyl limit ``M(0) = 2 G^{-1}`` of :mod:`krein`; each corner's solution,
+off its pairs.
 
 The dense reference resolvent is computed from the contraction itself:
 ``R_z = (E + t) ((1 - z) E - (1 + z) t)^{-1}``.  An eigenvalue ``-1`` of ``t``
@@ -96,7 +97,7 @@ class ContractionPicture:
     V: np.ndarray  # (d, d) eigenvectors of t_mu
     w_M: np.ndarray  # (d,) eigenvalues of t_M, ascending
     V_M: np.ndarray  # (d, d) eigenvectors of t_M
-    gap: tuple  # (g, U), the eigenpairs of G
+    gap: tuple  # (g, U), the eigenpairs of G: the gap norm and M(0) = 2 G^{-1}
 
     @property
     def defect_dim(self):

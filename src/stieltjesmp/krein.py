@@ -17,7 +17,10 @@ a bijection between admissible parameters ``tau`` and the compressions to the
 representation space of resolvents of non-negative extensions (possibly in a
 larger space).  Hermitian-constant parameters correspond exactly to the
 extensions inside the space: ``tau = 0`` recovers the Krein corner ``t_M`` and
-the ideal parameter (``tau = infinity``) recovers ``t_mu`` itself.  A rational
+the ideal parameter (``tau = infinity``) recovers ``t_mu`` itself.  The
+first gives ``M(0)``: on the defect space the corners differ by the gap
+``G = J* (t_M - t_mu) J``, so ``M(0) = 2 G^{-1}``, finite because ``G`` is
+positive definite whenever the defect is not trivial.  A rational
 parameter ``tau0 + sum W_k / (p_k - z)`` corresponds to an exit-space
 extension: a Hermitian contraction on ``C^d + C^r`` (``r = sum rank W_k``),
 written in closed form at the base point by :func:`exit_space_extension`, so
@@ -27,9 +30,9 @@ extension, and the ideal parameter gives ``t_mu``.  One ``eigh`` of the
 extension serves its run-time checks (contractivity, and its resolvent
 against the formula at two check points) and then its measure.
 
-All of it comes from the eigenpairs of ``t_mu = V diag(w) V*``, which the
-extension picture reads off ``eigh(A11)`` (``w = cay(a)`` on the first ``q1``
-coordinates, ``-1`` on the last ``q``): for ``c = 1 - w - z (1 + w)``,
+Everything else comes from the eigenpairs of ``t_mu = V diag(w) V*``, which
+the extension picture reads off ``eigh(A11)`` (``w = cay(a)`` on the first
+``q1`` coordinates, ``-1`` on the last ``q``): for ``c = 1 - w - z (1 + w)``,
 ``V* R_z V = diag((1 + w)/c)`` and ``V* gamma(z) = diag(2/c) V* J``.  An
 eigenvalue ``w = -1`` (mass at infinity) needs no special case: there
 ``c = 2``, so it adds 0 to ``R_z``, 1 to gamma.  The coordinates of the data
@@ -63,7 +66,6 @@ from .errors import (
     ParameterDegenerate,
     PropertyViolated,
     SchemaError,
-    WeylLimitDivergent,
 )
 from .io import parse_complex, parse_hermitian, parse_matrix
 from .shiftop import _off_positive_axis
@@ -84,10 +86,6 @@ __all__ = [
 #: the class conditions may fail by this much, relative to the form's scale
 CLASS_TOL = 1e-9
 
-#: ``t_mu`` has an eigenvalue at 0 where ``1 - w <= ZERO_TOL (1 + w)``; its
-#: overlap weight with the defect space above ``OVERLAP_TOL`` diverges ``M(0)``
-ZERO_TOL, OVERLAP_TOL = 1e-9, 1e-10
-
 #: condition-number guard for the parameter block of the resolvent formula
 CONDITION_LIMIT = 1e12
 
@@ -104,7 +102,7 @@ class GammaWeyl:
 
     J: np.ndarray  # (d, q) isometry onto the defect space
     t_mu: np.ndarray  # Friedrichs-corner contraction
-    M0: np.ndarray  # (q, q) limit of M at 0
+    M0: np.ndarray  # (q, q) limit of M at 0, ``2 G^{-1}``
     q: int
     w: np.ndarray  # (d,) eigenvalues of t_mu
     V: np.ndarray  # (d, d) eigenvectors of t_mu
@@ -158,28 +156,19 @@ def build_gamma_weyl(pic, rep):
     vectors ``xi_0 .. xi_{N-1}`` of ``rep`` (their coordinates are formed on
     the first :func:`solution_transform`).
 
-    A trivial defect (a determinate problem) raises :class:`NotIndeterminate`.
-    When the Friedrichs corner has an eigenvalue at 0 whose eigenspace
-    overlaps the defect space, ``M`` has no finite limit at 0:
-    :class:`WeylLimitDivergent`.
+    ``M(0)`` is read off the gap: the Krein corner is ``tau = 0``, so
+    ``t_M = t_mu + 2 J M(0)^{-1} J*`` and ``M(0) = 2 G^{-1}``, from the
+    eigenpairs of ``G`` the picture stores.  The gap is positive definite
+    whenever the defect is not trivial, so the limit is always finite.  A
+    trivial defect (a determinate problem) raises :class:`NotIndeterminate`.
     """
     q = pic.defect_dim
     if q == 0:
         raise NotIndeterminate("trivial defect space: the problem is determinate")
     J, w, V = pic.defect_basis, pic.w, pic.V
-    # M(0) is M(z) at z = 0, where 2/c = 2/(1 - w)
-    ov = V.conj().T @ J  # overlaps first, as in spectral_solution
-    at_zero = 1.0 - w <= ZERO_TOL * (1.0 + w)
-    weight = float(np.linalg.norm(ov[at_zero].conj().T @ ov[at_zero]))
-    if weight > OVERLAP_TOL:
-        raise WeylLimitDivergent(
-            "Friedrichs-corner eigenvalue at 0 overlaps the defect "
-            f"space (weight {weight:.3e}); M(0) diverges"
-        )
-    kept = ov[~at_zero]
-    M0 = kept.conj().T @ ((2.0 / (1.0 - w[~at_zero]))[:, None] * kept)
-    return GammaWeyl(J=J, t_mu=pic.t_mu, M0=herm(M0), q=q, w=w, V=V, ov=ov,
-                     vectors=rep.vectors, N=rep.gram.N)
+    g, U = pic.gap
+    return GammaWeyl(J=J, t_mu=pic.t_mu, M0=herm(2.0 * (U / g) @ U.conj().T), q=q,
+                     w=w, V=V, ov=V.conj().T @ J, vectors=rep.vectors, N=rep.gram.N)
 
 
 # ---------------------------------------------------------------------------

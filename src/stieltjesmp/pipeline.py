@@ -17,8 +17,7 @@ from inspect import signature
 from typing import ClassVar
 
 from . import hankel
-from ._linalg import herm
-from .errors import CompletionInfeasible, MomentProblemError, WeylLimitDivergent
+from .errors import CompletionInfeasible, MomentProblemError, NotIndeterminate
 from .extensions import _spectral_measure, determinacy, extremal_extensions
 from .extensions import spectral_solution
 from .gns import build_space
@@ -52,7 +51,6 @@ class Analysis:
     picture: object  # with extremal extensions
     verdict: object
     gamma_weyl: object | None = None
-    gamma_weyl_error: str | None = None
 
     @property
     def N(self):
@@ -60,9 +58,7 @@ class Analysis:
 
     def require_gamma_weyl(self):
         if self.gamma_weyl is None:
-            raise WeylLimitDivergent(
-                self.gamma_weyl_error or "no boundary data (determinate problem)"
-            )
+            raise NotIndeterminate("no boundary data (determinate problem)")
         return self.gamma_weyl
 
 
@@ -72,9 +68,8 @@ def analyze(seq, tols=Tolerances()):
     ``"not solvable"`` data are refused first, by :class:`CompletionInfeasible`
     naming the failed condition.  The problem is determinate exactly when its
     defect is trivial.  For indeterminate problems the boundary data (gamma
-    field / Weyl function) of the picture are attached; a divergent Weyl
-    limit is recorded rather than raised so that callers needing only the
-    verdict still succeed.
+    field / Weyl function) of the picture are attached; their ``M(0)`` is
+    ``2 G^{-1}``, finite because the gap is positive definite.
     """
     solv = hankel.check_solvable(seq, tols.psd_tol)
     if solv.fault:
@@ -83,12 +78,7 @@ def analyze(seq, tols=Tolerances()):
     shift = build_shift(rep)
     pic = extremal_extensions(shift)
     verdict = determinacy(pic)
-    gw = gw_error = None
-    if not verdict.determinate:
-        try:
-            gw = build_gamma_weyl(pic, rep)
-        except WeylLimitDivergent as exc:
-            gw_error = str(exc)
+    gw = None if verdict.determinate else build_gamma_weyl(pic, rep)
     return Analysis(
         seq=seq,
         tols=tols,
@@ -99,7 +89,6 @@ def analyze(seq, tols=Tolerances()):
         picture=pic,
         verdict=verdict,
         gamma_weyl=gw,
-        gamma_weyl_error=gw_error,
     )
 
 
@@ -133,15 +122,11 @@ def solve_tau_grid(analysis, count):
     and the Friedrichs corner is approached but excluded because its measure
     carries mass at infinity and cannot reproduce the top moment.  Each entry
     reports the Hermitian-constant parameter of its extension, in closed form
-    at the base point: ``tau_s = M(0) - (2/s) G^{-1}`` with ``G^{-1}`` from
-    the gap's stored eigenpairs.  It needs no guard: the gap is positive
-    definite whenever the defect is not trivial, and :func:`analyze` refused
-    ``"not solvable"`` data.
+    at the base point: ``t_mu + s C = t_mu + s J G J*`` and ``M(0) = 2 G^{-1}``,
+    so ``tau_s = M(0) - (2/s) G^{-1} = (1 - 1/s) M(0)``, and the Krein corner
+    reports exactly 0.
     """
     pic, gw = analysis.picture, analysis.gamma_weyl
-    if gw is not None:
-        g, U = pic.gap
-        G_inv = (U / g) @ U.conj().T
     out = []
     for j in range(int(count)):
         s = (j + 1) / count
@@ -152,7 +137,7 @@ def solve_tau_grid(analysis, count):
         entry = _gated(analysis, meas)
         entry["s"] = s
         if gw is not None:
-            entry["tau_constant"] = herm(gw.M0 - (2.0 / s) * G_inv)
+            entry["tau_constant"] = (1.0 - 1.0 / s) * gw.M0
         out.append(entry)
     return out
 

@@ -166,6 +166,27 @@ def test_determinacy_inconsistent_truncation_exit_four(two_atom_file, monkeypatc
     assert run("determinacy", two_atom_file) == 4
 
 
+def test_tiny_gap_has_a_finite_weyl_limit(tmp_path, capsys):
+    # [1, 1e-12, 1] is exactly indeterminate with a gap of 4e-12, so
+    # M(0) = 2 G^{-1} is huge but finite: the transform of tau = -1 is 2 at
+    # -0.5 up to S_1 = 1e-12, and its measure is refused only by the gate
+    f = write(tmp_path / "m.json", {"N": 1, "moments": [[[1, 0]], [[1e-12, 0]], [[1, 0]]]})
+    tau = write(tmp_path / "tau.json", {"type": "constant", "matrix": [[-1.0]]})
+    assert run("determinacy", f) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["determinate"] is False and set(doc) == {
+        "defect_dim", "deficiency_index", "determinate", "gap_norm",
+        "shift_residual", "solvability", "space_dim",
+    }
+    assert run("transform", f, "--tau", tau, "--z", "1j,-0.5") == 0
+    samples = json.loads(capsys.readouterr().out)["samples"]
+    F = [parse_complex(s["F"][0][0]) for s in samples]
+    assert abs(F[0] - 1j) <= 1e-12 and abs(F[1] - 2.0) <= 1e-11
+    assert run("solve", f, "--tau", tau) == 70
+    (res,) = json.loads(capsys.readouterr().out)["results"]
+    assert res["status"] == "error" and res["error"]["type"] == "RoundTripGate"
+
+
 @pytest.mark.parametrize(
     "values, code",
     [

@@ -23,6 +23,7 @@ from stieltjesmp import (
     moment_sequence,
     resolvent_from_contraction,
     solution_measure,
+    solution_transform,
     solve_tau_grid,
     spectral_solution,
 )
@@ -352,16 +353,20 @@ def _direct_sum(s1, s2):
     )
 
 
-def test_tiny_gap_is_indeterminate_with_divergent_weyl_limit():
+def test_tiny_gap_is_indeterminate_with_finite_weyl_limit():
     # S = [1, 1e-12, 1] puts its mass next to 0 and a sliver at 1e12.  Its
     # Hankel is positive definite, so it is indeterminate with q = 1, though
-    # its gap is only 4e-12; the Friedrichs corner's atom at 0 overlaps the
-    # defect space, so M(0) diverges and is recorded, not raised
+    # its gap is only 4e-12; M(0) = 2 G^{-1} is huge but finite, and the
+    # transform of tau = -1 at -0.5 is 2 up to S_1 = 1e-12
     a = analyze(moment_sequence([[[1.0]], [[1e-12]], [[1.0]]]))
     v = a.verdict
     assert not v.determinate and v.defect_dim == 1
     assert 3e-12 <= v.gap_norm <= 5e-12
-    assert a.gamma_weyl is None and "M(0) diverges" in a.gamma_weyl_error
+    gw = a.require_gamma_weyl()
+    assert abs(gw.M0[0, 0] - 2.0 / v.gap_norm) <= 1e-12 * abs(gw.M0[0, 0])
+    tau = make_tau({"type": "constant", "matrix": [[-1.0]]})
+    F = solution_transform(gw, tau, a.rep, a.N, -0.5)
+    assert abs(F[0, 0] - 2.0) <= 1e-11
 
 
 def test_trivial_direct_sum_with_determinate_instance(delta1, two_atom):
@@ -523,8 +528,9 @@ def test_spectral_solution_herms_clusters_only(
 def test_grid_factors_each_matrix_once(monkeypatch):
     # analyze and a 3-point grid on an indeterminate problem: eigh
     # of A11, of t_M (read by the contractivity check and the s = 1 entry)
-    # and of the q x q gap (shared by determinacy and the grid's G^{-1}),
-    # then one per interior grid point; no eigvalsh
+    # and of the q x q gap (shared by determinacy and M(0) = 2 G^{-1}),
+    # then one per interior grid point; no eigvalsh.  Each parameter is
+    # (1 - 1/s) M(0), so the Krein corner's is exactly 0
     calls = []
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
@@ -546,6 +552,9 @@ def test_grid_factors_each_matrix_once(monkeypatch):
         ("eigh", (d, d)),
     ]
     assert np.array_equal(calls[1][1], pic.t_M)
+    for e in entries:
+        assert np.array_equal(e["tau_constant"], (1.0 - 1.0 / e["s"]) * a.gamma_weyl.M0)
+    assert not entries[-1]["tau_constant"].any()
     monkeypatch.undo()
     krein = spectral_solution(pic.t_M, a.rep, a.N)
     got = entries[-1]["measure"]

@@ -364,6 +364,34 @@ def test_solvers_refuse_data_that_fail_the_range_condition():
             analyze(seq)
 
 
+@pytest.mark.parametrize(
+    "lam",
+    [
+        1.5,
+        pytest.param(
+            0.15,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason=(
+                    "the range test floors each scale at 1 (c = max(., 1)), so "
+                    "its bound is absolute on small moments: at lam = 0.15 the "
+                    "data read marginal, and analyze exits 4 with a shift "
+                    "residual of 1.07e-3 (ROADMAP item 6)"
+                ),
+            ),
+        ),
+    ],
+)
+def test_a_failed_range_condition_is_seen_at_every_scale(lam):
+    # one atom at lam, with S_8 raised by 10%: the shifted Hankel of order 3
+    # has rank one, and [S_5; ..; S_8] leaves its range at any scale
+    seq = seq1(*[lam**p for p in range(8)], 1.1 * lam**8)
+    assert check_solvable(seq).verdict == "not solvable"
+    with pytest.raises(CompletionInfeasible, match="not solvable: range condition"):
+        analyze(seq)
+
+
 def test_loose_tolerance_never_keeps_a_negative_pivot():
     # at psd_tol >= 1 a negative diagonal used to clear tol * G_kk; such a
     # column is dropped (marginal), never kept with a NaN row (solvable)
