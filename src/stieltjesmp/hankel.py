@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, fields
-from itertools import chain
 
 import numpy as np
 
-from ._linalg import asymmetry, herm
+from ._linalg import herm
 from .errors import NotHermitian, OrderTooHigh, SchemaError
 from .gns import natural_factor
 from .io import parse_matrix
@@ -111,26 +110,23 @@ class SolvabilityReport:
 
 
 def _validate_matrices(mats, N):
-    """Hermitian-validate and symmetrize a list of N x N arrays."""
-    out = []
+    """Hermitian-validate and symmetrize a list of N x N arrays, reading each
+    one's scale and asymmetry off one stack of them all."""
     for p, S in enumerate(mats):
-        S = np.asarray(S, dtype=complex)
         if S.shape != (N, N):
             raise SchemaError(f"moment {p}: expected shape {(N, N)}, got {S.shape}")
-        scale = max(1.0, float(np.abs(S).max()))
-        asym = asymmetry(S)
-        if asym > HERMITIAN_TOL * scale:
+    S = np.array(mats, dtype=complex)
+    scale = np.maximum(np.abs(S).max(axis=(1, 2)), 1.0)
+    asym = np.abs(S - S.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    for p in np.flatnonzero(asym > 0.0):
+        if asym[p] > HERMITIAN_TOL * scale[p]:
             raise NotHermitian(
-                f"moment {p} deviates from Hermitian symmetry by {asym:.3e} "
-                f"(tolerance {HERMITIAN_TOL * scale:.3e})"
+                f"moment {p} deviates from Hermitian symmetry by {asym[p]:.3e} "
+                f"(tolerance {HERMITIAN_TOL * scale[p]:.3e})"
             )
-        if asym > 0.0:
-            warnings.warn(
-                f"moment {p}: symmetrized asymmetry {asym:.3e}", stacklevel=3
-            )
-            S = herm(S)
-        out.append(S)
-    return tuple(out)
+        warnings.warn(f"moment {p}: symmetrized asymmetry {asym[p]:.3e}", stacklevel=3)
+        S[p] = herm(S[p])
+    return tuple(S)
 
 
 def moment_sequence(matrices, N=None):
@@ -151,9 +147,9 @@ def load_moments(raw):
     Parameters
     ----------
     raw : dict
-        Parsed JSON of shape ``{"N": int, "moments": [matrix, ...]}`` where a
-        matrix is a row-major nested array of ``[re, im]`` pairs (bare reals
-        accepted).  Asymmetry up to ``HERMITIAN_TOL`` times the matrix scale
+        Parsed JSON of shape ``{"N": int, "moments": [matrix, ...]}``, each
+        ``N x N`` matrix read by :func:`io.parse_matrix` (the wire format's
+        one reader).  Asymmetry up to ``HERMITIAN_TOL`` times the matrix scale
         is symmetrized with a warning; anything larger raises.
 
     Raises
@@ -173,37 +169,11 @@ def load_moments(raw):
     mom_raw = raw["moments"]
     if not isinstance(mom_raw, list) or not mom_raw:
         raise SchemaError("'moments' must be a non-empty array")
-    mats = _pair_array(mom_raw, N)
-    if mats is None:
-        mats = [
-            parse_matrix(Sj, shape=(N, N), where=f"moments[{p}]")
-            for p, Sj in enumerate(mom_raw)
-        ]
+    mats = [
+        parse_matrix(Sj, shape=(N, N), where=f"moments[{p}]")
+        for p, Sj in enumerate(mom_raw)
+    ]
     return MomentSequence(N=N, moments=_validate_matrices(mats, N))
-
-
-def _pair_array(mom_raw, N):
-    """The ``(m+1, N, N)`` complex stack of a moments list whose every entry
-    is an ``[re, im]`` pair of plain numbers, read as one array; ``None`` for
-    any other document, which the per-entry parser then reads or refuses.
-
-    Each level is checked to be lists or tuples of the expected length, and
-    the leaves to be ints or floats (not bools, strings or nulls) within the
-    float range and finite, so this accepts only what :func:`io.parse_matrix`
-    accepts, with the same values.
-    """
-    level = mom_raw
-    for width in (N, N, 2):
-        if set(map(type, level)) - {list, tuple} or set(map(len, level)) != {width}:
-            return None
-        level = list(chain.from_iterable(level))
-    if set(map(type, level)) - {int, float}:
-        return None
-    try:
-        arr = np.array(level, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return arr.view(complex).reshape(-1, N, N) if np.isfinite(arr).all() else None
 
 
 def _block_hankel(seq, n, offset):

@@ -4,7 +4,7 @@ Conventions (shared by every file this package reads or writes):
 
 * complex numbers serialize as two-element arrays ``[re, im]``; bare JSON
   numbers are accepted on input and mean ``re + 0j``;
-* matrices are row-major nested arrays;
+* matrices are row-major nested arrays, every one read by :func:`parse_matrix`;
 * emitted JSON is deterministic: keys sorted, floats printed with 17
   significant digits.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -65,8 +66,31 @@ def parse_complex(obj, where="value"):
     return z
 
 
+def _pair_array(obj, shape):
+    """The matrix of a nested array of ``[re, im]`` pairs, read at once, or
+    ``None`` for any other, which :func:`parse_matrix` reads entry by entry.
+    It takes only exact lists and tuples of the expected lengths (``shape``,
+    or the row count and the first row's length) and exact ints and floats,
+    finite and within the float range: what the loop reads, to equal values."""
+    level = [obj]
+    for width in (*(shape or (len(obj), None)), 2):
+        if set(map(type, level)) - {list, tuple}:
+            return None
+        if set(map(len, level)) != {len(level[0]) if width is None else width}:
+            return None
+        level = list(chain.from_iterable(level))
+    if set(map(type, level)) - {int, float}:
+        return None
+    try:
+        arr = np.array(level, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return arr.view(complex).reshape(len(obj), -1) if np.isfinite(arr).all() else None
+
+
 def parse_matrix(obj, shape=None, where="matrix"):
-    """Parse a row-major nested array of wire complex numbers.
+    """Parse a row-major nested array of wire complex numbers, at once when
+    every entry is an ``[re, im]`` pair (:func:`_pair_array`).
 
     When the expected ``shape`` is given it disambiguates width-1 rows: a row
     ``[re, im]`` of a one-column matrix is a single complex entry, not two
@@ -74,9 +98,11 @@ def parse_matrix(obj, shape=None, where="matrix"):
     """
     if not isinstance(obj, (list, tuple)) or not obj:
         raise SchemaError(f"{where}: expected a non-empty nested array")
+    M = _pair_array(obj, shape)
+    if M is not None:
+        return M
     want_width = shape[1] if shape is not None else None
     rows = []
-    width = None
     for i, row in enumerate(obj):
         if not isinstance(row, (list, tuple)) or not row:
             raise SchemaError(f"{where}: row {i} is not a non-empty array")
@@ -87,9 +113,7 @@ def parse_matrix(obj, shape=None, where="matrix"):
                 parse_complex(v, where=f"{where}[{i}][{j}]")
                 for j, v in enumerate(row)
             ]
-        if width is None:
-            width = len(parsed)
-        elif len(parsed) != width:
+        if rows and len(parsed) != len(rows[0]):
             raise SchemaError(f"{where}: ragged rows")
         rows.append(parsed)
     M = np.array(rows, dtype=complex)

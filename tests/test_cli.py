@@ -515,6 +515,38 @@ def test_gen_atoms_matches_documented_moments(tmp_path):
     assert vals == [2.0, 3.0, 5.0, 9.0]
 
 
+def test_gen_atoms_merges_atoms_at_one_position(tmp_path):
+    m, g = tmp_path / "m.json", tmp_path / "g.json"
+    assert run("gen", "--atoms", "1:1,1:2", "--out-moments", m, "--out-measure", g) == 0
+    assert read_json(g)["atoms"] == [{"position": 1.0, "weight": [[[3.0, 0.0]]]}]
+    assert read_json(m)["moments"][0] == [[[3.0, 0.0]]]
+
+
+def test_gen_atoms_skips_empty_parts(tmp_path):
+    out = []
+    for atoms in ("1:1,2:1", " ,1:1,,2:1, "):
+        m, g = tmp_path / "m.json", tmp_path / "g.json"
+        assert run("gen", "--atoms", atoms, "--out-moments", m, "--out-measure", g) == 0
+        out.append((m.read_bytes(), g.read_bytes()))
+    assert out[0] == out[1]
+
+
+@pytest.mark.parametrize(
+    "atoms, message",
+    [
+        ("1-1", "error: cannot parse atom '1-1' (want pos:weight)"),
+        ("1:1:1", "error: cannot parse atom '1:1:1' (want pos:weight)"),
+        ("1:x", "error: cannot parse atom '1:x' (want pos:weight)"),
+        (" , ", "error: empty atoms specification"),
+    ],
+)
+def test_gen_malformed_atoms_exit_usage(tmp_path, capsys, atoms, message):
+    m, g = tmp_path / "m.json", tmp_path / "g.json"
+    assert run("gen", "--atoms", atoms, "--out-moments", m, "--out-measure", g) == 64
+    assert capsys.readouterr().err.strip() == message
+    assert not m.exists()
+
+
 def test_gen_seed_deterministic(tmp_path):
     files = []
     for tag in ("a", "b"):

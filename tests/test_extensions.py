@@ -27,6 +27,7 @@ from stieltjesmp import (
     solve_tau_grid,
     spectral_solution,
 )
+from stieltjesmp.errors import MomentProblemError
 from stieltjesmp.pipeline import unique_solution
 from stieltjesmp.solutions import moments_of_measure, random_discrete_measure, verify_moments
 
@@ -603,6 +604,11 @@ def test_unique_solution_reads_the_stored_pairs(monkeypatch):
     for (lam, W), (lam0, W0) in zip(got.atoms, meas.atoms):
         assert abs(lam - lam0) <= 1e-10 * lam0
         assert np.abs(W - W0).max() <= 1e-7 * mass
+
+
+def test_unique_solution_refuses_an_indeterminate_analysis(two_atom):
+    with pytest.raises(MomentProblemError, match="problem is not determinate"):
+        unique_solution(two_atom)
 
 
 def test_gap_is_decomposed_from_the_formed_G(monkeypatch):

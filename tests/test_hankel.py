@@ -1,5 +1,8 @@
 import warnings
+from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,9 +20,10 @@ from stieltjesmp import (
     scalarize,
     solution_measure,
 )
+from stieltjesmp import io
 from stieltjesmp.gns import natural_factor
-from stieltjesmp.hankel import _pair_array
-from stieltjesmp.io import parse_matrix
+from stieltjesmp.io import _pair_array, measure_from_dict
+from stieltjesmp.krein import make_tau
 from stieltjesmp.solutions import moments_of_measure, random_discrete_measure
 
 from oracles import build_gamma_tilde, eigen_solvability, mp_relative_pivots
@@ -76,45 +80,68 @@ def _with_entry(value):
     return [P2, [P2[0], [P2[1][0], value]]]
 
 
+@contextmanager
+def _array_reads(on=True):
+    """Record, per matrix that :func:`io.parse_matrix` reads, whether the
+    array read took it; with ``on`` false every matrix goes through the
+    per-entry loop."""
+    taken, real = [], io._pair_array
+
+    def spy(obj, shape):
+        M = real(obj, shape) if on else None
+        taken.append(M is not None)
+        return M
+
+    with mock.patch.object(io, "_pair_array", spy):
+        yield taken
+
+
 def _per_entry(doc):
-    """The moments as the per-entry parser reads and validates them."""
-    N = doc["N"]
-    mats = [
-        parse_matrix(S, shape=(N, N), where=f"moments[{p}]")
-        for p, S in enumerate(doc["moments"])
-    ]
-    return moment_sequence(mats, N=N)
+    """The moments as the per-entry loop alone reads and validates them."""
+    with _array_reads(on=False):
+        return load_moments(doc)
 
 
-def _bits(seq):
-    return np.array(seq.moments).tobytes()
+def _bits(parsed):
+    """The bytes of every number of a parsed document, in field order."""
+    if isinstance(parsed, np.ndarray):
+        return parsed.tobytes()
+    if isinstance(parsed, (tuple, list)):
+        return b"".join(map(_bits, parsed))
+    if is_dataclass(parsed):
+        return b"".join(_bits(getattr(parsed, f.name)) for f in fields(parsed))
+    return repr(parsed).encode()
 
 
 @pytest.mark.parametrize(
     "doc, one_array",
     [
-        ({"N": 2, "moments": [P2, P2, P2]}, True),
-        ({"N": 2, "moments": [[[[1, 0], [0, 0]], [[0, 0], [2, 0]]]]}, True),  # ints
-        ({"N": 2, "moments": [[[2.0, 0.5], [0.5, 3.0]]]}, False),  # bare reals
-        ({"N": 2, "moments": [P2, [[2, [0.5, -0.25]], [[0.5, 0.25], 3]]]}, False),
-        ({"N": 1, "moments": [[[[2, 0]]], [[[3.5, 0]]], [[[5, -0.0]]]]}, True),
-        ({"N": 1, "moments": [[[2, 0]], [[3.5, 0]], [[5, 0]]]}, False),  # width-1 rows
-        ({"N": 1, "moments": [[[2]], [[[3.5, 0]]], [[5, 0]]]}, False),
+        ({"N": 2, "moments": [P2, P2, P2]}, (True,) * 3),
+        ({"N": 2, "moments": [[[[1, 0], [0, 0]], [[0, 0], [2, 0]]]]}, (True,)),  # ints
+        ({"N": 2, "moments": [[[2.0, 0.5], [0.5, 3.0]]]}, (False,)),  # bare reals
+        ({"N": 2, "moments": [P2, [[2, [0.5, -0.25]], [[0.5, 0.25], 3]]]}, (True, False)),
+        ({"N": 1, "moments": [[[[2, 0]]], [[[3.5, 0]]], [[[5, -0.0]]]]}, (True,) * 3),
+        ({"N": 1, "moments": [[[2, 0]], [[3.5, 0]], [[5, 0]]]}, (False,) * 3),  # width-1 rows
+        ({"N": 1, "moments": [[[2]], [[[3.5, 0]]], [[5, 0]]]}, (False, True, False)),
     ],
     ids=["pairs", "int-pairs", "bare-reals", "mixed", "N1-pairs", "N1-width1-rows",
          "N1-mixed"],
 )
 def test_load_one_array_parity(doc, one_array):
-    # documents of [re, im] pairs are read as one array, everything else
-    # entry by entry; the moments are bit-identical either way
-    assert (_pair_array(doc["moments"], doc["N"]) is not None) == one_array
-    assert _bits(load_moments(doc)) == _bits(_per_entry(doc))
+    # each moment of [re, im] pairs is read as one array, any other entry by
+    # entry; the moments are bit-identical either way
+    N = doc["N"]
+    assert tuple(_pair_array(S, (N, N)) is not None for S in doc["moments"]) == one_array
+    with _array_reads() as taken:
+        seq = load_moments(doc)
+    assert tuple(taken) == one_array
+    assert _bits(seq) == _bits(_per_entry(doc))
 
 
 def test_load_one_array_keeps_the_asymmetry_warning():
     S = [[[1, 0], [0.1, 1e-14]], [[0.1, 0], [1, 0]]]
     doc = {"N": 2, "moments": [S, P2]}
-    assert _pair_array(doc["moments"], 2) is not None
+    assert all(_pair_array(S, (2, 2)) is not None for S in doc["moments"])
     with pytest.warns(UserWarning, match="moment 0: symmetrized asymmetry 1.000e-14"):
         seq = load_moments(doc)
     with warnings.catch_warnings():
@@ -179,16 +206,118 @@ def test_load_refuses_non_finite_numbers(value, entry, one_array):
     # is a schema error on either read, naming the entry
     if one_array:
         moments = [P2, [P2[0], [P2[1][0], entry(value)]]]
-        assert _pair_array([P2, P2], 2) is not None
+        assert _pair_array(P2, (2, 2)) is not None
     else:
         moments = [[[2.0, 0.5], [0.5, 3.0]], [[2.0, 0.5], [0.5, entry(value)]]]
-    assert _pair_array(moments, 2) is None
+    assert _pair_array(moments[1], (2, 2)) is None
     with pytest.raises(SchemaError) as info:
         load_moments({"N": 2, "moments": moments})
     if isinstance(value, int):
         message = "moments[1][1][1]: an integer beyond the float range"
     else:
         message = f"moments[1][1][1]: {entry(value)!r} is not a finite number"
+    assert str(info.value) == message
+
+
+# every other matrix document, one matrix slot each: (template, read of
+# the slot's value, location of its last entry, ragged outcome as (every
+# entry a pair, message))
+IDEAL = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0.5, -0.25], [0, 1]]]
+DOCUMENTS = {
+    "constant": (P2, lambda M: make_tau({"type": "constant", "matrix": M}),
+                 "constant tau matrix[1][1]", (False, "constant tau matrix: ragged rows")),
+    "tau0": (P2, lambda M: make_tau({"type": "rational", "tau0": M}),
+             "tau0[1][1]", (False, "tau0: ragged rows")),
+    "residue": (P2, lambda M: make_tau({"type": "rational", "poles": [{"p": 2.0, "W": M}]}),
+                "pole 0 residue[1][1]", (False, "pole 0 residue: ragged rows")),
+    "ideal": (IDEAL, lambda M: make_tau(
+        {"type": "mixed", "ideal_subspace": M, "tau0": [[[-1, 0]]]}),
+        "ideal_subspace[1][0][2]", (True, "ideal_subspace vectors have unequal lengths")),
+    "weight": (P2, lambda M: measure_from_dict(
+        {"N": 2, "atoms": [{"position": 1.0, "weight": M}]}),
+        "atom 0 weight[1][1]", (False, "atom 0 weight: ragged rows")),
+    "mass_at_infinity": (P2, lambda M: measure_from_dict(
+        {"N": 2, "atoms": [], "mass_at_infinity": M}),
+        "mass_at_infinity[1][1]", (False, "mass_at_infinity: ragged rows")),
+    "N1-weight": ([[[2, 0]]], lambda M: measure_from_dict(
+        {"N": 1, "atoms": [{"position": 1.0, "weight": M}]}),
+        "atom 0 weight[0][0]", (False, "atom 0 weight: row 0 is not a non-empty array")),
+}
+
+
+def _last(T, value):
+    """``T`` with ``value`` in place of its last entry."""
+    return [*T[:-1], [*T[-1][:-1], value]]
+
+
+# (variant of the template, every entry a pair, the message that follows
+# the last entry's location, or None where no entry is at fault)
+VARIANTS = {
+    "pairs": (lambda T: T, True, None),
+    "int-pairs": (lambda T: _last(T, [3, 0]), True, None),
+    "bare-reals": (lambda T: [[re for re, _ in row] for row in T], False, None),
+    "mixed": (lambda T: _last(T, T[-1][-1][0]), False, None),
+    "width1-rows": (lambda T: [row[0] for row in T], False, None),
+    "true": (lambda T: _last(T, [True, 0]), False,
+             ": expected a number or [re, im] pair, got [True, 0]"),
+    "null": (lambda T: _last(T, [None, 0]), False,
+             ": expected a number or [re, im] pair, got [None, 0]"),
+    "string": (lambda T: _last(T, ["1.5", 0]), False,
+               ": expected a number or [re, im] pair, got ['1.5', 0]"),
+    "triple": (lambda T: _last(T, [3, 0, 0]), False,
+               ": expected a number or [re, im] pair, got [3, 0, 0]"),
+    "empty-entry": (lambda T: _last(T, []), False,
+                    ": expected a number or [re, im] pair, got []"),
+    "nan": (lambda T: _last(T, [float("nan"), 0]), False, ": [nan, 0] is not a finite number"),
+    "inf": (lambda T: _last(T, [float("inf"), 0]), False, ": [inf, 0] is not a finite number"),
+    "huge-int": (lambda T: _last(T, [10**400, 0]), False, ": an integer beyond the float range"),
+    "ragged": (lambda T: [*T[:-1], T[-1][:-1]], False, None),
+}
+
+
+def _outcome(read, value, on=True):
+    """What ``read(value)`` gives, as the bits of what it returns or the text
+    of the schema error it raises, and per matrix read whether the array
+    read took it."""
+    with _array_reads(on) as taken:
+        try:
+            got = _bits(read(value))
+        except SchemaError as exc:
+            got = str(exc)
+    return got, taken
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+@pytest.mark.parametrize("document", list(DOCUMENTS))
+def test_every_matrix_document_reads_alike_on_both_paths(document, variant):
+    # tau matrices, residues, ideal vectors, measure weights and the mass at
+    # infinity are read as one array exactly when every entry is a pair, and
+    # to the same values or the same located message as entry by entry
+    T, read, last, ragged = DOCUMENTS[document]
+    make, all_pairs, message = VARIANTS[variant]
+    if variant == "ragged":
+        all_pairs, message = ragged
+    elif message is not None:
+        message = last + message
+    got, taken = _outcome(read, make(T))
+    assert all(taken) == all_pairs
+    assert got == _outcome(read, make(T), on=False)[0]
+    if message is not None:
+        assert got == message
+
+
+@pytest.mark.parametrize(
+    "matrices, N, message",
+    [
+        ([np.eye(2), np.eye(3)], None, "moment 1: expected shape (2, 2), got (3, 3)"),
+        ([], None, "a moment sequence needs at least S_0"),
+        ([[[1.0]]], 0, "block size N must be >= 1"),
+    ],
+    ids=["shape", "empty", "N-zero"],
+)
+def test_moment_sequence_refusals(matrices, N, message):
+    with pytest.raises(SchemaError) as info:
+        moment_sequence(matrices, N=N)
     assert str(info.value) == message
 
 

@@ -202,6 +202,51 @@ def test_make_tau_refuses_non_finite_numbers(value, where):
         make_tau(_tau_with(value, where))
 
 
+I2 = [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: make_tau([]), "tau description must be an object with a 'type'"),
+        (lambda: make_tau({"type": "rational", "tau0": [[-1]], "poles": {}}),
+         "'poles' must be an array"),
+        (lambda: make_tau({"type": "rational", "poles": [{"p": 1}]}),
+         "pole 0 must have keys 'p' and 'W'"),
+        (lambda: make_tau({"type": "rational", "poles": [{"p": "1", "W": [[1]]}]}),
+         "pole 0: 'p' must be a real number"),
+        (lambda: make_tau({"type": "rational", "poles": [{"p": 1, "W": [[1]]}, {"p": 2, "W": I2}]}),
+         "pole 1: residue size mismatch"),
+        (lambda: make_tau({"type": "rational", "tau0": [[-1]], "poles": [{"p": 1, "W": I2}]}),
+         "tau0 size mismatch"),
+        (lambda: make_tau({"type": "constant", "matrix": [[-1]]}, hdim=2),
+         "constant tau matrix has the wrong size"),
+        (lambda: make_tau({"type": "mixed", "ideal_subspace": [[1, 0, 0]], "tau0": [[-1]]}, hdim=2),
+         "ideal_subspace vectors have the wrong length"),
+        (lambda: make_tau({"type": "constant", "matrix": [[-1]]}).inclusion(2),
+         "parameter lives on C^1, the defect space is C^2"),
+    ],
+    ids=["not-an-object", "poles-not-an-array", "pole-keys", "pole-not-real",
+         "residue-sizes", "tau0-size", "constant-size", "ideal-length", "inclusion"],
+)
+def test_parameter_refusals_name_their_condition(refused, message):
+    with pytest.raises(SchemaError) as info:
+        refused()
+    assert str(info.value) == message
+
+
+def test_rational_tau_without_tau0_has_a_zero_constant_part():
+    tau = make_tau({"type": "rational", "poles": [{"p": 2.0, "W": [[[1, 0]]]}]})
+    assert tau.tau0.shape == (1, 1) and not tau.tau0.any()
+    assert tau.value(0.0) == 0.5
+
+
+def test_in_space_extension_refuses_a_parameter_with_poles(two_atom):
+    tau = make_tau({"type": "rational", "tau0": [[-1]], "poles": [{"p": 2.0, "W": [[1]]}]})
+    with pytest.raises(ValueError, match="only constant/ideal parameters"):
+        extension_of_constant_tau(two_atom.require_gamma_weyl(), tau)
+
+
 def test_mixed_parameter_compression(two_atom):
     # a 2-dim parameter space: ideal on one direction, constant on the other
     tau = make_tau(
