@@ -14,14 +14,14 @@ Exit codes: 0 success, 2 negative mathematical verdict, 3 marginal verdict,
 non-Hermitian moments and data too short for the command included), 70
 internal numeric failure.  JSON output is deterministic (sorted keys, 17
 significant digits); complex numbers serialize as ``[re, im]`` and matrices
-as row-major nested arrays.  The environment variable ``STIELTJES_MP_SEED``
-overrides the default seed of ``gen``.
+as row-major nested arrays.  ``gen --count`` draws from ``--seed``, else 0.
+``transform`` evaluates Krein's formula for every problem: a determinate one
+through the ideal parameter on its trivial-defect boundary data.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import fields
 
@@ -31,9 +31,8 @@ from . import io
 from .errors import InconsistentTruncation, MomentProblemError, NotHermitian
 from .errors import OrderTooLow, SchemaError
 from .hankel import check_solvable, load_moments
-from .krein import make_tau, solution_transform
+from .krein import build_gamma_weyl, make_tau, solution_transform
 from .pipeline import Tolerances, analyze, solve_tau_grid, solve_with_tau, unique_solution
-from .shiftop import _off_positive_axis
 from .solutions import (
     moments_of_measure,
     random_discrete_measure,
@@ -96,19 +95,6 @@ def _tols_from_args(args):
     return Tolerances(**given)
 
 
-def _gen_seed(args):
-    """``--seed``, else ``STIELTJES_MP_SEED``, else 0."""
-    if args.seed is not None:
-        return args.seed
-    env_seed = os.environ.get("STIELTJES_MP_SEED") or "0"
-    try:
-        return int(env_seed)
-    except ValueError as exc:
-        raise SchemaError(
-            f"STIELTJES_MP_SEED must be an integer, got {env_seed!r}"
-        ) from exc
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -127,15 +113,8 @@ def cmd_check(args):
 def cmd_determinacy(args):
     seq = _read_moments(args.moments)
     analysis = analyze(seq, args.tols)
-    doc = analysis.verdict.to_dict()
-    doc.update(
-        {
-            "solvability": analysis.solvability.verdict,
-            "space_dim": analysis.rep.dim,
-            "shift_residual": analysis.shift.consistency_residual,
-            "deficiency_index": analysis.picture.defect_dim,
-        }
-    )
+    doc = dict(analysis.verdict.to_dict(), solvability=analysis.solvability.verdict,
+               space_dim=analysis.rep.dim, shift_residual=analysis.shift.consistency_residual)
     _output(doc, args.out)
     return EXIT_OK
 
@@ -206,29 +185,22 @@ def cmd_solve(args):
 
 
 def cmd_transform(args):
-    """Transform of the unique solution of a determinate problem (which
-    refuses ``--tau``), else of the solution attached to the ``--tau``
-    parameter."""
+    """Transform of the solution attached to the ``--tau`` parameter, or of
+    the unique solution of a determinate problem (which refuses ``--tau``):
+    the ideal parameter on its ``q = 0`` boundary data."""
     z_points = _parse_list(args.z, complex, "z")
     seq = _read_moments(args.moments)
     analysis = analyze(seq, args.tols)
     N, rep = seq.N, analysis.rep
     if analysis.verdict.determinate:
         _check(args.tau is None, "determinate problem: --tau is not read")
-        # Xi0* R_z Xi0 off the stored t_mu = V diag(w) V*; Xi0 is zero below row N
-        w, Y = analysis.picture.w, analysis.picture.V[:N].conj().T @ rep.vectors[:N, :N]
-        samples = [
-            (z, Y.conj().T @ (((1.0 + w) / ((1.0 - z) - (1.0 + z) * w))[:, None] * Y))
-            for z in map(_off_positive_axis, z_points)
-        ]
-        tau_doc = {"type": "unique"}
+        tau_doc, tau = {"type": "unique"}, make_tau({"type": "infinite"})
+        gw = build_gamma_weyl(analysis.picture, rep)
     else:
-        if args.tau is None:
-            raise SchemaError("indeterminate problem: provide --tau")
+        _check(args.tau is not None, "indeterminate problem: provide --tau")
         tau_doc = io.read_json(args.tau)
-        tau = make_tau(tau_doc, require_class=True)
-        gw = analysis.require_gamma_weyl()
-        samples = [(z, solution_transform(gw, tau, rep, N, z)) for z in z_points]
+        tau, gw = make_tau(tau_doc, require_class=True), analysis.require_gamma_weyl()
+    samples = [(z, solution_transform(gw, tau, rep, N, z)) for z in z_points]
     doc = io.transform_samples_to_dict(N, samples)
     doc["tau"] = tau_doc
     _output(doc, args.out)
@@ -267,7 +239,7 @@ def cmd_gen(args):
         _check(N >= 1 and count >= 1, "--N and --count must be at least 1")
         _check(np.isfinite(min_sep) and min_sep >= 0, "--min-sep must be finite and non-negative")
         try:
-            meas = random_discrete_measure(_gen_seed(args), N, count, min_sep=min_sep)
+            meas = random_discrete_measure(args.seed or 0, N, count, min_sep=min_sep)
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
     order = args.order if args.order is not None else max(2 * count - 1, 1)

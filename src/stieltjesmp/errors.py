@@ -2,9 +2,9 @@
 
 Every error raised by this package derives from :class:`MomentProblemError`,
 so callers can catch one base class at pipeline boundaries.  Boundary data
-exist exactly for indeterminate problems, and their Weyl limit
-``M(0) = 2 G^{-1}`` is always finite, so :class:`NotIndeterminate` is the one
-error of the boundary data themselves.
+are well formed for every problem (``q = 0`` on a determinate one), and their
+Weyl limit ``M(0) = 2 G^{-1}`` is always finite, so no error is raised by the
+boundary data themselves.
 """
 
 
@@ -57,9 +57,8 @@ class CompletionInfeasible(MomentProblemError):
 
 
 class NotIndeterminate(MomentProblemError):
-    """Boundary-parameter machinery requested for an operator with trivial
-    defect (the problem is determinate): :func:`krein.build_gamma_weyl` and
-    :meth:`pipeline.Analysis.require_gamma_weyl`."""
+    """The analysis of a determinate problem carries no boundary data to
+    parametrize solutions by: :meth:`pipeline.Analysis.require_gamma_weyl`."""
 
 
 class NotStieltjesClass(MomentProblemError):

@@ -96,6 +96,14 @@ def parse_matrix(obj, shape=None, where="matrix"):
     ``[re, im]`` of a one-column matrix is a single complex entry, not two
     bare reals.
     """
+    M = _read_matrix(obj, shape, where)
+    if shape is not None and M.shape != shape:
+        raise SchemaError(f"{where}: expected shape {shape}, got {M.shape}")
+    return M
+
+
+def _read_matrix(obj, shape, where):
+    """:func:`parse_matrix` before its shape check."""
     if not isinstance(obj, (list, tuple)) or not obj:
         raise SchemaError(f"{where}: expected a non-empty nested array")
     M = _pair_array(obj, shape)
@@ -116,17 +124,18 @@ def parse_matrix(obj, shape=None, where="matrix"):
         if rows and len(parsed) != len(rows[0]):
             raise SchemaError(f"{where}: ragged rows")
         rows.append(parsed)
-    M = np.array(rows, dtype=complex)
-    if shape is not None and M.shape != shape:
-        raise SchemaError(f"{where}: expected shape {shape}, got {M.shape}")
-    return M
+    return np.array(rows, dtype=complex)
 
 
 def parse_hermitian(obj, where, psd=False, shape=None):
     """Parse a square matrix that must be Hermitian, and with ``psd`` also
     positive semi-definite, both within ``1e-12`` of its largest entry (at
-    least 1); returns its Hermitian part."""
-    M = parse_matrix(obj, shape=shape, where=where)
+    least 1); returns its Hermitian part.  Without an expected ``shape`` it
+    is read at its square shape, the row count by the row count, so a
+    one-row ``[[re, im]]`` is the ``1 x 1`` matrix ``re + i im``, as in a
+    moments document."""
+    n = len(obj) if isinstance(obj, (list, tuple)) else None
+    M = parse_matrix(obj, shape, where) if shape else _read_matrix(obj, (n, n), where)
     if M.shape[0] != M.shape[1]:
         raise SchemaError(f"{where}: must be square")
     scale = max(1.0, float(np.abs(M).max()))
@@ -281,41 +290,32 @@ def transform_samples_to_dict(N, samples):
 # CSV exports
 
 
+def _write_csv(path, head, names, N, rows):
+    """A CSV with the ``head`` columns, then ``name[k][j]`` for every entry
+    of an ``N x N`` matrix in row-major order and, within an entry, every
+    ``name`` in turn; each of ``rows`` lists its values in that order."""
+    cols = [f"{name}[{k}][{j}]" for k in range(N) for j in range(N) for name in names]
+    lines = [",".join([*head, *cols])]
+    lines += [",".join(map(_fmt_float, row)) for row in rows]
+    write_text(path, "\n".join(lines) + "\n")
+
+
 def write_cumulative_csv(path, meas, grid):
     """(lambda, M(lambda)) samples of the cumulative matrix function.
 
     The cumulative is left-continuous with M(0) = 0: the jump at an atom
     enters only strictly above it.
     """
-    N = meas.N
-    header = ["lambda"]
-    for k in range(N):
-        for j in range(N):
-            header += [f"re_M[{k}][{j}]", f"im_M[{k}][{j}]"]
-    lines = [",".join(header)]
-    for lam in grid:
+    def row(lam):
         M = meas.cumulative(lam)
-        row = [_fmt_float(float(lam))]
-        for k in range(N):
-            for j in range(N):
-                row += [_fmt_float(M[k, j].real), _fmt_float(M[k, j].imag)]
-        lines.append(",".join(row))
-    write_text(path, "\n".join(lines) + "\n")
+        return [float(lam), *np.stack([M.real, M.imag], axis=-1).ravel().tolist()]
+
+    _write_csv(path, ["lambda"], ["re_M", "im_M"], meas.N, map(row, grid))
 
 
 def write_scan_csv(path, samples):
     """``(x, eps, Im F(x + i eps))`` rows, one per ``(z, F(z))`` pair, each
     with its own ``x = Re z`` and ``eps = Im z``."""
     N = samples[0][1].shape[0] if samples else 0
-    header = ["x", "eps"]
-    for k in range(N):
-        for j in range(N):
-            header.append(f"im_F[{k}][{j}]")
-    lines = [",".join(header)]
-    for z, V in samples:
-        row = [_fmt_float(z.real), _fmt_float(z.imag)]
-        for k in range(N):
-            for j in range(N):
-                row.append(_fmt_float(V[k, j].imag))
-        lines.append(",".join(row))
-    write_text(path, "\n".join(lines) + "\n")
+    rows = ([z.real, z.imag, *F.imag.ravel().tolist()] for z, F in samples)
+    _write_csv(path, ["x", "eps"], ["im_F"], N, rows)

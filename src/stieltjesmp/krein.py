@@ -20,7 +20,9 @@ extensions inside the space: ``tau = 0`` recovers the Krein corner ``t_M`` and
 the ideal parameter (``tau = infinity``) recovers ``t_mu`` itself.  The
 first gives ``M(0)``: on the defect space the corners differ by the gap
 ``G = J* (t_M - t_mu) J``, so ``M(0) = 2 G^{-1}``, finite because ``G`` is
-positive definite whenever the defect is not trivial.  A rational
+positive definite whenever the defect is not trivial.  A trivial defect
+(``q = 0``, a determinate problem) leaves the ideal parameter alone, and the
+formula is the resolvent of ``t_mu``: the unique solution's.  A rational
 parameter ``tau0 + sum W_k / (p_k - z)`` corresponds to an exit-space
 extension: a Hermitian contraction on ``C^d + C^r`` (``r = sum rank W_k``),
 written in closed form at the base point by :func:`exit_space_extension`, so
@@ -44,7 +46,10 @@ bound on ``cond_2 K``, certifies the point when it is within half of
 condition test itself, which then decides.  The parameter block at the base
 point, ``tau0 - P* M(0) P``, takes the same certified inverse.
 
-Admissibility is read off the normal form: ``tau(z)`` and ``tau(z)/z`` must
+A parameter has one normal form, ``(finite_basis, tau0, poles)``
+(:class:`TauParameter`), sized by its own matrices; it meets the defect
+space only in :meth:`TauParameter.inclusion`.  Admissibility is read off
+the normal form: ``tau(z)`` and ``tau(z)/z`` must
 both be matrix Nevanlinna functions.  With PSD residues ``tau`` itself is,
 and ``tau(z)/z = tau(0)/z + sum (W_k/p_k)/(p_k - z)``, so the class is
 ``tau(0) = tau0 + sum W_k/p_k <= 0`` with no residue on the negative axis
@@ -60,13 +65,7 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import PINV_RCOND, asymmetry, herm
-from .errors import (
-    NotIndeterminate,
-    NotStieltjesClass,
-    ParameterDegenerate,
-    PropertyViolated,
-    SchemaError,
-)
+from .errors import NotStieltjesClass, ParameterDegenerate, PropertyViolated, SchemaError
 from .io import parse_complex, parse_hermitian, parse_matrix
 from .shiftop import _off_positive_axis
 
@@ -152,23 +151,23 @@ def _stacked(w, ov, X):
 
 
 def build_gamma_weyl(pic, rep):
-    """Gamma field / Weyl function of an indeterminate picture, with the data
-    vectors ``xi_0 .. xi_{N-1}`` of ``rep`` (their coordinates are formed on
-    the first :func:`solution_transform`).
+    """Gamma field / Weyl function of a picture, with the data vectors
+    ``xi_0 .. xi_{N-1}`` of ``rep`` (their coordinates are formed on the
+    first :func:`solution_transform`).
 
     ``M(0)`` is read off the gap: the Krein corner is ``tau = 0``, so
     ``t_M = t_mu + 2 J M(0)^{-1} J*`` and ``M(0) = 2 G^{-1}``, from the
     eigenpairs of ``G`` the picture stores.  The gap is positive definite
-    whenever the defect is not trivial, so the limit is always finite.  A
-    trivial defect (a determinate problem) raises :class:`NotIndeterminate`.
+    whenever the defect is not trivial, so the limit is always finite.  On a
+    trivial defect (a determinate problem) the data are still well formed:
+    ``J`` is ``d x 0``, ``M(0)`` is ``0 x 0``, and the ideal parameter gives
+    the unique solution's transform.
     """
-    q = pic.defect_dim
-    if q == 0:
-        raise NotIndeterminate("trivial defect space: the problem is determinate")
     J, w, V = pic.defect_basis, pic.w, pic.V
     g, U = pic.gap
-    return GammaWeyl(J=J, t_mu=pic.t_mu, M0=herm(2.0 * (U / g) @ U.conj().T), q=q,
-                     w=w, V=V, ov=V.conj().T @ J, vectors=rep.vectors, N=rep.gram.N)
+    return GammaWeyl(J=J, t_mu=pic.t_mu, M0=herm(2.0 * (U / g) @ U.conj().T),
+                     q=pic.defect_dim, w=w, V=V, ov=V.conj().T @ J,
+                     vectors=rep.vectors, N=rep.gram.N)
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +178,14 @@ def build_gamma_weyl(pic, rep):
 class TauParameter:
     """A parameter of the resolvent formula, in one normal form.
 
-    ``finite_basis`` (orthonormal columns in ``C^hdim``) spans the orthogonal
+    ``finite_basis`` (orthonormal columns in ``C^q``) spans the orthogonal
     complement of the relation part, the identity when there is none; the
     finite part acts there, in those coordinates:
     ``tau(z) = tau0 + sum_k W_k / (p_k - z)``.  The pure ideal parameter has
-    a ``0 x 0`` ``tau0``, no poles and no ``finite_basis``.
+    a ``0 x 0`` ``tau0``, no poles and no ``finite_basis``, so it fits every
+    defect space; any other fits the one its basis has rows for.
     """
 
-    hdim: int | None
     finite_basis: np.ndarray | None
     tau0: np.ndarray
     poles: tuple
@@ -201,12 +200,12 @@ class TauParameter:
 
     def inclusion(self, q):
         """Isometry of the finite-part subspace into C^q."""
-        if self.hdim is not None and self.hdim != q:
-            raise SchemaError(
-                f"parameter lives on C^{self.hdim}, the defect space is C^{q}"
-            )
-        if self.is_ideal:
+        if self.finite_basis is None:
             return np.zeros((q, 0), dtype=complex)
+        if self.finite_basis.shape[0] != q:
+            raise SchemaError(
+                f"parameter lives on C^{self.finite_basis.shape[0]}, the defect space is C^{q}"
+            )
         return self.finite_basis
 
     def value(self, z):
@@ -220,8 +219,8 @@ class TauParameter:
 def _parse_ideal(vecs):
     """Orthonormal basis ``U[:, k:]`` of the orthogonal complement of the
     span of the ``k`` ``ideal_subspace`` vectors, from one complete SVD of
-    their columns.  They must be independent: ``k <= hdim`` and
-    ``s_k > PINV_RCOND s_1``."""
+    their columns.  They must be independent: ``k`` at most their length
+    and ``s_k > PINV_RCOND s_1``."""
     if not isinstance(vecs, list) or not vecs:
         raise SchemaError("mixed tau needs a non-empty 'ideal_subspace'")
     cols = [
@@ -231,19 +230,15 @@ def _parse_ideal(vecs):
     if len({c.size for c in cols}) != 1:
         raise SchemaError("ideal_subspace vectors have unequal lengths")
     raw = np.column_stack(cols)
-    hdim, k = raw.shape
+    length, k = raw.shape
     U, s, _ = np.linalg.svd(raw)
-    if k > hdim or not s[k - 1] > PINV_RCOND * s[0]:
+    if k > length or not s[k - 1] > PINV_RCOND * s[0]:
         raise SchemaError("ideal_subspace vectors are linearly dependent")
     return U[:, k:]
 
 
-def _parse_poles(raw, fin_dim):
-    """Validated ``(p, W)`` pairs and the finite-part size they fix.
-
-    Every residue must be PSD and ``fin_dim x fin_dim``; when ``fin_dim`` is
-    ``None`` the first residue sets it.
-    """
+def _parse_poles(raw):
+    """Validated ``(p, W)`` pairs, every residue PSD."""
     if not isinstance(raw, list):
         raise SchemaError("'poles' must be an array")
     poles = []
@@ -256,15 +251,11 @@ def _parse_poles(raw, fin_dim):
         pos = parse_complex(pos, where=f"pole {i}: 'p'").real
         if pos == 0.0:
             raise SchemaError(f"pole {i}: a pole at 0 is not admissible")
-        W = parse_hermitian(p["W"], f"pole {i} residue", psd=True)
-        fin_dim = W.shape[0] if fin_dim is None else fin_dim
-        if W.shape[0] != fin_dim:
-            raise SchemaError(f"pole {i}: residue size mismatch")
-        poles.append((float(pos), W))
-    return tuple(poles), fin_dim
+        poles.append((float(pos), parse_hermitian(p["W"], f"pole {i} residue", psd=True)))
+    return tuple(poles)
 
 
-def make_tau(spec, hdim=None, require_class=False):
+def make_tau(spec, require_class=False):
     """Build a validated :class:`TauParameter` from a parsed description.
 
     Accepted shapes::
@@ -278,7 +269,13 @@ def make_tau(spec, hdim=None, require_class=False):
     ``infinite`` is an empty finite part, ``constant`` a ``tau0`` without
     poles, and ``mixed`` a rational finite part acting on the orthogonal
     complement of ``ideal_subspace``, in the coordinates of the trailing left
-    singular vectors of the ``ideal_subspace`` columns.  Class membership
+    singular vectors of the ``ideal_subspace`` columns.  Every matrix is read
+    at its square shape, so ``[[re, im]]`` is the ``1 x 1`` matrix
+    ``re + i im``, as in a moments document.  The parameter is sized by one
+    rule, after reading: the finite part has the dimension of the complement
+    for ``mixed``, else the first residue's, else ``tau0``'s, and every
+    residue and ``tau0`` must agree with it.  The defect space it must fit is
+    matched later, by :meth:`TauParameter.inclusion`.  Class membership
     (:func:`check_stieltjes_class`) is tested only when ``require_class`` is
     set, in which case a failing parameter raises :class:`NotStieltjesClass`
     naming the failed condition.
@@ -295,30 +292,26 @@ def make_tau(spec, hdim=None, require_class=False):
     else:
         if kind == "mixed":
             basis = _parse_ideal(spec.get("ideal_subspace"))
-            hdim = basis.shape[0] if hdim is None else hdim
-            if basis.shape[0] != hdim:
-                raise SchemaError("ideal_subspace vectors have the wrong length")
-        fin_dim = hdim if basis is None else basis.shape[1]
         if kind == "constant":
             tau0, poles = parse_hermitian(spec.get("matrix"), "constant tau matrix"), ()
-            if fin_dim is not None and tau0.shape[0] != fin_dim:
-                raise SchemaError("constant tau matrix has the wrong size")
         else:
             tau0_raw, poles_raw = spec.get("tau0"), spec.get("poles", [])
             if tau0_raw is None and not poles_raw:
                 raise SchemaError("rational tau needs 'tau0' and/or 'poles'")
-            poles, fin_dim = _parse_poles(poles_raw, fin_dim)
-            if tau0_raw is None:
-                tau0 = np.zeros((fin_dim, fin_dim), dtype=complex)
-            else:
-                tau0 = parse_hermitian(tau0_raw, "tau0")
-                if fin_dim is not None and tau0.shape[0] != fin_dim:
-                    raise SchemaError("tau0 size mismatch")
-        hdim = tau0.shape[0] if hdim is None else hdim
+            poles = _parse_poles(poles_raw)
+            tau0 = None if tau0_raw is None else parse_hermitian(tau0_raw, "tau0")
+        n = basis.shape[1] if basis is not None else (poles[0][1] if poles else tau0).shape[0]
+        for i, (_, W) in enumerate(poles):
+            if W.shape[0] != n:
+                raise SchemaError(f"pole {i}: residue size mismatch")
+        if tau0 is None:
+            tau0 = np.zeros((n, n), dtype=complex)
+        elif tau0.shape[0] != n:
+            raise SchemaError("tau0 size mismatch")
         if basis is None:
-            basis = np.eye(tau0.shape[0], dtype=complex)
+            basis = np.eye(n, dtype=complex)
 
-    tau = TauParameter(hdim=hdim, finite_basis=basis, tau0=tau0, poles=poles)
+    tau = TauParameter(finite_basis=basis, tau0=tau0, poles=poles)
     margin, condition = _worst_condition(tau) if require_class else (0.0, None)
     if margin < 0.0:
         raise NotStieltjesClass(f"parameter is not Stieltjes class: {condition}", worst_eig=margin)

@@ -27,10 +27,10 @@ def inclusion(tau, q, ideal=None):
     so its finite part must be scalar (``tau0`` and every ``W`` a multiple of
     the identity), which no change of coordinates alters.
     """
-    if tau.hdim is not None and tau.hdim != q:
-        raise SchemaError(f"parameter lives on C^{tau.hdim}, the defect space is C^{q}")
     if tau.is_ideal:
         return np.zeros((q, 0), dtype=complex)
+    if len(tau.finite_basis) != q:
+        raise SchemaError(f"parameter lives on C^{len(tau.finite_basis)}, the defect space is C^{q}")
     if tau.finite_dim == q:
         return np.eye(q, dtype=complex)
     if ideal is None:

@@ -688,7 +688,7 @@ def test_spectral_weights_exit_space_padding():
         "tau0": encode_matrix(-(1 / 1.2 + 0.3) * E),
         "poles": [{"p": 1.2, "W": encode_matrix(E)}],
     }
-    t = exit_space_extension(a.gamma_weyl, make_tau(spec, hdim=q))
+    t = exit_space_extension(a.gamma_weyl, make_tau(spec))
     assert t.shape[0] == a.rep.dim + q
     meas = spectral_solution(t, a.rep, a.N)
     assert meas.mass_at_infinity is None

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
-from stieltjesmp._linalg import min_eigh
+from stieltjesmp._linalg import herm, min_eigh
 from stieltjesmp.errors import SchemaError
 from stieltjesmp.io import (
+    _fmt_float,
     dumps_canonical,
     measure_from_dict,
     measure_to_dict,
     parse_hermitian,
     read_json,
+    write_cumulative_csv,
+    write_scan_csv,
 )
+from stieltjesmp.solutions import SolutionMeasure
 
 
 def test_canonical_json_encodes_complex_numbers_and_arrays():
@@ -41,7 +45,7 @@ def _unreadable(tmp_path):
 @pytest.mark.parametrize(
     "refused, error, message",
     [
-        (lambda tmp: parse_hermitian([[1, 2]], "weight"), SchemaError, "weight: must be square"),
+        (lambda tmp: parse_hermitian([[1, 2, 3]], "weight"), SchemaError, "weight: must be square"),
         (lambda tmp: dumps_canonical([float("nan")]), ValueError,
          "non-finite float in JSON output"),
         (lambda tmp: dumps_canonical({"s": {1}}), TypeError, "cannot serialize <class 'set'>"),
@@ -59,3 +63,42 @@ def test_wire_refusals(tmp_path, refused, error, message):
     with pytest.raises(error) as info:
         refused(tmp_path)
     assert str(info.value).startswith(message)
+
+
+def _loop_csv(head, names, N, rows):
+    """The CSV exports written entry by entry, as ``io`` once wrote them."""
+    header = list(head)
+    for k in range(N):
+        for j in range(N):
+            header += [f"{name}[{k}][{j}]" for name, _ in names]
+    lines = [",".join(header)]
+    for values, M in rows:
+        row = [_fmt_float(float(v)) for v in values]
+        for k in range(N):
+            for j in range(N):
+                row += [_fmt_float(part(M[k, j])) for _, part in names]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("N", [1, 3])
+def test_csv_exports_match_the_entry_loop(tmp_path, N):
+    # the shared row formatter writes the bytes the per-entry loops wrote,
+    # -0.0 and tiny parts included
+    rng = np.random.default_rng(N)
+    Ms = [rng.standard_normal((N, N)) * 10.0 ** rng.integers(-20, 20, (N, N))
+          + 1j * rng.standard_normal((N, N)) for _ in range(4)]
+    Ms[0][0, 0] = complex(-0.0, -0.0)
+    meas = SolutionMeasure(N=N, atoms=((0.5, herm(Ms[1] @ Ms[1].conj().T)),
+                                       (2.0, herm(Ms[2] @ Ms[2].conj().T))))
+    grid = np.linspace(-0.25, 3.0, 7)
+    write_cumulative_csv(tmp_path / "cum.csv", meas, grid)
+    parts = [("re_M", lambda v: v.real), ("im_M", lambda v: v.imag)]
+    rows = [((lam,), meas.cumulative(lam)) for lam in grid]
+    assert (tmp_path / "cum.csv").read_text() == _loop_csv(["lambda"], parts, N, rows)
+    samples = [(complex(x, 10.0 ** -k), M) for k, (x, M) in enumerate(zip((-1.0, 0.5, 2.0, 3.0), Ms))]
+    write_scan_csv(tmp_path / "scan.csv", samples)
+    rows = [((z.real, z.imag), F) for z, F in samples]
+    want = _loop_csv(["x", "eps"], [("im_F", lambda v: v.imag)], N, rows)
+    assert (tmp_path / "scan.csv").read_text() == want
+    assert want.count("\n") == 5

@@ -4,7 +4,6 @@ from oracles import DEFAULT_CLASS_POINTS, measure_distance, perron_invert, sampl
 
 from stieltjesmp import (
     BadPoint,
-    NotIndeterminate,
     NotStieltjesClass,
     ParameterDegenerate,
     SchemaError,
@@ -87,9 +86,22 @@ def test_gamma_at_base_point_is_J(two_atom):
     assert np.abs(gw.gamma(-1.0) - gw.J).max() <= 1e-12
 
 
-def test_determinate_input_refused(delta1):
-    with pytest.raises(NotIndeterminate):
-        build_gamma_weyl(delta1.picture, delta1.rep)
+def test_determinate_boundary_data_have_a_trivial_defect(delta1):
+    # q = 0: J is d x 0, M(0) is 0 x 0, and the ideal parameter's formula is
+    # the resolvent of t_mu, the unique solution's; the analysis itself keeps
+    # no boundary data
+    gw = build_gamma_weyl(delta1.picture, delta1.rep)
+    d = delta1.rep.dim
+    assert gw.q == 0 and gw.J.shape == (d, 0) and gw.M0.shape == (0, 0)
+    assert delta1.gamma_weyl is None
+    ideal = make_tau({"type": "infinite"})
+    Xi0 = delta1.rep.vectors[:, :1]
+    for z in UPPER + (-2.0,):
+        ref = Xi0.conj().T @ resolvent_from_contraction(delta1.picture.t_mu, z) @ Xi0
+        got = solution_transform(gw, ideal, delta1.rep, 1, z)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    with pytest.raises(SchemaError, match="the defect space is C\\^0"):
+        solution_transform(gw, make_tau({"type": "constant", "matrix": [[-1]]}), delta1.rep, 1, 1j)
 
 
 def test_pipeline_weyl_limit_always_finite(battery):
@@ -219,10 +231,10 @@ I2 = [[1, 0], [0, 1]]
          "pole 1: residue size mismatch"),
         (lambda: make_tau({"type": "rational", "tau0": [[-1]], "poles": [{"p": 1, "W": I2}]}),
          "tau0 size mismatch"),
-        (lambda: make_tau({"type": "constant", "matrix": [[-1]]}, hdim=2),
-         "constant tau matrix has the wrong size"),
-        (lambda: make_tau({"type": "mixed", "ideal_subspace": [[1, 0, 0]], "tau0": [[-1]]}, hdim=2),
-         "ideal_subspace vectors have the wrong length"),
+        (lambda: make_tau({"type": "constant", "matrix": [[-1, 0], [0, -1]]}).inclusion(1),
+         "parameter lives on C^2, the defect space is C^1"),
+        (lambda: make_tau({"type": "mixed", "ideal_subspace": [[1, 0, 0]], "tau0": I2}).inclusion(2),
+         "parameter lives on C^3, the defect space is C^2"),
         (lambda: make_tau({"type": "constant", "matrix": [[-1]]}).inclusion(2),
          "parameter lives on C^1, the defect space is C^2"),
     ],
@@ -233,6 +245,30 @@ def test_parameter_refusals_name_their_condition(refused, message):
     with pytest.raises(SchemaError) as info:
         refused()
     assert str(info.value) == message
+
+
+#: one parameter of each kind with a 1 x 1 finite part, every matrix written
+#: with the entry ``x`` in the given form
+ONE_BY_ONE = {
+    "constant": lambda x: {"type": "constant", "matrix": x(-1.5)},
+    "rational": lambda x: {"type": "rational", "tau0": x(-2.0),
+                           "poles": [{"p": 1.5, "W": x(0.5)}, {"p": 4.0, "W": x(0.25)}]},
+    "mixed": lambda x: {"type": "mixed", "ideal_subspace": [[1, 0]], "tau0": x(-1.0),
+                        "poles": [{"p": 2.0, "W": x(0.75)}]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_BY_ONE))
+def test_a_one_row_pair_is_a_one_by_one_matrix(kind):
+    # [[re, im]] is re + i im, as in a moments document: the parameter is
+    # bit-identical to the one written [[[re, im]]]
+    row, nested = (make_tau(ONE_BY_ONE[kind](x)) for x in (
+        lambda v: [[v, 0.0]], lambda v: [[[v, 0.0]]]))
+    assert row.finite_basis.tobytes() == nested.finite_basis.tobytes()
+    assert row.tau0.shape == (1, 1) and row.tau0.tobytes() == nested.tau0.tobytes()
+    assert len(row.poles) == len(nested.poles)
+    for (p, W), (p1, W1) in zip(row.poles, nested.poles):
+        assert p == p1 and W.shape == (1, 1) and W.tobytes() == W1.tobytes()
 
 
 def test_rational_tau_without_tau0_has_a_zero_constant_part():
@@ -256,7 +292,7 @@ def test_mixed_parameter_compression(two_atom):
             "tau0": [[-2.0]],
         }
     )
-    assert tau.hdim == 2 and tau.finite_dim == 1
+    assert tau.finite_basis.shape == (2, 1) and tau.finite_dim == 1
     inc = tau.inclusion(2)
     assert inc.shape == (2, 1)
     assert np.abs(inc[0, 0]) <= 1e-12  # complement of e_1 is e_2
@@ -383,7 +419,7 @@ def _reference_taus(q):
                 "poles": [{"p": 0.8, "W": encode_matrix(np.eye(q - 1))}],
             }
         )
-    return [make_tau(doc, hdim=q) for doc in docs]
+    return [make_tau(doc) for doc in docs]
 
 
 def test_eigenbasis_formula_matches_dense_reference(indeterminate_battery):
@@ -462,7 +498,7 @@ def _pole_taus(q, seed=0):
             "tau0": encode_matrix(-2.0 * np.eye(q - 1)),
             "poles": [{"p": 0.8, "W": encode_matrix(np.eye(q - 1))}],
         }
-        taus.append(make_tau(mixed, hdim=q))
+        taus.append(make_tau(mixed))
     assert all(check_stieltjes_class(tau)[0] for tau in taus)
     return taus
 
@@ -492,7 +528,7 @@ def test_rational_solutions_round_trip(indeterminate_battery):
 
     for name, a in indeterminate_battery.items():
         for tau in _pole_taus(a.gamma_weyl.q, seed=1):
-            if tau.finite_dim < tau.hdim:
+            if tau.finite_dim < a.gamma_weyl.q:
                 continue  # an ideal part puts mass at infinity
             entry = solve_with_tau(a, tau)
             assert entry["exact"] and entry["measure"].mass_at_infinity is None

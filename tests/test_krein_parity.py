@@ -64,7 +64,7 @@ def _taus(q):
             "tau0": encode_matrix(-np.eye(q - 2)),
             "poles": [{"p": 0.8, "W": encode_matrix(np.eye(q - 2))}],
         }
-    return {name: make_tau(doc, hdim=q) for name, doc in docs.items()}, ideal
+    return {name: make_tau(doc) for name, doc in docs.items()}, ideal
 
 
 def _points(atoms):
@@ -226,7 +226,7 @@ def test_eigenvalue_just_below_minus_one_is_clipped(two_atom):
 def test_degenerate_block_without_a_constructor(two_atom):
     # a 1 x 1 block that is exactly zero, built without make_tau
     gw = two_atom.gamma_weyl
-    tau = TauParameter(hdim=1, finite_basis=np.eye(1), tau0=np.array(gw.M0), poles=())
+    tau = TauParameter(finite_basis=np.eye(1), tau0=np.array(gw.M0), poles=())
     with pytest.raises(ParameterDegenerate):
         krein_resolvent(gw, tau, -1.0)
     with pytest.raises(ParameterDegenerate):

@@ -350,7 +350,7 @@ def _admissible_taus(rng, q):
         mixed = _finite_part(rng, q - k, True)
         mixed.update(type="mixed", ideal_subspace=[encode_matrix(v[None])[0] for v in ideal])
         specs.append(mixed)
-    return [make_tau(spec, hdim=q, require_class=True) for spec in specs]
+    return [make_tau(spec, require_class=True) for spec in specs]
 
 
 def _corner_transform(w, V, Xi0, x):
