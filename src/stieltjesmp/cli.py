@@ -12,11 +12,12 @@ Subcommands::
 Exit codes: 0 success, 2 negative mathematical verdict, 3 marginal verdict,
 4 inconsistent truncation, 64 usage or schema error (an unread flag,
 non-Hermitian moments and data too short for the command included), 70
-internal numeric failure.  JSON output is deterministic (sorted keys, 17
-significant digits); complex numbers serialize as ``[re, im]`` and matrices
-as row-major nested arrays.  ``gen --count`` draws from ``--seed``, else 0.
-``transform`` evaluates Krein's formula for every problem: a determinate one
-through the ideal parameter on its trivial-defect boundary data.
+internal numeric failure.  JSON output is deterministic (sorted keys, every
+float the shortest string that reads back to the same double); complex
+numbers serialize as ``[re, im]`` and matrices as row-major nested arrays.
+``gen --count`` draws from ``--seed``, else 0.  ``transform`` evaluates
+Krein's formula for every problem: a determinate one through the ideal
+parameter on its trivial-defect boundary data.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def _result(entry, tau_doc, allow_unverified):
     if "s" in entry:
         doc["s"] = entry["s"]
     if entry.get("tau_constant") is not None:
-        doc["tau_constant"] = io.encode_matrix(entry["tau_constant"])
+        doc["tau_constant"] = entry["tau_constant"]
     return doc
 
 
@@ -242,7 +243,7 @@ def cmd_gen(args):
             meas = random_discrete_measure(args.seed or 0, N, count, min_sep=min_sep)
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
-    order = args.order if args.order is not None else max(2 * count - 1, 1)
+    order = args.order if args.order is not None else max(2 * count - 1, 2)
     _check(order >= 0, "--order must be at least 0")
     seq = moments_of_measure(meas, order)
     io.write_json(args.out_moments, io.moments_to_dict(seq))

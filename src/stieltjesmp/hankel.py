@@ -28,7 +28,7 @@ import numpy as np
 from ._linalg import herm
 from .errors import NotHermitian, OrderTooHigh, SchemaError
 from .gns import natural_factor
-from .io import parse_matrix
+from .io import HERMITIAN_TOL, parse_matrix
 
 __all__ = [
     "MomentSequence",
@@ -40,9 +40,6 @@ __all__ = [
     "scalarize",
     "check_solvable",
 ]
-
-#: relative asymmetry tolerated (and symmetrized with a warning) on input
-HERMITIAN_TOL = 1e-12
 
 #: default relative PSD tolerance of the solvability verdict
 DEFAULT_PSD_TOL = 1e-10

@@ -5,8 +5,8 @@ Conventions (shared by every file this package reads or writes):
 * complex numbers serialize as two-element arrays ``[re, im]``; bare JSON
   numbers are accepted on input and mean ``re + 0j``;
 * matrices are row-major nested arrays, every one read by :func:`parse_matrix`;
-* emitted JSON is deterministic: keys sorted, floats printed with 17
-  significant digits.
+* emitted JSON is deterministic: keys sorted, and every float (in CSV too)
+  written as the shortest string that reads back to the same double.
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ __all__ = [
     "write_cumulative_csv",
     "write_scan_csv",
 ]
+
+#: relative asymmetry (and, where asked, negativity) tolerated on an input
+#: matrix, against its largest entry (at least 1)
+HERMITIAN_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -129,27 +133,26 @@ def _read_matrix(obj, shape, where):
 
 def parse_hermitian(obj, where, psd=False, shape=None):
     """Parse a square matrix that must be Hermitian, and with ``psd`` also
-    positive semi-definite, both within ``1e-12`` of its largest entry (at
-    least 1); returns its Hermitian part.  Without an expected ``shape`` it
-    is read at its square shape, the row count by the row count, so a
-    one-row ``[[re, im]]`` is the ``1 x 1`` matrix ``re + i im``, as in a
-    moments document."""
+    positive semi-definite, both within ``HERMITIAN_TOL``; returns its
+    Hermitian part.  Without an expected ``shape`` it is read at its square
+    shape, the row count by the row count, so a one-row ``[[re, im]]`` is the
+    ``1 x 1`` matrix ``re + i im``, as in a moments document."""
     n = len(obj) if isinstance(obj, (list, tuple)) else None
     M = parse_matrix(obj, shape, where) if shape else _read_matrix(obj, (n, n), where)
     if M.shape[0] != M.shape[1]:
         raise SchemaError(f"{where}: must be square")
     scale = max(1.0, float(np.abs(M).max()))
-    if asymmetry(M) > 1e-12 * scale:
+    if asymmetry(M) > HERMITIAN_TOL * scale:
         raise SchemaError(f"{where}: not Hermitian within tolerance")
     M = herm(M)
-    if psd and min_eigh(M) < -1e-12 * scale:
+    if psd and min_eigh(M) < -HERMITIAN_TOL * scale:
         raise SchemaError(f"{where}: not positive semi-definite within tolerance")
     return M
 
 
 def encode_complex(z):
     z = complex(z)
-    return [z.real, z.imag]
+    return [z.real + 0.0, z.imag + 0.0]  # -0.0 + 0.0 is 0.0
 
 
 def encode_matrix(M):
@@ -158,54 +161,32 @@ def encode_matrix(M):
 
 
 # ---------------------------------------------------------------------------
-# deterministic JSON text
+# deterministic text
 
 def _fmt_float(x):
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("non-finite float in JSON output")
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return format(x, ".17g")
+    """A CSV value: the shortest string that reads back to ``x``, as JSON
+    writes it, with -0.0 written as 0.0."""
+    if not math.isfinite(x):
+        raise ValueError("non-finite float in CSV output")
+    return float.__repr__(x + 0.0)
 
 
-def _emit(obj, out):
-    if obj is None or obj is True or obj is False:
-        out.append(json.dumps(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for k, key in enumerate(sorted(obj)):
-            if k:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _emit(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for k, v in enumerate(obj):
-            if k:
-                out.append(",")
-            _emit(v, out)
-        out.append("]")
-    elif isinstance(obj, complex):
-        _emit(encode_complex(obj), out)
-    elif isinstance(obj, np.ndarray):
-        _emit(encode_matrix(obj), out)
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+def _plain(obj):
+    """The JSON form of a value ``json`` does not know: complex numbers and
+    arrays in the wire format, numpy scalars as Python numbers."""
+    if isinstance(obj, complex):
+        return encode_complex(obj)
+    if isinstance(obj, np.ndarray):
+        return encode_matrix(obj)
+    if isinstance(obj, (np.integer, np.floating)):
+        return obj.item()
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def dumps_canonical(obj):
-    """Deterministic JSON text: sorted keys, 17-significant-digit floats."""
-    out = []
-    _emit(obj, out)
-    return "".join(out) + "\n"
+    """Deterministic JSON text: sorted keys, shortest round-trip floats."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                      default=_plain) + "\n"
 
 
 def read_json(path):

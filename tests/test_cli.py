@@ -44,7 +44,7 @@ def test_canonical_json_is_deterministic_and_sorted():
     s2 = dumps_canonical(json.loads(s1))
     assert s1 == s2
     assert s1.index('"a"') < s1.index('"b"')
-    # 17 significant digits
+    # the shortest string that reads back to the same double
     assert "0.30000000000000004" in s1
 
 
@@ -591,6 +591,16 @@ def test_gen_random_is_solvable(tmp_path):
         "--out-moments", m, "--out-measure", g,
     ) == 0
     assert run("check", m) == 0
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_gen_one_atom_writes_moments_every_command_reads(tmp_path, N):
+    # the default order is at least 2: S_0..S_2 define the shift
+    m, g = tmp_path / "m.json", tmp_path / "g.json"
+    assert run("gen", "--count", 1, "--N", N, "--out-moments", m, "--out-measure", g) == 0
+    assert len(read_json(m)["moments"]) == 3
+    assert run("determinacy", m) == 0
+    assert run("solve", m) == 0
 
 
 def test_gen_default_seed_is_zero_whatever_the_environment(tmp_path, monkeypatch):

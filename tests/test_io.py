@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stieltjesmp._linalg import herm, min_eigh
 from stieltjesmp.errors import SchemaError
@@ -18,7 +22,76 @@ from stieltjesmp.solutions import SolutionMeasure
 
 def test_canonical_json_encodes_complex_numbers_and_arrays():
     doc = {"z": 1.5 - 2j, "M": np.array([[1, 0.5j], [-0.5j, 2]])}
-    assert dumps_canonical(doc) == '{"M":[[[1,0],[0,0.5]],[[0,-0.5],[2,0]]],"z":[1.5,-2]}\n'
+    want = '{"M":[[[1.0,0.0],[0.0,0.5]],[[0.0,-0.5],[2.0,0.0]]],"z":[1.5,-2.0]}\n'
+    assert dumps_canonical(doc) == want
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
+#: subnormals, the largest doubles, integral values, -0.0 and 0.1
+EDGES = [5e-324, -2.5e-310, 1.7976931348623157e308, -1.7976931348623157e308,
+         1.0, -3.0, 2.0 ** 53, 1e22, -0.0, 0.1]
+EDGE_DOC = {"floats": EDGES, "z": [complex(x, -x) for x in EDGES],
+            "M": np.array([EDGES[:5], EDGES[5:]]) * (1 - 1j), "nested": {"x": [EDGES]}}
+ROUND_TRIP = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _arrays():
+    rows = st.integers(1, 3).flatmap(
+        lambda c: st.lists(st.lists(COMPLEX, min_size=c, max_size=c), min_size=1, max_size=3))
+    return rows.map(lambda r: np.array(r, dtype=complex))
+
+
+def _documents():
+    leaves = st.sampled_from(EDGES) | FLOATS | COMPLEX | _arrays()
+    return st.recursive(leaves, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=12)
+
+
+def _bits(x):
+    """``x`` with every float as its type and bit pattern, so that ``==``
+    tells -0.0 from 0.0 and 1 from 1.0."""
+    if isinstance(x, float):
+        return ("float", x.hex())
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_bits(v) for v in x]
+    return x
+
+
+def _read_back(x):
+    """What reading the canonical JSON of ``x`` must give: every float bit
+    for bit, but -0.0 in a complex number or an array entry reads 0.0."""
+    if isinstance(x, np.ndarray):
+        return [[_read_back(complex(v)) for v in row] for row in x]
+    if isinstance(x, complex):
+        return [v if v else 0.0 for v in (x.real, x.imag)]
+    if isinstance(x, dict):
+        return {k: _read_back(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_read_back(v) for v in x]
+    return x
+
+
+@ROUND_TRIP
+@given(_documents())
+@example(EDGE_DOC)
+def test_canonical_json_reads_back_every_float_bit_for_bit(doc):
+    text = dumps_canonical(doc)
+    assert _bits(json.loads(text)) == _bits(_read_back(doc))
+    assert dumps_canonical(json.loads(text)) == text
+
+
+@ROUND_TRIP
+@given(st.lists(st.tuples(COMPLEX, COMPLEX), min_size=1, max_size=4))
+@example([(complex(x, -x), complex(-x, x)) for x in EDGES])
+def test_csv_rows_read_back_every_float_bit_for_bit(tmp_path_factory, points):
+    path = tmp_path_factory.mktemp("scan") / "scan.csv"
+    write_scan_csv(path, [(z, np.array([[F]])) for z, F in points])
+    got = [[float(v) for v in row.split(",")] for row in path.read_text().splitlines()[1:]]
+    want = [[v if v else 0.0 for v in (z.real, z.imag, F.imag)] for z, F in points]
+    assert _bits(got) == _bits(want)
 
 
 def test_measure_document_carries_a_mass_at_infinity():
@@ -47,7 +120,7 @@ def _unreadable(tmp_path):
     [
         (lambda tmp: parse_hermitian([[1, 2, 3]], "weight"), SchemaError, "weight: must be square"),
         (lambda tmp: dumps_canonical([float("nan")]), ValueError,
-         "non-finite float in JSON output"),
+         "Out of range float values are not JSON compliant"),
         (lambda tmp: dumps_canonical({"s": {1}}), TypeError, "cannot serialize <class 'set'>"),
         (lambda tmp: read_json(tmp / "missing.json"), SchemaError, "cannot read JSON document"),
         (_unreadable, SchemaError, "cannot read JSON document"),

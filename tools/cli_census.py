@@ -20,7 +20,10 @@ holding that invocation's input files.  The inputs of the commands after
 ``gen`` are the first tree's ``gen`` outputs, so both trees read the same
 bytes.  Where two JSON or CSV outputs differ only in their numbers, the
 largest relative change of one matrix or CSV row is printed with them.
-The exit code is 1 when any invocation differs, else 0.
+The summary counts apart the invocations that differ in spelling only
+(``same values``): the same exit code, and every differing channel reads
+its numbers with a largest relative change of 0, as ``1`` and ``1.0`` do.
+The exit code is 1 when any invocation differs, spelling included, else 0.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import sys
 import tempfile
 
 Z = "1j,-0.5,2+1e-3j,-1+0.5j"
+SAME_VALUES = "numbers only, largest relative change 0.00e+00"
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +314,12 @@ def main(argv=None):
     for k, src in enumerate((args.old_src, args.new_src)):
         results[k] += _run_tree(src, [c for _, c in later])
 
-    differing = 0
+    differing = same_values = 0
     for (label, case), old, new in zip(cases, *results):
         diffs = _differences(old, new)
         if diffs:
             differing += 1
+            same_values += all(detail == SAME_VALUES for _, detail in diffs)
             print(f"{label}: stieltjesmp {' '.join(case['argv'])}"
                   + "".join(f" [{k}={v}]" for k, v in case["env"].items()))
             for channel, detail in diffs:
@@ -323,7 +328,8 @@ def main(argv=None):
     for old, new in zip(*results):
         exits[(old["code"], new["code"])] = exits.get((old["code"], new["code"]), 0) + 1
     print(f"{len(cases)} invocations on {len(inputs)} generated inputs: "
-          f"{len(cases) - differing} identical, {differing} differ")
+          f"{len(cases) - differing} identical, {same_values} same values, "
+          f"{differing - same_values} differ")
     print("exit codes (old -> new: count): " + ", ".join(
         f"{a} -> {b}: {n}" for (a, b), n in sorted(exits.items())))
     return 1 if differing else 0
