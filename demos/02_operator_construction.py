@@ -34,9 +34,9 @@ print("  spectrum of A11:", np.linalg.eigvalsh(op.matrix[:q1, :q1]),
       " (non-negative, so A is; on the 1-dim domain it is S_1/S_0 = 1.5)")
 
 pic = analyze(seq).picture
-print("\ndeficiency index q = d - q1 =", pic.defect_dim, f"(d = {op.dim}, q1 = {q1})")
+print("\ndeficiency index q = d - q1 =", pic.q, f"(d = {op.dim}, q1 = {q1})")
 print("  the defect space at -1 is orthogonal to ran(A + E):",
-      f"{np.abs(pic.defect_basis.conj().T @ (op.matrix + np.eye(op.dim))[:, :q1]).max():.2e}")
+      f"{np.abs(pic.J.conj().T @ (op.matrix + np.eye(op.dim))[:, :q1]).max():.2e}")
 
 # a degenerate truncation that does NOT determine the shift: the Gram kernel
 # forces xi_0 = xi_1 but the data demand A xi_0 != A xi_1.  These data fail

@@ -43,9 +43,7 @@ from .hankel import (
     scalarize,
 )
 from .krein import (
-    GammaWeyl,
     TauParameter,
-    build_gamma_weyl,
     check_stieltjes_class,
     constant_tau_of_extension,
     exit_space_extension,

@@ -32,7 +32,7 @@ from . import io
 from .errors import InconsistentTruncation, MomentProblemError, NotHermitian
 from .errors import OrderTooLow, SchemaError
 from .hankel import check_solvable, load_moments
-from .krein import build_gamma_weyl, make_tau, solution_transform
+from .krein import make_tau, solution_transform
 from .pipeline import Tolerances, analyze, solve_tau_grid, solve_with_tau, unique_solution
 from .solutions import (
     moments_of_measure,
@@ -196,12 +196,11 @@ def cmd_transform(args):
     if analysis.verdict.determinate:
         _check(args.tau is None, "determinate problem: --tau is not read")
         tau_doc, tau = {"type": "unique"}, make_tau({"type": "infinite"})
-        gw = build_gamma_weyl(analysis.picture, rep)
     else:
         _check(args.tau is not None, "indeterminate problem: provide --tau")
         tau_doc = io.read_json(args.tau)
-        tau, gw = make_tau(tau_doc, require_class=True), analysis.require_gamma_weyl()
-    samples = [(z, solution_transform(gw, tau, rep, N, z)) for z in z_points]
+        tau = make_tau(tau_doc, require_class=True)
+    samples = [(z, solution_transform(analysis.picture, tau, rep, N, z)) for z in z_points]
     doc = io.transform_samples_to_dict(N, samples)
     doc["tau"] = tau_doc
     _output(doc, args.out)

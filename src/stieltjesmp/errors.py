@@ -1,10 +1,10 @@
 """Exception hierarchy for the moment-problem pipeline.
 
 Every error raised by this package derives from :class:`MomentProblemError`,
-so callers can catch one base class at pipeline boundaries.  Boundary data
-are well formed for every problem (``q = 0`` on a determinate one), and their
-Weyl limit ``M(0) = 2 G^{-1}`` is always finite, so no error is raised by the
-boundary data themselves.
+so callers can catch one base class at pipeline boundaries.  The boundary
+data are the contraction picture, well formed for every problem (``q = 0`` on
+a determinate one), and its Weyl limit ``M(0) = 2 G^{-1}`` is always finite,
+so no error is raised by the boundary data themselves.
 """
 
 

@@ -39,8 +39,8 @@ shows as ``q < N``, never as a kernel of the gap.
 
 Each matrix is decomposed once.  The gap norm is read off one ``eigh`` of the
 ``G`` formed here (:attr:`ContractionPicture.gap`), whose pairs also give
-the Weyl limit ``M(0) = 2 G^{-1}`` of :mod:`krein`; each corner's solution,
-off its pairs.
+the Weyl limit ``M(0) = 2 G^{-1}``; each corner's solution, off its pairs.
+The picture is also the boundary data of :mod:`krein`, based at ``-1``.
 
 The dense reference resolvent is computed from the contraction itself:
 ``R_z = (E + t) ((1 - z) E - (1 + z) t)^{-1}``.  An eigenvalue ``-1`` of ``t``
@@ -51,6 +51,7 @@ of a truncated problem) then contributes nothing, with no singular inversion.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,7 +82,8 @@ CLUSTER_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ContractionPicture:
-    """The extremal extensions ``t_mu <= t_M`` of the contraction ``T``.
+    """The extremal extensions ``t_mu <= t_M`` of the contraction ``T``, and
+    the boundary data of :mod:`krein`, based at ``z0 = -1``.
 
     Their gap ``C = t_M - t_mu = J G J*`` is supported on the defect space.
     ``t_mu = V diag(w) V*`` with the eigenpairs read off ``eigh(A11)``, and
@@ -89,7 +91,7 @@ class ContractionPicture:
     """
 
     dim: int
-    defect_basis: np.ndarray  # (d, q) orthonormal basis of N_{-1}
+    J: np.ndarray  # (d, q) orthonormal basis of N_{-1}
     t_mu: np.ndarray
     t_M: np.ndarray
     C: np.ndarray
@@ -98,10 +100,59 @@ class ContractionPicture:
     w_M: np.ndarray  # (d,) eigenvalues of t_M, ascending
     V_M: np.ndarray  # (d, d) eigenvectors of t_M
     gap: tuple  # (g, U), the eigenpairs of G: the gap norm and M(0) = 2 G^{-1}
+    rep: object  # its data vectors' coordinates are formed on first transform
 
     @property
-    def defect_dim(self):
-        return self.defect_basis.shape[1]
+    def q(self):
+        return self.J.shape[1]
+
+    @cached_property
+    def M0(self):
+        """``M(0) = 2 G^{-1}``, as ``tau = 0`` gives ``t_M = t_mu + 2 J M(0)^{-1} J*``;
+        finite, as ``G > 0`` whenever ``q > 0``, and ``0 x 0`` when ``q = 0``."""
+        g, U = self.gap
+        return herm(2.0 * (U / g) @ U.conj().T)
+
+    @cached_property
+    def ov(self):
+        """``(d, q)`` overlaps ``V* J``."""
+        return self.V.conj().T @ self.J
+
+    @cached_property
+    def _one_pm_w(self):
+        """``(1 - w, 1 + w)``, so that ``c = (1 - w) - z (1 + w)``."""
+        return 1.0 - self.w, 1.0 + self.w
+
+    @cached_property
+    def coordinates(self):
+        """``(Y, Y*)`` for ``Y = _stacked(w, ov, V* Xi0)``, formed on first use;
+        the factor is upper trapezoidal, so ``Xi0`` is zero below row ``N``."""
+        N = self.rep.gram.N
+        return _stacked(self.w, self.ov, self.V[:N].conj().T @ self.rep.vectors[:N, :N])
+
+    def _diagonal(self, z):
+        """``g = 2/c``, so that ``V* gamma(z) = diag(g) V* J``."""
+        z = _off_positive_axis(z)
+        a, b = self._one_pm_w
+        return 2.0 / (a - z * b)
+
+    def gamma(self, z):
+        return self.V @ (self._diagonal(z)[:, None] * self.ov)
+
+    def M(self, z):
+        g = self._diagonal(z)
+        return (complex(z) + 1.0) * (self.ov.conj().T @ (g[:, None] * self.ov))
+
+
+def _stacked(w, ov, X):
+    """``(Y, Y*)`` for ``Y = [h X, V* J, X]``, eigen-coordinates ``X = V* P``
+    and ``h = (1 + w)/2`` (clipped at 0).  With ``g = 2/c`` the formula reads
+    two products: ``X* diag(g) [h X, V* J]`` is ``[P* R_z P, P* gamma(z)]``
+    and ``(V* J)* diag(g) [V* J, X]`` is ``[M(z)/(z + 1), gamma(conj(z))* P]``.
+    ``Y*`` is made contiguous once, so no point conjugates a copy."""
+    h = np.clip(1.0 + w, 0.0, None) / 2.0
+    Y = np.hstack([h[:, None] * X, ov, X])
+    return Y, np.ascontiguousarray(Y.conj().T)
 
 
 @dataclass(frozen=True)
@@ -167,7 +218,7 @@ def extremal_extensions(op):
     V[:q1, :q1] = U
     return ContractionPicture(
         dim=d,
-        defect_basis=J,
+        J=J,
         t_mu=t_mu,
         t_M=t_M,
         C=C,
@@ -176,6 +227,7 @@ def extremal_extensions(op):
         w_M=w_M,
         V_M=V_M,
         gap=(g, U_G),
+        rep=op.rep,
     )
 
 
@@ -186,7 +238,7 @@ def determinacy(pic):
     positive definite whenever ``q > 0``.  The gap norm, the largest
     eigenvalue of the ``q x q`` gap, says how far apart the corners are.
     """
-    q = pic.defect_dim
+    q = pic.q
     return DeterminacyVerdict(
         determinate=q == 0,
         gap_norm=float(np.abs(pic.gap[0]).max(initial=0.0)),

@@ -157,7 +157,7 @@ def encode_complex(z):
 
 def encode_matrix(M):
     M = np.atleast_2d(np.asarray(M, dtype=complex))
-    return [[encode_complex(v) for v in row] for row in M]
+    return (np.stack([M.real, M.imag], -1) + 0.0).tolist()  # -0.0 + 0.0 is 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Boundary-parameter machinery: gamma field, Weyl function, Stieltjes-class
-parameters, and the resolvent formula generating every solution.
+"""Boundary-parameter machinery: Stieltjes-class parameters and the
+resolvent formula generating every solution, over the gamma field and Weyl
+function of one contraction, :class:`extensions.ContractionPicture`.
 
 With ``J`` an isometry onto the defect space at the base point ``-1`` and
 ``R_z`` the resolvent of the Friedrichs-corner extension ``t_mu``, the pair
@@ -60,19 +61,17 @@ and ``tau(z)/z = tau(0)/z + sum (W_k/p_k)/(p_k - z)``, so the class is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from ._linalg import PINV_RCOND, asymmetry, herm
 from .errors import NotStieltjesClass, ParameterDegenerate, PropertyViolated, SchemaError
 from .io import parse_complex, parse_hermitian, parse_matrix
+from .extensions import _stacked
 from .shiftop import _off_positive_axis
 
 __all__ = [
-    "GammaWeyl",
     "TauParameter",
-    "build_gamma_weyl",
     "make_tau",
     "check_stieltjes_class",
     "krein_resolvent",
@@ -93,81 +92,6 @@ CONDITION_LIMIT = 1e12
 #: Friedrichs corner off the defect space in :func:`constant_tau_of_extension`)
 CHECK_POINTS = (1.7j, -0.8 + 0.9j)
 CHECK_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class GammaWeyl:
-    """Gamma field and Weyl function data, based at ``z0 = -1``."""
-
-    J: np.ndarray  # (d, q) isometry onto the defect space
-    t_mu: np.ndarray  # Friedrichs-corner contraction
-    M0: np.ndarray  # (q, q) limit of M at 0, ``2 G^{-1}``
-    q: int
-    w: np.ndarray  # (d,) eigenvalues of t_mu
-    V: np.ndarray  # (d, d) eigenvectors of t_mu
-    ov: np.ndarray  # (d, q) overlaps V* J
-    vectors: np.ndarray  # the data vectors' source, ``rep.vectors``
-    N: int  # the number of data vectors
-
-    @property
-    def dim(self):
-        return self.t_mu.shape[0]
-
-    @cached_property
-    def _one_pm_w(self):
-        """``(1 - w, 1 + w)``, so that ``c = (1 - w) - z (1 + w)``."""
-        return 1.0 - self.w, 1.0 + self.w
-
-    @cached_property
-    def coordinates(self):
-        """``(Y, Y*)`` for ``Y = _stacked(w, ov, V* Xi0)``, formed on first use;
-        the factor is upper trapezoidal, so ``Xi0`` is zero below row ``N``."""
-        N = self.N
-        return _stacked(self.w, self.ov, self.V[:N].conj().T @ self.vectors[:N, :N])
-
-    def _diagonal(self, z):
-        """``g = 2/c``, so that ``V* gamma(z) = diag(g) V* J``."""
-        z = _off_positive_axis(z)
-        a, b = self._one_pm_w
-        return 2.0 / (a - z * b)
-
-    def gamma(self, z):
-        return self.V @ (self._diagonal(z)[:, None] * self.ov)
-
-    def M(self, z):
-        g = self._diagonal(z)
-        return (complex(z) + 1.0) * (self.ov.conj().T @ (g[:, None] * self.ov))
-
-
-def _stacked(w, ov, X):
-    """``(Y, Y*)`` for ``Y = [h X, V* J, X]``, eigen-coordinates ``X = V* P``
-    and ``h = (1 + w)/2`` (clipped at 0).  With ``g = 2/c`` the formula reads
-    two products: ``X* diag(g) [h X, V* J]`` is ``[P* R_z P, P* gamma(z)]``
-    and ``(V* J)* diag(g) [V* J, X]`` is ``[M(z)/(z + 1), gamma(conj(z))* P]``.
-    ``Y*`` is made contiguous once, so no point conjugates a copy."""
-    h = np.clip(1.0 + w, 0.0, None) / 2.0
-    Y = np.hstack([h[:, None] * X, ov, X])
-    return Y, np.ascontiguousarray(Y.conj().T)
-
-
-def build_gamma_weyl(pic, rep):
-    """Gamma field / Weyl function of a picture, with the data vectors
-    ``xi_0 .. xi_{N-1}`` of ``rep`` (their coordinates are formed on the
-    first :func:`solution_transform`).
-
-    ``M(0)`` is read off the gap: the Krein corner is ``tau = 0``, so
-    ``t_M = t_mu + 2 J M(0)^{-1} J*`` and ``M(0) = 2 G^{-1}``, from the
-    eigenpairs of ``G`` the picture stores.  The gap is positive definite
-    whenever the defect is not trivial, so the limit is always finite.  On a
-    trivial defect (a determinate problem) the data are still well formed:
-    ``J`` is ``d x 0``, ``M(0)`` is ``0 x 0``, and the ideal parameter gives
-    the unique solution's transform.
-    """
-    J, w, V = pic.defect_basis, pic.w, pic.V
-    g, U = pic.gap
-    return GammaWeyl(J=J, t_mu=pic.t_mu, M0=herm(2.0 * (U / g) @ U.conj().T),
-                     q=pic.defect_dim, w=w, V=V, ov=V.conj().T @ J,
-                     vectors=rep.vectors, N=rep.gram.N)
 
 
 # ---------------------------------------------------------------------------
@@ -379,20 +303,20 @@ def _certified_solve(K, B, z):
     return np.linalg.solve(K, B) if Ki is None else Ki @ B
 
 
-def _compressed_resolvent(gw, tau, z, Y, Yh):
-    """``P* (V* R(tau, z) V) P`` for ``(Y, Yh) = _stacked(gw.w, gw.ov, P)``:
+def _compressed_resolvent(pic, tau, z, Y, Yh):
+    """``P* (V* R(tau, z) V) P`` for ``(Y, Yh) = _stacked(pic.w, pic.ov, P)``:
     two products with ``diag(g) Y`` give the four blocks the formula reads,
     then one certified inverse applies the parameter block
     ``K = tau(z) + I* (M(z) - M(0)) I``, assembled in place (``I``, the
     finite-part inclusion of ``tau``, is skipped when it is the identity)."""
     z = _off_positive_axis(z)
-    a, b = gw._one_pm_w
+    a, b = pic._one_pm_w
     gY = (2.0 / (a - z * b))[:, None] * Y
-    q, n = gw.q, (Y.shape[1] - gw.q) // 2
+    q, n = pic.q, (Y.shape[1] - pic.q) // 2
     if tau.is_ideal:
         return Yh[n + q :] @ gY[:, :n]
     HC, MB = Yh[n + q :] @ gY[:, : n + q], Yh[n : n + q] @ gY[:, n:]
-    K, B, C = (z + 1.0) * MB[:, :q] - gw.M0, MB[:, q:], HC[:, n:]
+    K, B, C = (z + 1.0) * MB[:, :q] - pic.M0, MB[:, q:], HC[:, n:]
     inc = tau.inclusion(q)
     if tau.finite_dim < q:
         inch = inc.conj().T
@@ -403,22 +327,22 @@ def _compressed_resolvent(gw, tau, z, Y, Yh):
     return HC[:, :n] - C @ _certified_solve(K, B, z)
 
 
-def krein_resolvent(gw, tau, z):
+def krein_resolvent(pic, tau, z):
     """Generalized resolvent ``R_z - gamma(z) K(z)^{-1} gamma(conj(z))*`` on
     all of ``C^d``: the compressed formula at the coordinates ``P = V*``.
     ``K(z)^{-1}`` is embedded by zero on the relation part, so the pure ideal
     parameter returns the Friedrichs-corner resolvent unchanged."""
-    return _compressed_resolvent(gw, tau, z, *_stacked(gw.w, gw.ov, gw.V.conj().T))
+    return _compressed_resolvent(pic, tau, z, *_stacked(pic.w, pic.ov, pic.V.conj().T))
 
 
-def solution_transform(gw, tau, rep, N, z):
+def solution_transform(pic, tau, rep, N, z):
     """Matrix Stieltjes transform of the solution attached to ``tau``; the
-    coordinates stored on ``gw`` serve when ``rep`` and ``N`` are its own."""
-    if rep.vectors is gw.vectors and N == gw.N:
-        Y, Yh = gw.coordinates
+    coordinates stored on ``pic`` serve when ``rep`` and ``N`` are its own."""
+    if rep is pic.rep and N == rep.gram.N:
+        Y, Yh = pic.coordinates
     else:
-        Y, Yh = _stacked(gw.w, gw.ov, gw.V.conj().T @ rep.vectors[:, :N])
-    return _compressed_resolvent(gw, tau, z, Y, Yh)
+        Y, Yh = _stacked(pic.w, pic.ov, pic.V.conj().T @ rep.vectors[:, :N])
+    return _compressed_resolvent(pic, tau, z, Y, Yh)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +355,7 @@ def solution_transform(gw, tau, rep, N, z):
 #     t = t_mu - 2 J (tau - M(0))^{-1} J*,    tau = M(0) - 2 (J* (t - t_mu) J)^{-1}.
 
 
-def constant_tau_of_extension(gw, t):
+def constant_tau_of_extension(pic, t):
     """Hermitian constant parameter reproducing a contractive extension.
 
     Raises :class:`ParameterDegenerate` when ``t`` does not differ from the
@@ -439,8 +363,8 @@ def constant_tau_of_extension(gw, t):
     extension), or when it touches that corner (the parameter is the ideal
     element, or has an ideal part).
     """
-    J = gw.J
-    diff = np.asarray(t, dtype=complex) - gw.t_mu
+    J = pic.J
+    diff = np.asarray(t, dtype=complex) - pic.t_mu
     D = herm(J.conj().T @ diff @ J)
     off = float(np.abs(diff - J @ D @ J.conj().T).max())
     if off > CHECK_TOL:  # entries of a contraction are at most 1: relative
@@ -458,10 +382,10 @@ def constant_tau_of_extension(gw, t):
             "extension agrees with the Friedrichs corner on a subspace; "
             "the parameter has an ideal part"
         )
-    return herm(gw.M0 - 2.0 * np.linalg.inv(D))
+    return herm(pic.M0 - 2.0 * np.linalg.inv(D))
 
 
-def _verified(gw, tau, t):
+def _verified(pic, tau, t):
     """``(herm(t), w, V)`` after the run-time checks, all read off one
     ``eigh(herm(t)) = (w, V)``: ``t`` is Hermitian, contractive
     (``max |w| <= 1 + CHECK_TOL``), and at the check points its resolvent
@@ -474,11 +398,11 @@ def _verified(gw, tau, t):
     w, V = np.linalg.eigh(t)
     if float(np.abs(w).max()) > 1.0 + CHECK_TOL:
         raise PropertyViolated("recovered extension is not a contraction", witness=t)
-    Vd = V[: gw.dim]
-    Y, Yh = _stacked(gw.w, gw.ov, gw.V.conj().T)  # krein_resolvent's, for both points
+    Vd = V[: pic.dim]
+    Y, Yh = _stacked(pic.w, pic.ov, pic.V.conj().T)  # krein_resolvent's, for both points
     for zc in CHECK_POINTS:
         R = (Vd * ((1.0 + w) / ((1.0 - zc) - (1.0 + zc) * w))) @ Vd.conj().T
-        err = np.abs(_compressed_resolvent(gw, tau, zc, Y, Yh) - R).max()
+        err = np.abs(_compressed_resolvent(pic, tau, zc, Y, Yh) - R).max()
         if err > CHECK_TOL:
             raise PropertyViolated(
                 f"recovered extension mismatches the formula at z = {zc} "
@@ -488,7 +412,7 @@ def _verified(gw, tau, t):
     return t, w, V
 
 
-def extension_of_constant_tau(gw, tau):
+def extension_of_constant_tau(pic, tau):
     """Contractive extension whose resolvent the formula returns for ``tau``.
 
     Valid for parameters without z-dependence (constant, ideal, or mixed with
@@ -497,7 +421,7 @@ def extension_of_constant_tau(gw, tau):
     """
     if tau.poles:
         raise ValueError("only constant/ideal parameters define an in-space extension")
-    return exit_space_extension(gw, tau)
+    return exit_space_extension(pic, tau)
 
 
 def _pole_factors(tau):
@@ -513,7 +437,7 @@ def _pole_factors(tau):
     return np.vstack(rows), np.array(pos)
 
 
-def exit_space_extension(gw, tau):
+def exit_space_extension(pic, tau):
     """Contraction on ``C^d + C^r`` whose resolvent, compressed to ``C^d``, is
     the one the formula returns for ``tau`` (``r`` = summed residue ranks).
 
@@ -532,21 +456,21 @@ def exit_space_extension(gw, tau):
     certified inverse of every point of the formula, at ``z = -1``, and ``T``
     is verified once, by :func:`_verified`.
     """
-    return _extension(gw, tau)[0]
+    return _extension(pic, tau)[0]
 
 
-def _extension(gw, tau):
+def _extension(pic, tau):
     """``(T, w, V)``: :func:`exit_space_extension` and the eigenpairs of
     ``herm(T)``, from the one ``eigh`` that verifies it."""
     B, p = _pole_factors(tau)
-    d, r = gw.dim, len(p)
-    P = tau.inclusion(gw.q)
-    JP = gw.J @ P
-    Q = tau.tau0 - P.conj().T @ gw.M0 @ P
+    d, r = pic.dim, len(p)
+    P = tau.inclusion(pic.q)
+    JP = pic.J @ P
+    Q = tau.tau0 - P.conj().T @ pic.M0 @ P
     X = _certified_solve(Q, np.hstack([JP.conj().T, B.conj().T]), -1)
     QiJP, QiB = X[:, :d], X[:, d:]
     t = np.zeros((d + r, d + r), dtype=complex)
-    t[:d, :d] = gw.t_mu - 2.0 * JP @ QiJP
+    t[:d, :d] = pic.t_mu - 2.0 * JP @ QiJP
     if r:
         delta, U = np.linalg.eigh(herm(np.diag(p) + B @ QiB))
         if delta.min() < -CHECK_TOL * max(1.0, float(np.abs(delta).max())):
@@ -558,4 +482,4 @@ def _extension(gw, tau):
         Z = U.conj().T @ np.hstack([B @ QiJP, np.eye(r)])
         t[d:, d:] = -np.eye(r)
         t += 2.0 * Z.conj().T @ (Z / (1.0 + delta)[:, None])
-    return _verified(gw, tau, t)
+    return _verified(pic, tau, t)

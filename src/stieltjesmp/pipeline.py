@@ -7,7 +7,8 @@ inspectable.  The :class:`Tolerances` given to :func:`analyze` are the only
 settings; the :class:`Analysis` keeps them and the solvers gate at its rtol.
 :func:`analyze` refuses data that are ``"not solvable"``, so every later stage
 sees only ``"solvable"`` or ``"marginal"`` data; the solvers read the
-corners' measures off the eigenpairs the picture stores.
+corners' measures off the eigenpairs the picture stores.  On indeterminate
+data the picture is also their boundary data, ``Analysis.gamma_weyl``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import CompletionInfeasible, MomentProblemError, NotIndeterminate
 from .extensions import _spectral_measure, determinacy, extremal_extensions
 from .extensions import spectral_solution
 from .gns import build_space
-from .krein import _extension, build_gamma_weyl
+from .krein import _extension
 from .shiftop import build_shift
 from .solutions import verify_moments
 
@@ -67,9 +68,9 @@ def analyze(seq, tols=Tolerances()):
 
     ``"not solvable"`` data are refused first, by :class:`CompletionInfeasible`
     naming the failed condition.  The problem is determinate exactly when its
-    defect is trivial.  For indeterminate problems the boundary data (gamma
-    field / Weyl function) of the picture are attached; their ``M(0)`` is
-    ``2 G^{-1}``, finite because the gap is positive definite.
+    defect is trivial.  For indeterminate problems the picture, which carries
+    the gamma field and Weyl function, is attached as the boundary data; its
+    ``M(0)`` is ``2 G^{-1}``, finite because the gap is positive definite.
     """
     solv = hankel.check_solvable(seq, tols.psd_tol)
     if solv.fault:
@@ -78,7 +79,6 @@ def analyze(seq, tols=Tolerances()):
     shift = build_shift(rep)
     pic = extremal_extensions(shift)
     verdict = determinacy(pic)
-    gw = None if verdict.determinate else build_gamma_weyl(pic, rep)
     return Analysis(
         seq=seq,
         tols=tols,
@@ -88,14 +88,14 @@ def analyze(seq, tols=Tolerances()):
         shift=shift,
         picture=pic,
         verdict=verdict,
-        gamma_weyl=gw,
+        gamma_weyl=None if verdict.determinate else pic,
     )
 
 
 def _gated(analysis, meas):
-    """Attach the verification report at ``analysis.tols.rtol``; refuse
-    silently-broken measures.  Every measure the solvers emit is the spectral
-    measure of an extension, so it is marked exact."""
+    """Attach the verification report at ``analysis.tols.rtol``, for
+    :func:`cli._result` to refuse a failing measure.  Every measure the
+    solvers emit is the spectral measure of an extension, so it is exact."""
     seq, rtol = analysis.seq, analysis.tols.rtol
     report = verify_moments(meas, seq, upto=2 * seq.n, rtol=rtol)
     return {"measure": meas, "verification": report, "exact": True}

@@ -142,8 +142,8 @@ def sample_sc_extensions(pic, count, seed=0):
     n_seg = min(count, max(2, (count + 1) // 2))
     out = [pic.t_mu + s * pic.C for s in np.linspace(0.0, 1.0, n_seg)]
     rng = np.random.default_rng(seed)
-    q = pic.defect_dim
-    JR = pic.defect_basis @ root
+    q = pic.q
+    JR = pic.J @ root
     while len(out) < count:
         if q == 0:
             out.append(pic.t_mu.copy())

@@ -162,9 +162,9 @@ def test_criterion_05_extremality_oracle(battery):
     checked = 0
     for name, a in battery.items():
         pic = a.picture
-        if a.rep.dim > 3 or pic.defect_dim == 0:
+        if a.rep.dim > 3 or pic.q == 0:
             continue
-        q = pic.defect_dim
+        q = pic.q
         # completions from the reference bases, bounds from the corners
         J = cayley_reference(a.shift)[2]
         X_min = herm(J.conj().T @ pic.t_mu @ J)

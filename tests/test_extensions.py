@@ -55,19 +55,19 @@ def domain_images(shift, c):
 def test_cayley_of_zero_operator_is_identity(dirac0):
     pic = dirac0.picture
     # D(T) is the whole (1-dim) space and T acts as +1: its only extension
-    assert dirac0.shift.domain_dim == 1 and pic.defect_dim == 0
+    assert dirac0.shift.domain_dim == 1 and pic.q == 0
     assert np.allclose(pic.t_mu, [[1.0]]) and np.allclose(pic.t_M, [[1.0]])
 
 
 def test_cayley_of_identity_operator_is_zero(delta1):
     pic = delta1.picture
-    assert delta1.shift.domain_dim == 1 and pic.defect_dim == 0
+    assert delta1.shift.domain_dim == 1 and pic.q == 0
     assert np.allclose(pic.t_mu, 0.0) and np.allclose(pic.t_M, 0.0)
 
 
 def test_cayley_two_atom_splitting(two_atom):
     pic = two_atom.picture
-    assert pic.dim == 2 and two_atom.shift.domain_dim == 1 and pic.defect_dim == 1
+    assert pic.dim == 2 and two_atom.shift.domain_dim == 1 and pic.q == 1
 
 
 def test_contraction_on_domain(two_atom):
@@ -115,7 +115,7 @@ def test_empty_domain_interval_is_full(delta1):
         matrix=np.zeros((1, 1), dtype=complex),
     )
     pic = extremal_extensions(op)
-    assert pic.defect_dim == 1
+    assert pic.q == 1
     assert np.allclose(pic.t_mu, [[-1.0]])
     assert np.allclose(pic.t_M, [[1.0]])
 
@@ -205,7 +205,7 @@ def _assert_matches_reference(a, label):
     assert np.abs(pic.t_M - t_M).max() <= 1e-9, label
     assert gap_kernel_dim(t_mu, t_M, J) == 0, label
     Q1 = cayley_reference(a.shift)[0]
-    assert np.abs(Q1.conj().T @ pic.defect_basis).max(initial=0.0) <= 1e-12, label
+    assert np.abs(Q1.conj().T @ pic.J).max(initial=0.0) <= 1e-12, label
 
 
 def test_corners_match_reference_on_battery(battery):
@@ -223,7 +223,7 @@ def test_defect_basis_is_canonical(battery):
     # last q rows L^{-*} are upper triangular with a positive diagonal
     checked = 0
     for name, a in battery.items():
-        J = a.picture.defect_basis
+        J = a.picture.J
         q = J.shape[1]
         low = J[a.shift.domain_dim :]
         assert low.shape == (q, q), name
@@ -240,7 +240,7 @@ def test_two_atom_extremal_eigenvalues(two_atom):
     pic = two_atom.picture
     assert np.allclose(np.linalg.eigvalsh(pic.t_mu), [-1.0, -0.2], atol=1e-9)
     assert np.allclose(np.linalg.eigvalsh(pic.t_M), [-0.25, 1.0], atol=1e-9)
-    comp = pic.defect_basis.conj().T @ pic.C @ pic.defect_basis
+    comp = pic.J.conj().T @ pic.C @ pic.J
     assert min_eig(comp) > 0.1
 
 
@@ -333,7 +333,7 @@ def test_determinate_gap_is_empty(delta1):
 def test_determinate_corners_coincide(delta1):
     # no defect: T is defined on the whole space, so it is its own extension
     pic = delta1.picture
-    assert pic.defect_dim == 0 and np.array_equal(pic.t_mu, pic.t_M)
+    assert pic.q == 0 and np.array_equal(pic.t_mu, pic.t_M)
 
 
 def test_indeterminate_gap_is_positive_definite(two_atom):
@@ -543,7 +543,7 @@ def test_grid_factors_each_matrix_once(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     a = analyze(_ladder_n4_m9_problem())
     entries = solve_tau_grid(a, 3)
-    pic, d, q = a.picture, a.picture.dim, a.picture.defect_dim
+    pic, d, q = a.picture, a.picture.dim, a.picture.q
     assert not a.verdict.determinate and a.gamma_weyl is not None
     assert [(n, M.shape) for n, M in calls] == [
         ("eigh", (d - q, d - q)),
@@ -585,7 +585,7 @@ def test_unique_solution_reads_the_stored_pairs(monkeypatch):
     calls = _counted_eigh(monkeypatch)
     a = analyze(moments_of_measure(meas, 6))
     got = unique_solution(a)["measure"]
-    pic, d, q = a.picture, a.picture.dim, a.picture.defect_dim
+    pic, d, q = a.picture, a.picture.dim, a.picture.q
     assert a.verdict.determinate
     assert [(n, M.shape) for n, M in calls] == [
         ("eigh", (d - q, d - q)),
@@ -617,8 +617,8 @@ def test_gap_is_decomposed_from_the_formed_G(monkeypatch):
     calls = _counted_eigh(monkeypatch)
     a = analyze(_ladder_n4_m9_problem())
     pic = a.picture
-    J, (_, G_in) = pic.defect_basis, calls[2]
-    assert not a.verdict.determinate and G_in.shape == (pic.defect_dim,) * 2
+    J, (_, G_in) = pic.J, calls[2]
+    assert not a.verdict.determinate and G_in.shape == (pic.q,) * 2
     assert np.array_equal(herm(J @ G_in @ J.conj().T), pic.C)
     g, U = pic.gap
     assert g.min() > 0

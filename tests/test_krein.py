@@ -7,7 +7,6 @@ from stieltjesmp import (
     NotStieltjesClass,
     ParameterDegenerate,
     SchemaError,
-    build_gamma_weyl,
     check_stieltjes_class,
     PropertyViolated,
     constant_tau_of_extension,
@@ -90,7 +89,7 @@ def test_determinate_boundary_data_have_a_trivial_defect(delta1):
     # q = 0: J is d x 0, M(0) is 0 x 0, and the ideal parameter's formula is
     # the resolvent of t_mu, the unique solution's; the analysis itself keeps
     # no boundary data
-    gw = build_gamma_weyl(delta1.picture, delta1.rep)
+    gw = delta1.picture
     d = delta1.rep.dim
     assert gw.q == 0 and gw.J.shape == (d, 0) and gw.M0.shape == (0, 0)
     assert delta1.gamma_weyl is None
@@ -111,6 +110,16 @@ def test_pipeline_weyl_limit_always_finite(battery):
         if a.verdict.determinate:
             continue
         assert a.gamma_weyl is not None, name
+
+
+def test_boundary_data_are_the_picture(indeterminate_battery, delta1):
+    # one object per contraction: the boundary data are the picture itself,
+    # and they read the representation the analysis built
+    assert indeterminate_battery
+    for name, a in indeterminate_battery.items():
+        assert a.gamma_weyl is a.picture and a.require_gamma_weyl() is a.picture, name
+        assert a.picture.rep is a.rep, name
+    assert delta1.gamma_weyl is None
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +740,7 @@ def test_constant_tau_refuses_change_off_the_defect_space(two_atom):
     # moving t_M on D(T) leaves the family of extensions of T
     gw = two_atom.gamma_weyl
     pic = two_atom.picture
-    J = pic.defect_basis
+    J = pic.J
     t = pic.t_M + 1e-3 * (np.eye(pic.dim) - J @ J.conj().T)
     with pytest.raises(ParameterDegenerate, match="not an in-space extension"):
         constant_tau_of_extension(gw, t)
@@ -798,7 +807,7 @@ def grid_analyses(indeterminate_battery):
             out[f"stress{i}"] = a
     one_atom = moment_sequence([[[1.0]], [[1.0]], [[1.0]]])
     a = _direct_sum(one_atom, indeterminate_battery["two_atom"].seq)
-    assert a.picture.defect_dim < a.N and a.gamma_weyl is not None
+    assert a.picture.q < a.N and a.gamma_weyl is not None
     out["partial"] = a
     return out
 

@@ -152,7 +152,7 @@ def test_determinate_exactly_when_the_defect_is_trivial(problem):
     # positive definite whenever q > 0: the defect dimension decides alone
     seq, _ = problem
     a = analyze(seq)
-    q = a.picture.defect_dim
+    q = a.picture.q
     assert a.verdict.determinate == (q == 0)
     if q:
         assert a.picture.gap[0].min() > 0

@@ -312,7 +312,7 @@ def test_close_atom_pairs_keep_the_full_defect_space():
     ]
     a = analyze(moments_of_measure(solution_measure(2, atoms), 5))
     assert a.rep.dim == 6
-    assert a.picture.defect_dim == 2
+    assert a.picture.q == 2
     tau = make_tau(
         {
             "type": "rational",
