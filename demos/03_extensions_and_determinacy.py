@@ -11,8 +11,8 @@ corners is positive definite.
 import numpy as np
 
 from stieltjesmp import analyze, moment_sequence
-from stieltjesmp.extensions import resolvent_from_contraction, spectral_solution
-from stieltjesmp.solutions import verify_moments
+from stieltjesmp.extensions import spectral_solution
+from stieltjesmp.solutions import transform_of_measure, verify_moments
 
 for label, mats in [
     ("single atom at 1 (S = [1,1,1])", [[[1.0]], [[1.0]], [[1.0]]]),
@@ -42,13 +42,13 @@ for s in np.linspace(0.0, 1.0, 11):
     )
 print("  worst interval eigenvalue over s = 0, 0.1, ..., 1:", f"{worst:.2e}")
 
-print("\nresolvent ordering (A_mu + x)^-1 <= (A + x)^-1 <= (A_M + x)^-1 at x = 1:")
-R_mu = resolvent_from_contraction(pic.t_mu, -1.0)
-R_M = resolvent_from_contraction(pic.t_M, -1.0)
-t_mid = 0.5 * (pic.t_mu + pic.t_M)
-R_mid = resolvent_from_contraction(t_mid, -1.0)
-print("  min eig (mid - mu):", f"{np.linalg.eigvalsh(R_mid - R_mu).min():.2e}")
-print("  min eig (M - mid): ", f"{np.linalg.eigvalsh(R_M - R_mid).min():.2e}")
+print("\nKrein's bounds on the transforms F(z) = sum W / (lambda - z) at z = -1:")
+F_mu, F_mid, F_M = (
+    transform_of_measure(spectral_solution(t, a.rep, 1), -1.0)
+    for t in (pic.t_mu, 0.5 * (pic.t_mu + pic.t_M), pic.t_M)
+)
+print("  min eig (mid - mu):", f"{np.linalg.eigvalsh(F_mid - F_mu).min():.2e}")
+print("  min eig (M - mid): ", f"{np.linalg.eigvalsh(F_M - F_mid).min():.2e}")
 
 print("\nthe Friedrichs corner of a truncated problem pushes mass to infinity:")
 m_mu = spectral_solution(pic.t_mu, a.rep, 1)

@@ -13,14 +13,10 @@ larger spaces.
 
 import numpy as np
 
-from stieltjesmp import analyze, make_tau, moment_sequence
-from stieltjesmp.extensions import resolvent_from_contraction, spectral_solution
-from stieltjesmp.krein import (
-    check_stieltjes_class,
-    constant_tau_of_extension,
-    extension_of_constant_tau,
-    krein_resolvent,
-)
+from stieltjesmp import analyze, make_tau, moment_sequence, solve_tau_grid
+from stieltjesmp.extensions import spectral_solution
+from stieltjesmp.krein import check_stieltjes_class, extension_of_constant_tau, solution_transform
+from stieltjesmp.solutions import transform_of_measure
 
 a = analyze(moment_sequence([[[2.0]], [[3.0]], [[5.0]]]))
 gw = a.gamma_weyl
@@ -31,26 +27,27 @@ for x in (-3.0, -1.0, -0.3, -0.01):
     print(f"  M({x:+.2f}) = {gw.M(x)[0, 0].real:+.6f}")
 print(f"  M(0)     = {gw.M0[0, 0].real:+.6f}   (= 40/39 for this instance)")
 
-print("\ncanonical correspondence: solve the constant parameter of each"
-      " extension t(s) = t_mu + s (t_M - t_mu)")
-for s in (0.25, 0.5, 0.75, 1.0):
-    t = 0.5 * ((pic.t_mu + s * (pic.t_M - pic.t_mu)) + (pic.t_mu + s * (pic.t_M - pic.t_mu)).conj().T)
-    tau_c = constant_tau_of_extension(gw, t)[0, 0].real
+print("\ncanonical correspondence: the constant parameter of each extension"
+      " t(s) = t_mu + s (t_M - t_mu) that solve_tau_grid walks")
+for entry in solve_tau_grid(a, 4):
+    tau_c = entry["tau_constant"][0, 0].real
+    tau = make_tau({"type": "constant", "matrix": [[tau_c]]})
     err = max(
         np.abs(
-            krein_resolvent(gw, make_tau({"type": "constant", "matrix": [[tau_c]]}), z)
-            - resolvent_from_contraction(t, z)
+            solution_transform(gw, tau, a.rep, 1, z)
+            - transform_of_measure(entry["measure"], z)
         ).max()
         for z in (1j, 2j, -1 + 1j)
     )
-    print(f"  s = {s:.2f}: tau = {tau_c:+.6f}, formula vs direct resolvent: {err:.2e}")
+    print(f"  s = {entry['s']:.2f}: tau = {tau_c:+.6f}, formula vs measure: {err:.2e}")
 
 print("\nideal parameter = Friedrichs corner exactly:")
 tau_inf = make_tau({"type": "infinite"})
 err = np.abs(
-    krein_resolvent(gw, tau_inf, 1j) - resolvent_from_contraction(pic.t_mu, 1j)
+    solution_transform(gw, tau_inf, a.rep, 1, 1j)
+    - transform_of_measure(spectral_solution(pic.t_mu, a.rep, 1), 1j)
 ).max()
-print("  |R(inf, i) - R_i(t_mu)| =", f"{err:.2e}")
+print("  |F(inf, i) - F_i(t_mu)| =", f"{err:.2e}")
 
 print("\ndistinct parameters give distinct measures:")
 for c in (-3.0, -1.0, 0.0):

@@ -28,7 +28,6 @@ from .extensions import (
     DeterminacyVerdict,
     determinacy,
     extremal_extensions,
-    resolvent_from_contraction,
     spectral_solution,
 )
 from .gns import HilbertRep, build_space
@@ -45,7 +44,6 @@ from .hankel import (
 from .krein import (
     TauParameter,
     check_stieltjes_class,
-    constant_tau_of_extension,
     exit_space_extension,
     extension_of_constant_tau,
     krein_resolvent,

@@ -1,9 +1,13 @@
-"""Small shared linear-algebra helpers (Hermitian-safe) and the shared rank
-cutoff."""
+"""Small shared linear-algebra helpers (Hermitian-safe), the shared rank
+cutoff, and the check of a resolvent point."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import BadPoint
 
 # Relative cutoff of every rank decision and pseudo-inverse after the Gram
 # factor: the rank of the ideal subspace of a mixed parameter, the ranks of
@@ -27,3 +31,14 @@ def min_eigh(M):
     if M.size == 0:
         return 0.0
     return float(np.linalg.eigvalsh(herm(M)).min())
+
+
+def _off_positive_axis(z):
+    """``complex(z)``; :class:`BadPoint` when it is not finite or lies on
+    ``[0, inf)``, where no resolvent is defined."""
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise BadPoint(f"z = {z} is not finite")
+    if z.imag == 0.0 and z.real >= 0.0:
+        raise BadPoint(f"z = {z} lies on [0, inf)")
+    return z

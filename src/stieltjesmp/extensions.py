@@ -40,12 +40,9 @@ shows as ``q < N``, never as a kernel of the gap.
 Each matrix is decomposed once.  The gap norm is read off one ``eigh`` of the
 ``G`` formed here (:attr:`ContractionPicture.gap`), whose pairs also give
 the Weyl limit ``M(0) = 2 G^{-1}``; each corner's solution, off its pairs.
-The picture is also the boundary data of :mod:`krein`, based at ``-1``.
-
-The dense reference resolvent is computed from the contraction itself:
-``R_z = (E + t) ((1 - z) E - (1 + z) t)^{-1}``.  An eigenvalue ``-1`` of ``t``
-(a point mass at infinity of the extension, routine for the Friedrichs corner
-of a truncated problem) then contributes nothing, with no singular inversion.
+The picture is also the boundary data of :mod:`krein`, based at ``-1``:
+its :meth:`ContractionPicture._diagonal` is the one place that checks a
+point and forms the diagonal ``2/c`` of the gamma field.
 """
 
 from __future__ import annotations
@@ -55,9 +52,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import PINV_RCOND, herm
+from ._linalg import PINV_RCOND, _off_positive_axis, herm
 from .errors import CompletionInfeasible
-from .shiftop import _off_positive_axis
 from .solutions import SolutionMeasure
 
 __all__ = [
@@ -65,7 +61,6 @@ __all__ = [
     "DeterminacyVerdict",
     "extremal_extensions",
     "determinacy",
-    "resolvent_from_contraction",
     "spectral_solution",
 ]
 
@@ -131,7 +126,7 @@ class ContractionPicture:
         return _stacked(self.w, self.ov, self.V[:N].conj().T @ self.rep.vectors[:N, :N])
 
     def _diagonal(self, z):
-        """``g = 2/c``, so that ``V* gamma(z) = diag(g) V* J``."""
+        """``g = 2/c``, so that ``V* gamma(z) = diag(g) V* J``, at a checked ``z``."""
         z = _off_positive_axis(z)
         a, b = self._one_pm_w
         return 2.0 / (a - z * b)
@@ -244,19 +239,6 @@ def determinacy(pic):
         gap_norm=float(np.abs(pic.gap[0]).max(initial=0.0)),
         defect_dim=q,
     )
-
-
-def resolvent_from_contraction(t, z):
-    """Resolvent at ``z`` of the non-negative extension encoded by ``t``.
-
-    ``R_z = (E + t) ((1-z) E - (1+z) t)^{-1}``; the eigenspace of ``t`` at
-    ``-1`` (mass at infinity) is annihilated, never inverted.
-    """
-    z = _off_positive_axis(z)
-    t = np.asarray(t, dtype=complex)
-    d = t.shape[0]
-    I = np.eye(d, dtype=complex)
-    return (I + t) @ np.linalg.solve((1.0 - z) * I - (1.0 + z) * t, I)
 
 
 def spectral_solution(t, rep, N):

@@ -233,7 +233,7 @@ def measure_to_dict(meas):
 
 
 def measure_from_dict(doc):
-    from .solutions import SolutionMeasure
+    from .solutions import solution_measure
 
     if not isinstance(doc, dict) or "N" not in doc or "atoms" not in doc:
         raise SchemaError("measure document must have keys 'N' and 'atoms'")
@@ -256,7 +256,7 @@ def measure_from_dict(doc):
         inf = parse_hermitian(
             doc["mass_at_infinity"], "mass_at_infinity", psd=True, shape=(N, N)
         )
-    return SolutionMeasure(N=N, atoms=tuple(atoms), mass_at_infinity=inf)
+    return solution_measure(N, atoms, inf)
 
 
 def transform_samples_to_dict(N, samples):

@@ -29,19 +29,20 @@ extension: a Hermitian contraction on ``C^d + C^r`` (``r = sum rank W_k``),
 written in closed form at the base point by :func:`exit_space_extension`, so
 its solution is the exact spectral measure of a finite matrix.  That one
 construction serves every parameter: without poles it is the in-space
-extension, and the ideal parameter gives ``t_mu``.  One ``eigh`` of the
-extension serves its run-time checks (contractivity, and its resolvent
-against the formula at two check points) and then its measure.
+extension, and the ideal parameter gives ``t_mu``.  The one ``eigh`` that
+verifies the extension (contractivity, and its resolvent against the formula
+at two check points) is returned with it, and gives its measure.
 
 Everything else comes from the eigenpairs of ``t_mu = V diag(w) V*``, which
 the extension picture reads off ``eigh(A11)`` (``w = cay(a)`` on the first
 ``q1`` coordinates, ``-1`` on the last ``q``): for ``c = 1 - w - z (1 + w)``,
-``V* R_z V = diag((1 + w)/c)`` and ``V* gamma(z) = diag(2/c) V* J``.  An
-eigenvalue ``w = -1`` (mass at infinity) needs no special case: there
-``c = 2``, so it adds 0 to ``R_z``, 1 to gamma.  The coordinates of the data
-vectors are formed once per analysis, on its first transform, so one point of
-the formula costs two products (the four blocks it reads, and no other) and
-one inverse.  With ``K(z)^{-1}`` in hand, ``||K||_F ||K^{-1}||_F``, an upper
+``V* R_z V = diag((1 + w)/c)`` and ``V* gamma(z) = diag(2/c) V* J``; the
+picture's ``_diagonal`` alone checks ``z`` and forms ``2/c``.  An eigenvalue
+``w = -1`` (mass at infinity) needs no special case: there ``c = 2``, so it
+adds 0 to ``R_z``, 1 to gamma.  The coordinates of the data vectors are
+formed once per analysis, on its first transform, so one point of the
+formula costs two products (the four blocks it reads, and no other) and one
+inverse.  With ``K(z)^{-1}`` in hand, ``||K||_F ||K^{-1}||_F``, an upper
 bound on ``cond_2 K``, certifies the point when it is within half of
 ``CONDITION_LIMIT``; only a point it cannot certify pays for an SVD, the
 condition test itself, which then decides.  The parameter block at the base
@@ -68,7 +69,6 @@ from ._linalg import PINV_RCOND, asymmetry, herm
 from .errors import NotStieltjesClass, ParameterDegenerate, PropertyViolated, SchemaError
 from .io import parse_complex, parse_hermitian, parse_matrix
 from .extensions import _stacked
-from .shiftop import _off_positive_axis
 
 __all__ = [
     "TauParameter",
@@ -76,7 +76,6 @@ __all__ = [
     "check_stieltjes_class",
     "krein_resolvent",
     "solution_transform",
-    "constant_tau_of_extension",
     "extension_of_constant_tau",
     "exit_space_extension",
 ]
@@ -88,8 +87,6 @@ CLASS_TOL = 1e-9
 CONDITION_LIMIT = 1e12
 
 #: check points and tolerance of the run-time checks on a recovered extension
-#: (the tolerance also bounds how far an extension may differ from the
-#: Friedrichs corner off the defect space in :func:`constant_tau_of_extension`)
 CHECK_POINTS = (1.7j, -0.8 + 0.9j)
 CHECK_TOL = 1e-7
 
@@ -309,9 +306,8 @@ def _compressed_resolvent(pic, tau, z, Y, Yh):
     then one certified inverse applies the parameter block
     ``K = tau(z) + I* (M(z) - M(0)) I``, assembled in place (``I``, the
     finite-part inclusion of ``tau``, is skipped when it is the identity)."""
-    z = _off_positive_axis(z)
-    a, b = pic._one_pm_w
-    gY = (2.0 / (a - z * b))[:, None] * Y
+    gY = pic._diagonal(z)[:, None] * Y
+    z = complex(z)
     q, n = pic.q, (Y.shape[1] - pic.q) // 2
     if tau.is_ideal:
         return Yh[n + q :] @ gY[:, :n]
@@ -352,37 +348,7 @@ def solution_transform(pic, tau, rep, N, z):
 # R_{-1} = (E + t)/2, so a Hermitian constant tau and its in-space extension
 # t are related by
 #
-#     t = t_mu - 2 J (tau - M(0))^{-1} J*,    tau = M(0) - 2 (J* (t - t_mu) J)^{-1}.
-
-
-def constant_tau_of_extension(pic, t):
-    """Hermitian constant parameter reproducing a contractive extension.
-
-    Raises :class:`ParameterDegenerate` when ``t`` does not differ from the
-    Friedrichs corner on the defect space alone (it is not an in-space
-    extension), or when it touches that corner (the parameter is the ideal
-    element, or has an ideal part).
-    """
-    J = pic.J
-    diff = np.asarray(t, dtype=complex) - pic.t_mu
-    D = herm(J.conj().T @ diff @ J)
-    off = float(np.abs(diff - J @ D @ J.conj().T).max())
-    if off > CHECK_TOL:  # entries of a contraction are at most 1: relative
-        raise ParameterDegenerate(
-            f"extension differs from the Friedrichs corner by {off:.3e} off "
-            "the defect space; it is not an in-space extension"
-        )
-    if np.linalg.norm(D) < 1e-13:
-        raise ParameterDegenerate(
-            "extension coincides with the Friedrichs corner; the "
-            "parameter is the ideal element"
-        )
-    if np.linalg.cond(D) > CONDITION_LIMIT:
-        raise ParameterDegenerate(
-            "extension agrees with the Friedrichs corner on a subspace; "
-            "the parameter has an ideal part"
-        )
-    return herm(pic.M0 - 2.0 * np.linalg.inv(D))
+#     t = t_mu - 2 J (tau - M(0))^{-1} J*.
 
 
 def _verified(pic, tau, t):
@@ -421,7 +387,7 @@ def extension_of_constant_tau(pic, tau):
     """
     if tau.poles:
         raise ValueError("only constant/ideal parameters define an in-space extension")
-    return exit_space_extension(pic, tau)
+    return exit_space_extension(pic, tau)[0]
 
 
 def _pole_factors(tau):
@@ -454,14 +420,9 @@ def exit_space_extension(pic, tau):
     Without poles (``r = 0``) ``T = t_c``, an extension inside the space; the
     ideal parameter (``P`` with no columns) gives ``t_mu``.  ``Q`` takes the
     certified inverse of every point of the formula, at ``z = -1``, and ``T``
-    is verified once, by :func:`_verified`.
+    is verified once, by :func:`_verified`.  Returns ``(T, w, V)``: the
+    verified ``T`` and the eigenpairs of the one ``eigh`` that verified it.
     """
-    return _extension(pic, tau)[0]
-
-
-def _extension(pic, tau):
-    """``(T, w, V)``: :func:`exit_space_extension` and the eigenpairs of
-    ``herm(T)``, from the one ``eigh`` that verifies it."""
     B, p = _pole_factors(tau)
     d, r = pic.dim, len(p)
     P = tau.inclusion(pic.q)

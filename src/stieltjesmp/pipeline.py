@@ -22,7 +22,7 @@ from .errors import CompletionInfeasible, MomentProblemError, NotIndeterminate
 from .extensions import _spectral_measure, determinacy, extremal_extensions
 from .extensions import spectral_solution
 from .gns import build_space
-from .krein import _extension
+from .krein import exit_space_extension
 from .shiftop import build_shift
 from .solutions import verify_moments
 
@@ -154,6 +154,6 @@ def solve_with_tau(analysis, tau):
     :func:`krein.make_tau` accepts is one of these, so the measure is always
     exact; no transform is inverted.
     """
-    _, w, V = _extension(analysis.require_gamma_weyl(), tau)
+    _, w, V = exit_space_extension(analysis.require_gamma_weyl(), tau)
     meas = _spectral_measure(w, V, analysis.rep, analysis.N)
     return _gated(analysis, meas)

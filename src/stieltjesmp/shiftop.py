@@ -16,12 +16,11 @@ block ``A11``, which :func:`extensions.extremal_extensions` checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadPoint, InconsistentTruncation, OrderTooLow
+from .errors import InconsistentTruncation, OrderTooLow
 
 __all__ = ["ShiftOperator", "build_shift"]
 
@@ -46,17 +45,6 @@ class ShiftOperator:
     @property
     def dim(self):
         return self.rep.dim
-
-
-def _off_positive_axis(z):
-    """``complex(z)``; :class:`BadPoint` when it is not finite or lies on
-    ``[0, inf)``, where no resolvent is defined."""
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise BadPoint(f"z = {z} is not finite")
-    if z.imag == 0.0 and z.real >= 0.0:
-        raise BadPoint(f"z = {z} lies on [0, inf)")
-    return z
 
 
 def build_shift(rep):

@@ -7,7 +7,7 @@ symmetry and non-negativity of the shift on its domain, and
 finite-dimensional geometry dictates: the orthogonal complement of
 ``(A - z) D(A)``, spanned by the projections of the first ``N`` coordinate
 vectors onto that complement.  Points are validated by the library's own
-``_off_positive_axis``.  ``perron_invert`` recovers a discrete measure from
+``_linalg._off_positive_axis``.  ``perron_invert`` recovers a discrete measure from
 samples of its transform by a Stieltjes-Perron scan, an approximate
 cross-check of the exact spectral measures the library emits, and
 ``measure_distance`` tells two measures apart by their cumulatives.
@@ -23,6 +23,11 @@ Nevanlinna kernels of ``tau(z)/z`` and ``tau(z)`` over upper-half-plane
 sample points must be positive semi-definite.  It is only a necessary
 condition, the reference the library's closed form is tested against, and
 it also probes a bare callable outside the normal form.
+
+``resolvent_from_contraction`` is the dense reference resolvent of an
+extension, computed from the contraction itself, and
+``constant_tau_of_extension`` is the inverse of the canonical correspondence
+at the base point: the Hermitian constant parameter of an in-space extension.
 """
 
 from dataclasses import dataclass
@@ -30,11 +35,10 @@ from itertools import chain
 
 import numpy as np
 
-from stieltjesmp._linalg import PINV_RCOND, herm
-from stieltjesmp.errors import MomentProblemError, PropertyViolated
+from stieltjesmp._linalg import PINV_RCOND, _off_positive_axis, herm
+from stieltjesmp.errors import MomentProblemError, ParameterDegenerate, PropertyViolated
 from stieltjesmp.hankel import DEFAULT_PSD_TOL, _block_hankel
-from stieltjesmp.krein import CLASS_TOL, TauParameter
-from stieltjesmp.shiftop import _off_positive_axis
+from stieltjesmp.krein import CHECK_TOL, CLASS_TOL, CONDITION_LIMIT, TauParameter
 from stieltjesmp.solutions import solution_measure
 
 
@@ -426,3 +430,60 @@ def sampled_class_test(tau, sample_points=DEFAULT_CLASS_POINTS):
         if lo < -CLASS_TOL * max(1.0, scale):
             ok = False
     return ok, float(worst)
+
+
+# ---------------------------------------------------------------------------
+# dense references for the resolvent formula
+#
+# The dense resolvent is computed from the contraction itself:
+# R_z = (E + t) ((1 - z) E - (1 + z) t)^{-1}.  An eigenvalue -1 of t (a point
+# mass at infinity of the extension, routine for the Friedrichs corner of a
+# truncated problem) then contributes nothing, with no singular inversion.
+# At z = -1 the formula is closed: gamma(-1) = J, M(-1) = 0 and
+# R_{-1} = (E + t)/2, so a Hermitian constant tau and its in-space extension
+# t are related by
+#
+#     t = t_mu - 2 J (tau - M(0))^{-1} J*,    tau = M(0) - 2 (J* (t - t_mu) J)^{-1}.
+
+
+def resolvent_from_contraction(t, z):
+    """Resolvent at ``z`` of the non-negative extension encoded by ``t``.
+
+    ``R_z = (E + t) ((1-z) E - (1+z) t)^{-1}``; the eigenspace of ``t`` at
+    ``-1`` (mass at infinity) is annihilated, never inverted.
+    """
+    z = _off_positive_axis(z)
+    t = np.asarray(t, dtype=complex)
+    d = t.shape[0]
+    I = np.eye(d, dtype=complex)
+    return (I + t) @ np.linalg.solve((1.0 - z) * I - (1.0 + z) * t, I)
+
+
+def constant_tau_of_extension(pic, t):
+    """Hermitian constant parameter reproducing a contractive extension.
+
+    Raises :class:`ParameterDegenerate` when ``t`` does not differ from the
+    Friedrichs corner on the defect space alone (by more than ``CHECK_TOL``:
+    it is not an in-space extension), or when it touches that corner (the
+    parameter is the ideal element, or has an ideal part).
+    """
+    J = pic.J
+    diff = np.asarray(t, dtype=complex) - pic.t_mu
+    D = herm(J.conj().T @ diff @ J)
+    off = float(np.abs(diff - J @ D @ J.conj().T).max())
+    if off > CHECK_TOL:  # entries of a contraction are at most 1: relative
+        raise ParameterDegenerate(
+            f"extension differs from the Friedrichs corner by {off:.3e} off "
+            "the defect space; it is not an in-space extension"
+        )
+    if np.linalg.norm(D) < 1e-13:
+        raise ParameterDegenerate(
+            "extension coincides with the Friedrichs corner; the "
+            "parameter is the ideal element"
+        )
+    if np.linalg.cond(D) > CONDITION_LIMIT:
+        raise ParameterDegenerate(
+            "extension agrees with the Friedrichs corner on a subspace; "
+            "the parameter has an ideal part"
+        )
+    return herm(pic.M0 - 2.0 * np.linalg.inv(D))

@@ -410,7 +410,9 @@ def test_transform_determinate_direct(tmp_path, capsys):
 
 def test_transform_determinate_matches_the_dense_resolvent(tmp_path, capsys):
     # the stored eigenpairs of t_mu against one LU of the Cayley resolvent
-    from stieltjesmp import analyze, resolvent_from_contraction
+    from oracles import resolvent_from_contraction
+
+    from stieltjesmp import analyze
     from stieltjesmp.hankel import load_moments
 
     moments = [[[2, 0]], [[3, 0]], [[5, 0]], [[9, 0]], [[17, 0]]]  # atoms 1, 2

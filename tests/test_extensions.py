@@ -8,7 +8,7 @@ from corner_reference import (
     gap_kernel_dim,
     reference_corners,
 )
-from oracles import domain_basis, sample_sc_extensions
+from oracles import domain_basis, resolvent_from_contraction, sample_sc_extensions
 from spectral_reference import spectral_reference
 from stieltjesmp import (
     BadPoint,
@@ -21,7 +21,6 @@ from stieltjesmp import (
     extremal_extensions,
     make_tau,
     moment_sequence,
-    resolvent_from_contraction,
     solution_measure,
     solution_transform,
     solve_tau_grid,
@@ -644,7 +643,7 @@ def test_overlaps_read_the_first_N_rows(indeterminate_battery, case):
         E = np.eye(a.gamma_weyl.q)
         poles = [{"p": 1.5, "W": encode_matrix(E)}]
         spec = {"type": "rational", "tau0": encode_matrix(-E), "poles": poles}
-        ts = [exit_space_extension(a.gamma_weyl, make_tau(spec))]
+        ts = [exit_space_extension(a.gamma_weyl, make_tau(spec))[0]]
         assert ts[0].shape[0] > a.rep.dim > a.N
     assert not a.rep.vectors[a.N :, : a.N].any()
     for t in ts:
@@ -688,7 +687,7 @@ def test_spectral_weights_exit_space_padding():
         "tau0": encode_matrix(-(1 / 1.2 + 0.3) * E),
         "poles": [{"p": 1.2, "W": encode_matrix(E)}],
     }
-    t = exit_space_extension(a.gamma_weyl, make_tau(spec))
+    t = exit_space_extension(a.gamma_weyl, make_tau(spec))[0]
     assert t.shape[0] == a.rep.dim + q
     meas = spectral_solution(t, a.rep, a.N)
     assert meas.mass_at_infinity is None

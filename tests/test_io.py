@@ -105,6 +105,22 @@ def test_measure_document_carries_a_mass_at_infinity():
     assert measure_to_dict(meas) == doc
 
 
+def test_measure_document_reads_back_sorted_and_merged():
+    # atoms listed out of order, one position twice: the measure keeps its
+    # invariant, strictly increasing positions, by summing the repeated weight
+    doc = {
+        "N": 1,
+        "atoms": [
+            {"position": 2.0, "weight": [[[0.25, 0.0]]]},
+            {"position": 1.0, "weight": [[[1.0, 0.0]]]},
+            {"position": 2.0, "weight": [[[0.5, 0.0]]]},
+        ],
+    }
+    meas = measure_from_dict(doc)
+    assert tuple(meas.positions) == (1.0, 2.0)
+    assert meas.atoms[1][1].tolist() == [[0.75 + 0j]]
+
+
 def test_smallest_eigenvalue_of_an_empty_matrix_is_zero():
     assert min_eigh(np.zeros((0, 0))) == 0.0
 

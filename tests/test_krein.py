@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from oracles import DEFAULT_CLASS_POINTS, measure_distance, perron_invert, sampled_class_test
+from oracles import (
+    DEFAULT_CLASS_POINTS,
+    constant_tau_of_extension,
+    measure_distance,
+    perron_invert,
+    resolvent_from_contraction,
+    sampled_class_test,
+)
 
 from stieltjesmp import (
     BadPoint,
@@ -9,12 +16,10 @@ from stieltjesmp import (
     SchemaError,
     check_stieltjes_class,
     PropertyViolated,
-    constant_tau_of_extension,
     exit_space_extension,
     extension_of_constant_tau,
     krein_resolvent,
     make_tau,
-    resolvent_from_contraction,
     solution_transform,
     solve_tau_grid,
 )
@@ -519,7 +524,7 @@ def test_exit_space_measure_matches_the_formula(indeterminate_battery):
     for name, a in indeterminate_battery.items():
         gw = a.gamma_weyl
         for tau in _pole_taus(gw.q):
-            t = exit_space_extension(gw, tau)
+            t = exit_space_extension(gw, tau)[0]
             r = sum(np.linalg.matrix_rank(W) for _, W in tau.poles)
             assert t.shape == (gw.dim + r, gw.dim + r)
             meas = spectral_solution(t, a.rep, a.N)
@@ -547,7 +552,7 @@ def test_rational_solutions_round_trip(indeterminate_battery):
 def test_perron_inversion_agrees_with_exact_atoms(two_atom):
     gw = two_atom.gamma_weyl
     tau = make_tau(RATIONAL)
-    exact = spectral_solution(exit_space_extension(gw, tau), two_atom.rep, 1)
+    exact = spectral_solution(exit_space_extension(gw, tau)[0], two_atom.rep, 1)
     got = perron_invert(
         lambda z: solution_transform(gw, tau, two_atom.rep, 1, z), grid=(-0.5, 4.0)
     )
@@ -564,7 +569,7 @@ def test_exit_space_without_poles_is_the_in_space_extension(battery):
     gw = a.gamma_weyl
     for tau in _reference_taus(gw.q):
         if not tau.poles:
-            t = exit_space_extension(gw, tau)
+            t = exit_space_extension(gw, tau)[0]
             assert np.array_equal(t, extension_of_constant_tau(gw, tau))
     # a zero residue has rank 0: no exit space either
     zero = make_tau(
@@ -576,7 +581,7 @@ def test_exit_space_without_poles_is_the_in_space_extension(battery):
     )
     const = make_tau({"type": "constant", "matrix": encode_matrix(-np.eye(3))})
     assert np.array_equal(
-        exit_space_extension(gw, zero), extension_of_constant_tau(gw, const)
+        exit_space_extension(gw, zero)[0], extension_of_constant_tau(gw, const)
     )
 
 
@@ -587,26 +592,26 @@ def test_exit_space_run_time_checks(two_atom):
     tau = make_tau(RATIONAL)
     # a non-Hermitian tau0 makes the in-space part non-Hermitian
     with pytest.raises(PropertyViolated, match="not Hermitian"):
-        exit_space_extension(gw, replace(tau, tau0=np.array([[-1.0 + 0.5j]])))
+        exit_space_extension(gw, replace(tau, tau0=np.array([[-1.0 + 0.5j]])))[0]
     # a pole on the negative axis: the pole block D' is not >= 0
     neg = make_tau(dict(RATIONAL, poles=[{"p": -0.5, "W": [[0.5]]}]))
     assert not check_stieltjes_class(neg)[0]
     with pytest.raises(PropertyViolated, match="pole block"):
-        exit_space_extension(gw, neg)
+        exit_space_extension(gw, neg)[0]
     # tau(0) > 0: D' >= 0, yet the extension is not a contraction
     pos = make_tau(dict(RATIONAL, tau0=[[-0.1]]))
     assert not check_stieltjes_class(pos)[0]
     with pytest.raises(PropertyViolated, match="recovered extension is not a contraction"):
-        exit_space_extension(gw, pos)
+        exit_space_extension(gw, pos)[0]
     # a non-Hermitian residue: the extension realizes its Hermitian part,
     # which the formula check at the check points tells apart
     skew = replace(tau, poles=((1.5, np.array([[0.5 + 0.2j]])),))
     with pytest.raises(PropertyViolated, match="mismatches the formula"):
-        exit_space_extension(gw, skew)
+        exit_space_extension(gw, skew)[0]
     # a singular parameter block at the base point
     sing = make_tau(dict(RATIONAL, tau0=[[float(gw.M0[0, 0].real)]]))
     with pytest.raises(ParameterDegenerate, match="z = -1"):
-        exit_space_extension(gw, sing)
+        exit_space_extension(gw, sing)[0]
 
 
 def test_rational_solve_factors_the_extension_once(indeterminate_battery, monkeypatch):
@@ -629,7 +634,7 @@ def test_rational_solve_factors_the_extension_once(indeterminate_battery, monkey
         monkeypatch.setattr(np.linalg, name, counted)
     entry = solve_with_tau(a, tau)
     monkeypatch.undo()
-    t = exit_space_extension(gw, tau)
+    t = exit_space_extension(gw, tau)[0]
     n = t.shape[0]
     assert n > gw.dim
     on_t = [(name, ord_) for name, shape, ord_ in calls if shape == (n, n)]
@@ -661,10 +666,10 @@ def test_base_point_certificate_near_the_limit(indeterminate_battery, kappa, ref
     assert (np.linalg.cond(tau.tau0 - gw.M0) > CONDITION_LIMIT) == refused
     if refused:
         with pytest.raises(ParameterDegenerate, match="z = -1 has condition above 1e"):
-            exit_space_extension(gw, tau)
+            exit_space_extension(gw, tau)[0]
     else:
         with pytest.raises(PropertyViolated):
-            exit_space_extension(gw, tau)
+            exit_space_extension(gw, tau)[0]
 
 
 @pytest.mark.parametrize(
